@@ -344,17 +344,12 @@ class PassBlock:
     """Packed per-pass block layout over a compiled schedule's groups.
 
     The whole-pass runner's batched ("block") execution mode lays every
-    per-group quantity of a pass out contiguously, in group order, so the
-    work that does not depend on mid-pass state runs as ONE large GEMM
-    per pass instead of one tiny GEMM per level group:
-
-    * the static share of the GRU input transform
-      (``x_rows @ W_ih[d:] + b_ih``) is computed over ``x_rows`` up
-      front and sliced per group;
-    * every parameter gradient of the backward walk accumulates per-group
-      intermediates into ``(num_written, ·)`` / ``(num_edges, ·)``
-      buffers (contiguous slice writes, no scatter) and contracts them
-      against these concatenated inputs once per pass.
+    per-group quantity of a pass out contiguously, in group order, so
+    every parameter gradient of the backward walk accumulates per-group
+    intermediates into ``(num_written, ·)`` / ``(num_edges, ·)`` buffers
+    (contiguous slice writes, no scatter) and contracts them against
+    these concatenated inputs in ONE large GEMM per pass instead of one
+    tiny GEMM per level group.
 
     ``node_offsets``/``edge_offsets`` are ``(G+1,)`` cumulative sums;
     group ``k``'s rows are ``[offsets[k], offsets[k+1])``.  ``written``
@@ -378,6 +373,41 @@ class PassBlock:
     @property
     def num_edges(self) -> int:
         return int(self.edge_offsets[-1])
+
+    @classmethod
+    def pack(
+        cls, groups: List[CompiledGroup], written: np.ndarray
+    ) -> "PassBlock":
+        """Pack compiled groups (with their offsets already assigned)
+        and their concatenated node ids ``written`` into one block."""
+        node_offsets = np.cumsum(
+            [0] + [len(g.nodes) for g in groups], dtype=np.int64
+        )
+        edge_offsets = np.cumsum(
+            [0] + [len(g.src) for g in groups], dtype=np.int64
+        )
+        feat = groups[0].x_rows.shape[1] if groups else 0
+        x_rows = (
+            np.concatenate([g.x_rows for g in groups])
+            if groups
+            else np.zeros((0, feat), np.float32)
+        )
+        counts = (
+            np.concatenate([g.seg_layout.counts for g in groups])
+            if groups
+            else np.zeros(0, np.float32)
+        )
+        edge_attr = None
+        if groups and groups[0].edge_attr is not None:
+            edge_attr = np.concatenate([g.edge_attr for g in groups])
+        return cls(
+            node_offsets=node_offsets,
+            edge_offsets=edge_offsets,
+            written=written,
+            x_rows=x_rows,
+            counts=counts,
+            edge_attr=edge_attr,
+        )
 
 
 class CompiledSchedule:
@@ -419,35 +449,7 @@ class CompiledSchedule:
         groups' arrays never change afterwards.
         """
         if self._block is None:
-            groups = self.groups
-            node_offsets = np.cumsum(
-                [0] + [len(g.nodes) for g in groups], dtype=np.int64
-            )
-            edge_offsets = np.cumsum(
-                [0] + [len(g.src) for g in groups], dtype=np.int64
-            )
-            feat = groups[0].x_rows.shape[1] if groups else 0
-            x_rows = (
-                np.concatenate([g.x_rows for g in groups])
-                if groups
-                else np.zeros((0, feat), np.float32)
-            )
-            counts = (
-                np.concatenate([g.seg_layout.counts for g in groups])
-                if groups
-                else np.zeros(0, np.float32)
-            )
-            edge_attr = None
-            if groups and groups[0].edge_attr is not None:
-                edge_attr = np.concatenate([g.edge_attr for g in groups])
-            self._block = PassBlock(
-                node_offsets=node_offsets,
-                edge_offsets=edge_offsets,
-                written=self.written,
-                x_rows=x_rows,
-                counts=counts,
-                edge_attr=edge_attr,
-            )
+            self._block = PassBlock.pack(self.groups, self.written)
         return self._block
 
     @classmethod
@@ -561,10 +563,9 @@ class WindowedSchedule:
 
     The windowed pass runner streams windows in level order, keeping
     only the current window's state plus the bounded frontier rows —
-    see :func:`repro.models.propagation.run_pass`.  ``x`` (the batch
-    feature matrix) is retained so the runner can recompute the static
-    GRU input-transform share per window with pass-global GEMM chunk
-    extents (the bitwise-identity convention of the execute layer).
+    see :func:`repro.models.propagation.run_pass`.  The runner packs a
+    window's :class:`PassBlock` only for that window's backward, so
+    windows retain no copy of their groups' rows.
     """
 
     def __init__(
@@ -572,7 +573,6 @@ class WindowedSchedule:
         windows: List[Window],
         num_nodes: int,
         written: np.ndarray,
-        x: np.ndarray,
         node_budget: int,
         edge_budget: Optional[int] = None,
     ):
@@ -580,7 +580,6 @@ class WindowedSchedule:
         self.num_nodes = num_nodes
         #: all node ids written during the pass, in window/group order
         self.written = written
-        self.x = x
         self.node_budget = node_budget
         self.edge_budget = edge_budget
 
@@ -729,6 +728,4 @@ class WindowedSchedule:
             if written_parts
             else np.zeros(0, np.int64)
         )
-        return cls(
-            windows, num_nodes, written, x, node_budget, edge_budget
-        )
+        return cls(windows, num_nodes, written, node_budget, edge_budget)

@@ -143,16 +143,24 @@ class DeepGate(Module):
                     if self.use_reverse
                     else None
                 )
-            for _ in range(iterations):
-                h = self._propagate_compiled(
-                    h, fwd, self.fwd_aggregate, self.fwd_combine,
-                    use_edge_attr=self.use_skip,
+            node_type = (
+                batch.graph.node_type if self.input_mode == "fixed_x" else None
+            )
+            fwd_step = AggregateCombineStep(
+                self.fwd_aggregate, self.fwd_combine, node_type,
+                use_edge_attr=self.use_skip,
+            )
+            rev_step = (
+                AggregateCombineStep(
+                    self.rev_aggregate, self.rev_combine, node_type
                 )
+                if rev is not None
+                else None
+            )
+            for _ in range(iterations):
+                h = run_pass(h, fwd, fwd_step)
                 if rev is not None:
-                    h = self._propagate_compiled(
-                        h, rev, self.rev_aggregate, self.rev_combine,
-                        use_edge_attr=False,
-                    )
+                    h = run_pass(h, rev, rev_step)
             return h
         x = Tensor(batch.x)
         fwd = batch.forward_schedule(self.use_skip, self.pe_levels)
@@ -171,16 +179,6 @@ class DeepGate(Module):
         return self.regressor(h, batch.graph.node_type, fused=self.compiled)
 
     # ------------------------------------------------------------------
-    def _propagate_compiled(self, h, schedule, aggregate, combine, use_edge_attr):
-        """One pass over a compiled schedule (see models.propagation)."""
-        step = AggregateCombineStep(
-            aggregate,
-            combine,
-            fixed_x=self.input_mode == "fixed_x",
-            use_edge_attr=use_edge_attr,
-        )
-        return run_pass(h, schedule, step)
-
     def _propagate(self, h, x, schedule, aggregate, combine):
         use_edge_attr = (
             self.use_skip and aggregate is self.fwd_aggregate

@@ -19,19 +19,20 @@ pass as one autograd node:
   retained pass input/output matrices rather than saved per group;
 * everything that does not depend on mid-pass state is batched per pass:
   the GRU's recurrent input transform ``h @ W_hh + b_hh`` (one GEMM over
-  the pass-input state instead of one per group — its gradient likewise
-  materialises once, from the per-group gate gradients), the attention
-  query scores ``h @ w_q``, and all parameter gradients, which
-  accumulate into flat numpy buffers and hit the parameter tensors once
-  per pass.
+  the pass-input rows of the written nodes instead of one per group —
+  its gradient likewise materialises once, from the per-group gate
+  gradients), the attention query scores ``h @ w_q``, and all parameter
+  gradients, which accumulate into flat numpy buffers and hit the
+  parameter tensors once per pass.
 
 Two execution layouts (:data:`PASS_LAYOUTS`) decide how far the batching
 goes:
 
 * ``"block"`` (the default) runs over the schedule's
   :class:`~repro.graphdata.batching.PassBlock` layout: the static share
-  of the GRU input transform (``x_rows @ W_ih[t:] + b_ih``) is ONE GEMM
-  per pass; per-group backward intermediates (gate-input gradients,
+  of the GRU input transform (one-hot gate-type rows times ``W_ih[d:]``,
+  plus ``b_ih``) is a row lookup in the per-type table ``W_ih[d:] +
+  b_ih``; per-group backward intermediates (gate-input gradients,
   messages, aggregator activations) land in contiguous pass-wide
   buffers via slice writes; and every parameter gradient contracts
   those buffers in one GEMM per parameter at pass end instead of one
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -248,17 +249,24 @@ def get_window_stats() -> Dict[str, int]:
 # fixed-extent GEMM chunking (the windowed/full bitwise convention)
 # ---------------------------------------------------------------------------
 
-#: Row-chunk size for pass-wide affine pre-projections (``h @ W_hh +
-#: b_hh`` over the node axis, ``x_rows @ W_ih[d:] + b_ih`` over the
-#: written axis).  Both the full and the windowed runners compute these
-#: through identical globally-aligned chunk extents — never through
-#: window-sized GEMMs — because BLAS results for a row subset of a GEMM
-#: are only guaranteed bitwise-equal to the full product when the chunk
-#: extents match exactly.  The constant is budget-independent, so every
-#: window budget reproduces the full pass's output bits; every existing
-#: suite has fewer rows than one chunk, so the full path's bits are
-#: unchanged from the single-GEMM code it replaces.
+#: Row-chunk size for the recurrent pre-projection ``h @ W_hh + b_hh``,
+#: computed over the pass's written axis (``hd[written]``, in written
+#: order).  Both the full and the windowed runners compute it through
+#: identical globally-aligned chunk extents — never through window-sized
+#: GEMMs — because BLAS results for a row subset of a GEMM are only
+#: guaranteed bitwise-equal to the full product when the chunk extents
+#: match exactly.  The constant is budget-independent, so every window
+#: budget reproduces the full pass's output bits; every existing suite
+#: has fewer rows than one chunk, so the full path's bits are unchanged
+#: from the single-GEMM code it replaces.
 GEMM_CHUNK_ROWS = 32768
+
+
+def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ w + b`` as one GEMM, the bias added in place."""
+    out = _mm(a, w)
+    out += b
+    return out
 
 
 def _affine_chunked(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -270,84 +278,63 @@ def _affine_chunked(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     chunk = GEMM_CHUNK_ROWS
     n = a.shape[0]
     if n <= chunk:
-        return _mm(a, w) + b
+        return _affine(a, w, b)
     out = np.empty((n, w.shape[1]), np.float32)
     for c0 in range(0, n, chunk):
-        c1 = min(c0 + chunk, n)
-        out[c0:c1] = _mm(a[c0:c1], w) + b
+        out[c0:c0 + chunk] = _affine(a[c0:c0 + chunk], w, b)
     return out
 
 
 class _ChunkedAffine:
-    """On-demand rows of ``rows(c0, c1) @ w + b`` in fixed chunk extents.
+    """On-demand row ranges of ``hd[written] @ w + b`` in fixed chunks.
 
-    The windowed runner's view of a pass-wide affine pre-projection:
-    chunks are computed lazily with the same globally-aligned extents as
-    :func:`_affine_chunked` (so any access pattern sees the same bits as
-    the full path) and a small FIFO cache holds recent chunks — window
-    access is approximately monotone over the row axis, so in practice
-    each chunk is computed about once per pass while residency stays
-    bounded at ``max_cached`` chunks.
+    The windowed runner's view of the recurrent pre-projection: chunks
+    are computed lazily with the same globally-aligned extents over the
+    written axis as :func:`_affine_chunked` over ``hd[written]`` in the
+    full runner, so every window sees the full pass's bits.  Each window
+    reads one contiguous range of the written axis and a walk visits the
+    windows monotonically (ascending forward, descending in the reverse
+    re-stream), so only the chunks at the two ends of the latest range
+    can be read again: keeping just those computes each chunk once per
+    walk with at most two resident.
     """
 
     def __init__(
-        self,
-        row_source: Callable[[int, int], np.ndarray],
-        num_rows: int,
-        w: np.ndarray,
-        b: np.ndarray,
-        max_cached: int = 4,
+        self, hd: np.ndarray, written: np.ndarray, w: np.ndarray, b: np.ndarray
     ):
-        self._row_source = row_source
-        self._num_rows = num_rows
+        self._hd = hd
+        self._written = written
         self._w = w
         self._b = b
-        self._max_cached = max(1, max_cached)
         self._cache: Dict[int, np.ndarray] = {}
 
-    def _chunk(self, ci: int) -> np.ndarray:
-        cached = self._cache.get(ci)
-        if cached is not None:
-            return cached
-        chunk = GEMM_CHUNK_ROWS
-        c0 = ci * chunk
-        c1 = min(c0 + chunk, self._num_rows)
-        value = _mm(self._row_source(c0, c1), self._w) + self._b
-        while len(self._cache) >= self._max_cached:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[ci] = value
-        return value
+    def _compute(self, ci: int) -> np.ndarray:
+        c0 = ci * GEMM_CHUNK_ROWS
+        rows = self._written[c0:c0 + GEMM_CHUNK_ROWS]
+        return _affine(self._hd[rows], self._w, self._b)
 
-    def rows(self, ids: np.ndarray) -> np.ndarray:
-        """The projected rows ``ids`` (arbitrary order, with repeats)."""
+    def rows(self, r0: int, r1: int) -> np.ndarray:
+        """The projected rows ``[r0, r1)`` of the written axis."""
         chunk = GEMM_CHUNK_ROWS
-        ci = ids // chunk
-        unique_ci = np.unique(ci)
-        if len(unique_ci) == 1:
-            base = int(unique_ci[0]) * chunk
-            return self._chunk(int(unique_ci[0]))[ids - base]
-        out = np.empty((len(ids), self._w.shape[1]), np.float32)
-        for u in unique_ci:
-            mask = ci == u
-            out[mask] = self._chunk(int(u))[ids[mask] - int(u) * chunk]
-        return out
-
-    def row_range(self, r0: int, r1: int) -> np.ndarray:
-        """The projected rows ``[r0, r1)`` (a contiguous row range)."""
-        chunk = GEMM_CHUNK_ROWS
-        if r1 <= r0:
-            return np.zeros((0, self._w.shape[1]), np.float32)
-        first = r0 // chunk
-        last = (r1 - 1) // chunk
-        if first == last:
-            base = first * chunk
-            return self._chunk(first)[r0 - base:r1 - base]
-        out = np.empty((r1 - r0, self._w.shape[1]), np.float32)
+        first, last = r0 // chunk, (r1 - 1) // chunk
+        # the walk never reads chunks outside this range again
+        self._cache = {
+            ci: v for ci, v in self._cache.items() if first <= ci <= last
+        }
+        out = None
         for ci in range(first, last + 1):
+            value = self._cache.get(ci)
+            if value is None:
+                value = self._compute(ci)
+                if ci in (first, last):
+                    self._cache[ci] = value
             c0 = ci * chunk
-            c1 = min(c0 + chunk, self._num_rows)
-            a0, a1 = max(c0, r0), min(c1, r1)
-            out[a0 - r0:a1 - r0] = self._chunk(ci)[a0 - c0:a1 - c0]
+            if first == last:
+                return value[r0 - c0:r1 - c0]
+            if out is None:
+                out = np.empty((r1 - r0, value.shape[1]), np.float32)
+            a0, a1 = max(c0, r0), min(c0 + chunk, r1)
+            out[a0 - r0:a1 - r0] = value[a0 - c0:a1 - c0]
         return out
 
 
@@ -355,29 +342,30 @@ class AggregateCombineStep:
     """Closed-form per-group step: AGGREGATE + GRU COMBINE, numpy in/out.
 
     Delegates the aggregation maths to the aggregator's ``step_*`` hooks
-    and owns the GRU side.  ``fixed_x`` concatenates the group's
-    pre-gathered gate-type rows into the GRU input (DeepGate's
-    ``fixed_x`` input mode); ``use_edge_attr`` feeds each group's
+    and owns the GRU side.  ``node_type`` (the batch graph's per-node gate
+    types) selects DeepGate's ``fixed_x`` input mode, where the gate-type
+    one-hot joins every GRU input; ``use_edge_attr`` feeds each group's
     precomputed edge-attribute block to the aggregator (skip
     connections; attention only).
 
     The ``*_block`` variants implement the pass-wide block layout: the
-    static input-transform share is precomputed in :meth:`begin`, gate
-    gradients and messages land in contiguous pass buffers, and
-    :meth:`end_backward` contracts them into the parameter gradients
-    with one GEMM each.
+    static input-transform share is a per-type table built in
+    :meth:`begin`, gate gradients and messages land in contiguous pass
+    buffers, and :meth:`end_backward` contracts them into the parameter
+    gradients with one GEMM each.
     """
 
     def __init__(
         self,
         aggregate: PassStepAggregator,
         combine,
-        fixed_x: bool = False,
+        node_type: Optional[np.ndarray] = None,
         use_edge_attr: bool = False,
     ):
         self.aggregate = aggregate
         self.combine = combine
-        self.fixed_x = fixed_x
+        self.node_type = node_type
+        self.fixed_x = node_type is not None
         self.use_edge_attr = (
             use_edge_attr and getattr(aggregate, "w_edge", None) is not None
         )
@@ -392,25 +380,22 @@ class AggregateCombineStep:
             self.combine.w_hh, self.combine.b_hh,
         ]
 
-    def begin(
-        self, hd: np.ndarray, block: Optional[PassBlock] = None
-    ) -> Tuple[np.ndarray, object, Optional[np.ndarray]]:
-        """Per-pass pre-projections over the pass-input state.
+    def begin(self, hd: np.ndarray) -> Tuple[object, Optional[np.ndarray]]:
+        """Per-pass set-up shared by both runners.
 
-        Returns ``(gh_full, agg_ctx, gi_static)``; on the block layout
-        with ``fixed_x``, ``gi_static`` is the whole pass's static GRU
-        input-transform share ``x_rows @ W_ih[d:] + b_ih`` in one GEMM
-        (sliced per group, replacing the per-group concatenate).
+        Returns ``(agg_ctx, x_table)``: the aggregator's pre-projections
+        over the pass-input state and, with ``fixed_x``, the
+        ``(num_types, 3d)`` table ``W_ih[d:] + b_ih``.  A gate's static
+        GRU input-transform share (its one-hot row times ``W_ih[d:]``,
+        plus ``b_ih``) is the table row of its type, with the same single
+        rounding, so the block layout looks it up per group instead of
+        running a GEMM over one-hot rows.
         """
-        c = self.combine
-        gh_full = _affine_chunked(hd, c.w_hh.data, c.b_hh.data)
-        gi_static = None
-        if block is not None and self.fixed_x:
-            d = hd.shape[1]
-            gi_static = _affine_chunked(
-                block.x_rows, c.w_ih.data[d:], c.b_ih.data
-            )
-        return gh_full, self.aggregate.step_begin(hd), gi_static
+        x_table = None
+        if self.fixed_x:
+            c = self.combine
+            x_table = c.w_ih.data[hd.shape[1]:] + c.b_ih.data
+        return self.aggregate.step_begin(hd), x_table
 
     def forward(
         self,
@@ -439,18 +424,18 @@ class AggregateCombineStep:
         query: np.ndarray,
         gh_rows: np.ndarray,
         agg_ctx,
-        gi_static: Optional[np.ndarray],
+        x_table: Optional[np.ndarray],
     ) -> Tuple[np.ndarray, tuple]:
         """Block-layout group forward: the GRU input transform splits
-        into the precomputed static share plus a message-only GEMM."""
+        into the static share looked up in ``x_table`` plus a
+        message-only GEMM."""
         m, agg_saved = self.aggregate.step_forward(
             group, h_src, agg_ctx, self._edge_attr(group)
         )
         c = self.combine
-        if gi_static is not None:
-            o0 = group.node_offset
-            d = query.shape[1]
-            gi = _mm(m, c.w_ih.data[:d]) + gi_static[o0:o0 + len(group.nodes)]
+        if x_table is not None:
+            gi = _mm(m, c.w_ih.data[:query.shape[1]])
+            gi += x_table[self.node_type[group.nodes]]
         else:
             gi = _mm(m, c.w_ih.data) + c.b_ih.data
         out, gru_saved = kernels.gru_gates_np(gi, gh_rows, query)
@@ -708,37 +693,32 @@ def run_pass(
     record = is_grad_enabled() and (
         h.requires_grad or any(p.requires_grad for p in params)
     )
-    gh_full, agg_ctx, gi_static = step.begin(hd, block)
+    agg_ctx, x_table = step.begin(hd)
     work = hd.copy()
     saved_all: List[tuple] = []
-    q_all: Optional[np.ndarray] = None
-    if block is not None:
-        # one batched gather each for the query rows and their recurrent
-        # pre-activations; groups then take contiguous views
-        q_all = hd[schedule.written]
-        gh_w = gh_full[schedule.written]
-        for group in schedule.groups:
-            o0 = group.node_offset
-            o1 = o0 + len(group.nodes)
-            h_src = work[group.src]
-            out, saved = step.forward_block(
-                group, h_src, q_all[o0:o1], gh_w[o0:o1], agg_ctx, gi_static
-            )
-            work[group.nodes] = out
-            if record:
-                saved_all.append(saved)
-    else:
-        for group in schedule.groups:
-            h_src = work[group.src]
-            query = hd[group.nodes]
-            out, saved = step.forward(
-                group, h_src, query, gh_full[group.nodes], agg_ctx
-            )
-            work[group.nodes] = out
-            if record:
-                saved_all.append(saved)
-    groups = schedule.groups
     written = schedule.written
+    # one batched gather for the query rows and one chunked GEMM for their
+    # recurrent pre-activations, both in written order; groups then take
+    # contiguous views
+    q_all = hd[written]
+    c = step.combine
+    gh_w = _affine_chunked(q_all, c.w_hh.data, c.b_hh.data)
+    for group in schedule.groups:
+        o0 = group.node_offset
+        o1 = o0 + len(group.nodes)
+        h_src = work[group.src]
+        if block is not None:
+            out, saved = step.forward_block(
+                group, h_src, q_all[o0:o1], gh_w[o0:o1], agg_ctx, x_table
+            )
+        else:
+            out, saved = step.forward(
+                group, h_src, q_all[o0:o1], gh_w[o0:o1], agg_ctx
+            )
+        work[group.nodes] = out
+        if record:
+            saved_all.append(saved)
+    groups = schedule.groups
 
     def backward(grad: np.ndarray) -> None:
         gru_sink, agg_sink = step.begin_backward(hd, block)
@@ -754,15 +734,14 @@ def run_pass(
         )
         for group, saved in zip(reversed(groups), reversed(saved_all)):
             g_out = gwork[group.nodes]
+            o0 = group.node_offset
+            query = q_all[o0:o0 + len(group.nodes)]
             if block is not None:
                 # block forwards retain their gather; the per_group
                 # layout re-derives it to keep saved state lean
                 h_src = saved[3]
-                o0 = group.node_offset
-                query = q_all[o0:o0 + len(group.nodes)]
             else:
                 h_src = _regather_sources(hd, work, group)
-                query = hd[group.nodes]
             dh_src, dquery = group_backward(
                 group, g_out, h_src, query, saved, gru_sink, agg_sink
             )
@@ -877,9 +856,10 @@ def _run_pass_windowed(
     pass.
 
     Outputs are bitwise identical to the full runner for every window
-    budget: the pass-wide affine pre-projections go through the
-    fixed-extent chunk convention (:data:`GEMM_CHUNK_ROWS`), and all
-    remaining forward arithmetic is per-group in both runners.
+    budget: the recurrent pre-projection goes through the fixed-extent
+    chunk convention over the written axis (:data:`GEMM_CHUNK_ROWS`),
+    the static GRU input share is the same per-type table lookup, and
+    all remaining forward arithmetic is per-group in both runners.
     Parameter/hidden-state gradients contract per window (window-sized
     GEMM extents), so they match the full pass to float32 round-off
     rather than bitwise; the equivalence suite pins both properties.
@@ -892,30 +872,11 @@ def _run_pass_windowed(
     record = is_grad_enabled() and (
         h.requires_grad or any(p.requires_grad for p in params)
     )
-    agg_ctx = step.aggregate.step_begin(hd)
+    agg_ctx, x_table = step.begin(hd)
     c = step.combine
-    d = hd.shape[1]
     written_all = wsched.written
-    x = wsched.x
-
-    def _make_gh() -> _ChunkedAffine:
-        return _ChunkedAffine(
-            lambda c0, c1: hd[c0:c1], hd.shape[0], c.w_hh.data, c.b_hh.data
-        )
-
-    def _make_gi() -> Optional[_ChunkedAffine]:
-        if not (use_block and step.fixed_x):
-            return None
-        return _ChunkedAffine(
-            lambda c0, c1: x[written_all[c0:c1]],
-            len(written_all),
-            c.w_ih.data[d:],
-            c.b_ih.data,
-        )
-
     store = StateStore.from_env() if record else None
-    gh = _make_gh()
-    gi = _make_gi()
+    gh = _ChunkedAffine(hd, written_all, c.w_hh.data, c.b_hh.data)
     work = hd.copy()
     frontier_rows = 0
     frontier_bytes = 0
@@ -928,20 +889,15 @@ def _run_pass_windowed(
             store.put(win.index, chunk)
             frontier_rows += len(win.ext_rows)
             frontier_bytes += chunk.nbytes
-        gh_w = gh.rows(ws.written)
+        gh_w = gh.rows(win.written_start, win.written_stop)
         if use_block:
             q_w = hd[ws.written]
-            gi_w = (
-                gi.row_range(win.written_start, win.written_stop)
-                if gi is not None
-                else None
-            )
             for group in ws.groups:
                 o0 = group.node_offset
                 o1 = o0 + len(group.nodes)
                 out, _ = step.forward_block(
                     group, work[group.src], q_w[o0:o1], gh_w[o0:o1],
-                    agg_ctx, gi_w,
+                    agg_ctx, x_table,
                 )
                 work[group.nodes] = out
         else:
@@ -962,8 +918,7 @@ def _run_pass_windowed(
         gwork = grad.copy()
         need_dh = h.requires_grad
         dh = np.zeros_like(hd) if need_dh else None
-        gh_b = _make_gh()
-        gi_b = _make_gi()
+        gh_b = _ChunkedAffine(hd, written_all, c.w_hh.data, c.b_hh.data)
         if not use_block:
             # pass-global accumulators: the aggregator sink (param-shaped,
             # plus attention's dense query-score grads) and the GRU
@@ -980,26 +935,27 @@ def _run_pass_windowed(
                 if store is not None and win.ext_rows.size
                 else None
             )
-            gh_w = gh_b.rows(ws.written)
-            q_w = hd[ws.written]
+            # drop the previous window's saved state (it holds views of
+            # its projection chunks) before projecting this window's rows
             wouts: List[np.ndarray] = []
             saveds: List[tuple] = []
+            srcs: List[np.ndarray] = []
+            gh_w = gh_b.rows(win.written_start, win.written_stop)
+            q_w = hd[ws.written]
             if use_block:
-                gi_w = (
-                    gi_b.row_range(win.written_start, win.written_stop)
-                    if gi_b is not None
-                    else None
-                )
                 for group in ws.groups:
                     o0 = group.node_offset
                     o1 = o0 + len(group.nodes)
                     h_src = _gather_window_sources(hd, ext_vals, wouts, group)
                     out, saved = step.forward_block(
-                        group, h_src, q_w[o0:o1], gh_w[o0:o1], agg_ctx, gi_w
+                        group, h_src, q_w[o0:o1], gh_w[o0:o1], agg_ctx,
+                        x_table,
                     )
                     wouts.append(out)
                     saveds.append(saved)
-                wblock = ws.block()
+                # packed per window and dropped with it: a window never
+                # retains a copy of its groups' feature/attribute rows
+                wblock = PassBlock.pack(ws.groups, ws.written)
                 gru_sink, agg_sink_w = step.begin_backward(hd, wblock)
                 for group, saved in zip(reversed(ws.groups), reversed(saveds)):
                     o0 = group.node_offset
@@ -1015,7 +971,6 @@ def _run_pass_windowed(
                     _route_window_grads(group, dh_src, win, gwork, dh, need_dh)
                 step.end_backward(hd, gru_sink, agg_sink_w, dh, wblock)
             else:
-                srcs: List[np.ndarray] = []
                 for group in ws.groups:
                     o0 = group.node_offset
                     o1 = o0 + len(group.nodes)

@@ -12,6 +12,12 @@ Design notes
 * Each operation creates a child tensor holding a closure that, given the
   child's gradient, accumulates gradients into its parents.  ``backward()``
   walks the recorded graph once in reverse topological order.
+* ``backward()`` consumes the graph: as soon as an interior node's closure
+  has run, the node drops its gradient, closure and parent links, so the
+  activations the graph kept alive are freed during the walk instead of
+  when the caller drops the root.  Leaves (parameters, inputs) keep their
+  accumulated ``.grad``.  A second ``backward()`` through a consumed graph
+  raises ``RuntimeError``.
 * Broadcasting follows numpy semantics; gradients are summed back over
   broadcast axes by :func:`unbroadcast`.
 """
@@ -27,6 +33,13 @@ __all__ = ["Tensor", "unbroadcast", "no_grad", "is_grad_enabled"]
 Arrayish = Union["Tensor", np.ndarray, float, int]
 
 _GRAD_ENABLED = [True]
+
+_CONSUMED = "backward() through a graph that was already back-propagated"
+
+
+def _consumed(grad: np.ndarray) -> None:
+    """The ``_backward`` of an interior node whose backward has run."""
+    raise RuntimeError(_CONSUMED)
 
 
 class no_grad:
@@ -142,7 +155,11 @@ class Tensor:
         self.grad[index] += grad
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Back-propagate from this tensor through the recorded graph."""
+        """Back-propagate from this tensor through the recorded graph.
+
+        Consumes the graph (see the module notes): interior nodes are
+        released one by one as the walk passes them.
+        """
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that requires no grad")
         if grad is None:
@@ -160,15 +177,23 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _consumed:
+                raise RuntimeError(_CONSUMED)
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.asarray(grad, dtype=np.float32))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = _consumed
+            node._parents = ()
 
     def zero_grad(self) -> None:
         self.grad = None

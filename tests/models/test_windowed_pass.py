@@ -15,12 +15,14 @@ The streaming contract, checked over every aggregator × layout × budget:
   round-trip through disk without changing any gradient.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
 import repro.models.propagation as P
 from repro.datagen.generators import parity, ripple_adder
-from repro.graphdata import from_aig, prepare
+from repro.graphdata import CircuitGraph, from_aig, prepare
 from repro.models import DeepGate
 from repro.models.propagation import (
     PASS_LAYOUTS,
@@ -49,6 +51,22 @@ def make_batch():
     g1 = from_aig(synthesize(ripple_adder(6)), num_patterns=256, seed=0)
     g2 = from_aig(synthesize(parity(5)), num_patterns=256, seed=1)
     return prepare([g1, g2])
+
+
+def relabel(graph, seed):
+    """``graph`` with its node ids shuffled, so ids are not level-sorted."""
+    new_id = np.random.default_rng(seed).permutation(graph.num_nodes)
+    old_id = np.argsort(new_id)
+    return CircuitGraph(
+        node_type=graph.node_type[old_id],
+        type_names=graph.type_names,
+        edges=new_id[graph.edges],
+        levels=graph.levels[old_id],
+        labels=graph.labels[old_id],
+        skip_edges=new_id[graph.skip_edges],
+        skip_level_diff=graph.skip_level_diff,
+        name=graph.name,
+    )
 
 
 def make_model(**kwargs):
@@ -113,6 +131,65 @@ class TestChunkConvention:
             with use_window_budget(16):
                 actual = model(batch).data
         np.testing.assert_array_equal(actual, expected)
+
+    @pytest.mark.parametrize("layout", PASS_LAYOUTS)
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_each_chunk_once_per_walk_at_most_two_resident(
+        self, monkeypatch, direction, layout
+    ):
+        monkeypatch.setattr(P, "GEMM_CHUNK_ROWS", 64)
+        g1 = from_aig(synthesize(ripple_adder(6)), num_patterns=256, seed=0)
+        g2 = from_aig(synthesize(parity(5)), num_patterns=256, seed=1)
+        batch = prepare([relabel(g1, 0), relabel(g2, 1)])
+        model = make_model()
+        node_type = batch.graph.node_type
+        if direction == "forward":
+            full = batch.compiled_forward_schedule(True, model.pe_levels)
+            windowed = batch.windowed_forward_schedule(
+                16, True, model.pe_levels
+            )
+            step = P.AggregateCombineStep(
+                model.fwd_aggregate, model.fwd_combine, node_type,
+                use_edge_attr=True,
+            )
+        else:
+            full = batch.compiled_reverse_schedule()
+            windowed = batch.windowed_reverse_schedule(16)
+            step = P.AggregateCombineStep(
+                model.rev_aggregate, model.rev_combine, node_type
+            )
+        # relabelled: windows read node ids out of order, but each reads
+        # one contiguous range of the written axis
+        assert (np.diff(windowed.written) < 0).any()
+        num_chunks = -(-len(windowed.written) // 64)
+        assert num_chunks >= 3
+
+        computed = []
+        live = []
+        resident = [0]
+        compute = P._ChunkedAffine._compute
+
+        def counting_compute(self, ci):
+            value = compute(self, ci)
+            computed.append(ci)
+            live.append(weakref.ref(value))
+            resident[0] = max(resident[0], sum(r() is not None for r in live))
+            return value
+
+        monkeypatch.setattr(P._ChunkedAffine, "_compute", counting_compute)
+        h0 = np.random.default_rng(2).standard_normal(
+            (batch.num_nodes, 8)
+        ).astype(np.float32)
+        with use_pass_layout(layout):
+            expected = P.run_pass(Tensor(h0), full, step).data
+            assert computed == []  # the full runner projects in one sweep
+            out = P.run_pass(Tensor(h0, requires_grad=True), windowed, step)
+            np.testing.assert_array_equal(out.data, expected)
+            assert sorted(computed) == list(range(num_chunks))
+            computed.clear()
+            out.backward(np.ones_like(out.data))
+            assert sorted(computed) == list(range(num_chunks))
+        assert resident[0] <= 2
 
 
 @pytest.mark.parametrize("layout", PASS_LAYOUTS)

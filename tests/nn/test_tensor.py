@@ -1,5 +1,7 @@
 """Tests for the autograd Tensor: forward semantics and gradients."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,46 @@ class TestBackwardBasics:
         x = Tensor([1.0], requires_grad=True)
         y = x.detach() * 2
         assert not y.requires_grad
+
+
+class TestGraphFreeing:
+    """``backward()`` consumes the graph it walks."""
+
+    def test_interior_nodes_drop_grads_leaves_keep_them(self):
+        x = Tensor([0.5, 1.0], requires_grad=True)
+        y = x * 2.0
+        z = y.exp()
+        loss = z.sum()
+        loss.backward()
+        for node in (y, z, loss):
+            assert node.grad is None
+            assert node._parents == ()
+        np.testing.assert_allclose(x.grad, 2.0 * np.exp(2.0 * x.data))
+        # forward values stay readable
+        assert loss.item() == pytest.approx(float(np.exp(2.0 * x.data).sum()))
+
+    def test_closure_state_dies_with_the_caller_handles(self):
+        x = Tensor(np.linspace(0.1, 1.0, 8), requires_grad=True)
+        y = (x * 3.0).sigmoid()  # its closure captures the output array
+        probe = weakref.ref(y.data)
+        loss = (y * y).sum()
+        del y
+        loss.backward()
+        # the caller still holds the root, but no longer the graph under it
+        assert probe() is None
+        assert x.grad is not None
+
+    def test_second_backward_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = x * 3.0
+        loss = y.sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already back-propagated"):
+            loss.backward()
+        # so does a new graph that reaches into the consumed one
+        with pytest.raises(RuntimeError, match="already back-propagated"):
+            (y * 2.0).sum().backward()
+        np.testing.assert_allclose(x.grad, [3.0, 3.0])
 
 
 class TestGradcheck:
