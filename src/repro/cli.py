@@ -369,8 +369,7 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
                 f"{'':18s} rss {metrics['peak_rss_kb']} KB "
                 f"(delta {metrics['peak_rss_delta_kb']} KB)  "
                 f"budget {metrics['window_budget']}  "
-                f"windows {stats.get('windows', 0)}  "
-                f"spills {stats.get('spills', 0)}"
+                f"windows {stats.get('windows', 0)}"
             )
             probe = metrics.get("full_path_probe")
             if probe:

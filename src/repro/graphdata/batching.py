@@ -14,12 +14,12 @@ Two pieces of machinery the models rely on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn.kernels import SegmentLayout
+from ..nn.kernels import SegmentLayout, segment_rank_order
 from .features import CircuitGraph
 from .positional import positional_encoding
 
@@ -32,17 +32,9 @@ __all__ = [
     "CompiledGroup",
     "CompiledSchedule",
     "PassBlock",
-    "PASS_INPUT",
-    "FRONTIER",
     "Window",
     "WindowedSchedule",
 ]
-
-#: :class:`GatherSplit` producer sentinel — rows come from the pass input
-PASS_INPUT = -1
-#: :class:`GatherSplit` producer sentinel — rows come from an earlier
-#: window's output (the frontier cut set; see :class:`WindowedSchedule`)
-FRONTIER = -2
 
 
 def _level_runs(levels: np.ndarray) -> List[Tuple[int, np.ndarray]]:
@@ -273,26 +265,19 @@ def merge_schedules(
 
 @dataclass
 class GatherSplit:
-    """One producer's share of a group's source gather.
+    """One destination's share of a group's source-gradient routing.
 
-    ``producer`` is the index of the level group (within the same pass —
-    window-local when compiled per window) whose output the rows come
-    from, :data:`PASS_INPUT` (``-1``) for the pass's input state, or
-    :data:`FRONTIER` (``-2``) for rows produced by an *earlier window*
-    of a :class:`WindowedSchedule` (read from the window's frontier cut
-    set rather than a full working matrix).  ``positions`` selects the
-    entries of the group's ``src`` array that read from this producer
-    (``None`` = all of them); ``layout`` is the segment layout over the
-    producer-local row indices used to pre-reduce repeated rows before
-    scattering gradients back.
-
-    ``layout.segment_ids`` doubles as the forward gather index array in
-    position order: global node ids for :data:`PASS_INPUT`, rows into
-    the window's ``ext_rows`` snapshot for :data:`FRONTIER`, and
-    producer-local output rows for in-pass producers.
+    A group's sources split by what the row held when the group read it:
+    ``pass_input`` rows had not been written yet in this pass, so their
+    gradient belongs to the pass input; the others were written by an
+    earlier group, so their gradient flows back into the pass's running
+    output gradient.  ``positions`` selects the entries of the group's
+    ``src`` array in this split (``None`` = all of them); ``layout`` is
+    the segment layout over their global node ids, which accumulates
+    repeated rows rank by rank when the runner scatters gradients back.
     """
 
-    producer: int
+    pass_input: bool
     positions: Optional[np.ndarray]
     layout: SegmentLayout
 
@@ -314,14 +299,61 @@ def _fold_skip(
     return src, seg, edge_attr
 
 
+def _rank_major(
+    g: LevelGroup, edge_attr_dim: Optional[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """A group's nodes and folded edges in rank-major order.
+
+    Nodes run by in-degree, descending and stable; edges run rank by
+    rank — every node's first in-edge, then the second in-edge of every
+    node that has one, and so on, each rank in node order.  Every node of
+    a level group has an in-edge, so rank ``r`` feeds the node prefix
+    ``0..c_r-1`` and each per-target reduction over the group is a chain
+    of slice ops (see :class:`~repro.nn.kernels.SegmentLayout`).
+    """
+    src, seg, edge_attr = _fold_skip(g, edge_attr_dim)
+    n = len(g.nodes)
+    node_order = np.argsort(-np.bincount(seg, minlength=n), kind="stable")
+    pos = np.empty(n, np.int64)
+    pos[node_order] = np.arange(n)
+    seg = pos[seg]
+    edge_order, _ = segment_rank_order(seg)
+    if edge_attr is not None:
+        edge_attr = edge_attr[edge_order]
+    return g.nodes[node_order], src[edge_order], seg[edge_order], edge_attr
+
+
+def _gather_plan(
+    src: np.ndarray, prov: np.ndarray, num_nodes: int
+) -> List[GatherSplit]:
+    """Split a group's sources by provenance (``prov < 0``: pass input)."""
+    plan: List[GatherSplit] = []
+    if not src.size:
+        return plan
+    from_input = prov < 0
+    for pass_input, mask in ((True, from_input), (False, ~from_input)):
+        if mask.all():
+            positions, chosen = None, src
+        elif mask.any():
+            positions = np.flatnonzero(mask)
+            chosen = src[positions]
+        else:
+            continue
+        plan.append(
+            GatherSplit(pass_input, positions, SegmentLayout(chosen, num_nodes))
+        )
+    return plan
+
+
 @dataclass
 class CompiledGroup:
     """Everything one propagation step needs, precomputed once per batch.
 
     Compared to a :class:`LevelGroup`, the skip connections are already
     folded in (``src``/``seg`` are the concatenated real+skip arrays and
-    ``edge_attr`` the matching zero/PE attribute block), the gate-type
-    feature rows are pre-gathered, and the segment sort layout is built.
+    ``edge_attr`` the matching zero/PE attribute block), nodes and edges
+    are laid out rank-major (see :func:`_rank_major`), the gate-type
+    feature rows are pre-gathered, and the segment rank plan is built.
     """
 
     nodes: np.ndarray
@@ -410,18 +442,67 @@ class PassBlock:
         )
 
 
+def _written(groups: List[CompiledGroup]) -> np.ndarray:
+    """The groups' node ids, concatenated in group order."""
+    if not groups:
+        return np.zeros(0, np.int64)
+    return np.concatenate([g.nodes for g in groups])
+
+
+def _compile_groups(
+    schedule: LevelSchedule,
+    x: np.ndarray,
+    edge_attr_dim: Optional[int],
+) -> Tuple[List[CompiledGroup], List[np.ndarray], np.ndarray]:
+    """Compile a schedule's groups, offsets pass-global.
+
+    Also returns each group's provenance — per source, the index of the
+    group that had written the row when this group read it (``-1``: not
+    yet written, so the pass input) — and the final writer of every node
+    (``-1``: never written).
+    """
+    num_nodes = schedule.num_nodes
+    writer = np.full(num_nodes, -1, dtype=np.int64)
+    groups: List[CompiledGroup] = []
+    provs: List[np.ndarray] = []
+    node_offset = 0
+    edge_offset = 0
+    for gi, g in enumerate(schedule):
+        nodes, src, seg, edge_attr = _rank_major(g, edge_attr_dim)
+        prov = writer[src]
+        groups.append(
+            CompiledGroup(
+                nodes=nodes,
+                src=src,
+                seg=seg,
+                seg_layout=SegmentLayout(seg, len(nodes)),
+                gather_plan=_gather_plan(src, prov, num_nodes),
+                x_rows=np.ascontiguousarray(x[nodes]),
+                edge_attr=edge_attr,
+                node_offset=node_offset,
+                edge_offset=edge_offset,
+            )
+        )
+        provs.append(prov)
+        node_offset += len(nodes)
+        edge_offset += len(src)
+        writer[nodes] = gi
+    return groups, provs, writer
+
+
 class CompiledSchedule:
     """A :class:`LevelSchedule` compiled against a batch's features.
 
     Precomputes what the propagation loop would otherwise rebuild on every
     iteration of every epoch: concatenated skip index/segment arrays, the
-    zero-padded edge-attribute blocks, per-group segment sort layouts, the
-    gathered one-hot input rows, and — because a forward/reverse pass
-    writes each node at most once — a *provenance plan* mapping every
-    source row to the in-pass group that produced it (or to the pass
-    input).  The plan lets the runner gather from a single working matrix
-    and materialise the state exactly once per pass instead of once per
-    level.
+    zero-padded edge-attribute blocks, the rank-major group layouts and
+    their segment rank plans, the gathered one-hot input rows, and —
+    because a forward/reverse pass writes each node at most once — a
+    *routing plan* splitting every group's sources into rows read from
+    the pass input and rows written earlier in the pass.  The plan lets
+    the runner gather from a single working matrix, materialise the
+    state exactly once per pass, and route source gradients with at most
+    two scatters per group.
     """
 
     def __init__(
@@ -465,54 +546,8 @@ class CompiledSchedule:
         zero, skip edges their positional encoding); ``None`` skips them
         for models that don't consume edge attributes.
         """
-        num_nodes = schedule.num_nodes
-        # which group (this pass) last wrote each node, and at which local row
-        writer = np.full(num_nodes, -1, dtype=np.int64)
-        local = np.zeros(num_nodes, dtype=np.int64)
-        groups: List[CompiledGroup] = []
-        node_offset = 0
-        edge_offset = 0
-        for gi, g in enumerate(schedule):
-            src, seg, edge_attr = _fold_skip(g, edge_attr_dim)
-            prov = writer[src]
-            plan: List[GatherSplit] = []
-            for p in np.unique(prov) if src.size else ():
-                if prov.size and (prov == p).all():
-                    positions = None
-                    chosen = src
-                else:
-                    positions = np.flatnonzero(prov == p)
-                    chosen = src[positions]
-                if p < 0:
-                    rows, size = chosen, num_nodes
-                else:
-                    rows, size = local[chosen], len(groups[p].nodes)
-                plan.append(
-                    GatherSplit(int(p), positions, SegmentLayout(rows, size))
-                )
-            groups.append(
-                CompiledGroup(
-                    nodes=g.nodes,
-                    src=src,
-                    seg=seg,
-                    seg_layout=SegmentLayout(seg, len(g.nodes)),
-                    gather_plan=plan,
-                    x_rows=np.ascontiguousarray(x[g.nodes]),
-                    edge_attr=edge_attr,
-                    node_offset=node_offset,
-                    edge_offset=edge_offset,
-                )
-            )
-            node_offset += len(g.nodes)
-            edge_offset += len(src)
-            writer[g.nodes] = gi
-            local[g.nodes] = np.arange(len(g.nodes))
-        written = (
-            np.concatenate([g.nodes for g in groups])
-            if groups
-            else np.zeros(0, np.int64)
-        )
-        return cls(groups, num_nodes, written)
+        groups, _, _ = _compile_groups(schedule, x, edge_attr_dim)
+        return cls(groups, schedule.num_nodes, _written(groups))
 
 
 # ---------------------------------------------------------------------------
@@ -523,22 +558,20 @@ class CompiledSchedule:
 @dataclass
 class Window:
     """One bounded slice of a pass: consecutive level groups compiled
-    together, plus the frontier cut set they read from earlier windows.
+    together.
 
-    ``compiled`` is a per-window :class:`CompiledSchedule` whose
-    ``gather_plan`` producers are *window-local* group indices (or the
-    :data:`PASS_INPUT`/:data:`FRONTIER` sentinels) and whose block
-    layout (:meth:`CompiledSchedule.block`) therefore packs only this
-    window's rows.  ``ext_rows`` is the sorted array of global node ids
-    written by earlier windows and read by this one — the rows whose
-    values cross the window boundary and must be carried (or spilled)
-    between windows.  ``written_start``/``written_stop`` locate this
+    ``compiled`` is a per-window :class:`CompiledSchedule` whose group
+    offsets are window-local, so its block layout
+    (:meth:`CompiledSchedule.block`) packs only this window's rows; its
+    gather plans route by global row id, exactly as in the full
+    schedule.  ``frontier_rows`` counts the distinct rows written by
+    earlier windows that this window reads — the rows whose values cross
+    the window boundary.  ``written_start``/``written_stop`` locate this
     window's written nodes inside the pass-global written-node axis.
     """
 
-    index: int
     compiled: CompiledSchedule
-    ext_rows: np.ndarray
+    frontier_rows: int
     written_start: int
     written_stop: int
 
@@ -550,22 +583,24 @@ class Window:
 class WindowedSchedule:
     """A level schedule partitioned into windows of bounded size.
 
-    Greedy partition of the level groups into consecutive windows whose
-    written-node count stays within ``node_budget`` (and, optionally,
-    whose folded edge count stays within ``edge_budget``); a window
-    always takes at least one group, so a single oversized level group
-    becomes its own window rather than failing.  Each window compiles
-    exactly like :meth:`CompiledSchedule.compile` — the provenance
-    ``writer``/``local`` maps are shared across windows, so a source
-    row's producer is classified as in-window (window-local index),
-    earlier-window (:data:`FRONTIER`, resolved through the window's
-    ``ext_rows`` cut set), or the pass input (:data:`PASS_INPUT`).
+    Greedy partition of the compiled level groups into consecutive windows
+    whose written-node count stays within ``node_budget`` (and,
+    optionally, whose folded edge count stays within ``edge_budget``); a
+    window always takes at least one group, so a single oversized level
+    group becomes its own window rather than failing.  The groups compile
+    exactly as in :meth:`CompiledSchedule.compile` — same rank-major
+    layouts, same routing plans — and only their block offsets are
+    rebased per window.
 
-    The windowed pass runner streams windows in level order, keeping
-    only the current window's state plus the bounded frontier rows —
-    see :func:`repro.models.propagation.run_pass`.  The runner packs a
-    window's :class:`PassBlock` only for that window's backward, so
-    windows retain no copy of their groups' rows.
+    The windowed pass runner streams windows in level order and, in the
+    backward, re-streams them in reverse, re-reading each window's
+    sources from the pass output — see
+    :func:`repro.models.propagation.run_pass`.  That is only sound for a
+    *topological* schedule, where no group reads a row written by itself
+    or by a later group, so :meth:`build` rejects any other (an
+    ``undirected`` schedule, for one).  The runner packs a window's
+    :class:`PassBlock` only for that window's backward, so windows retain
+    no copy of their groups' rows.
     """
 
     def __init__(
@@ -595,7 +630,7 @@ class WindowedSchedule:
 
     @property
     def max_frontier_rows(self) -> int:
-        return max((len(w.ext_rows) for w in self.windows), default=0)
+        return max((w.frontier_rows for w in self.windows), default=0)
 
     @classmethod
     def build(
@@ -606,25 +641,37 @@ class WindowedSchedule:
         edge_attr_dim: Optional[int] = None,
         edge_budget: Optional[int] = None,
     ) -> "WindowedSchedule":
-        """Partition and compile ``schedule`` into bounded windows."""
+        """Partition and compile ``schedule`` into bounded windows.
+
+        Raises ``ValueError`` naming the first group that reads a row
+        written by itself or by a later group.
+        """
         node_budget = int(node_budget)
         if node_budget < 1:
             raise ValueError(f"node_budget must be >= 1, got {node_budget}")
         if edge_budget is not None and edge_budget < 1:
             raise ValueError(f"edge_budget must be >= 1, got {edge_budget}")
-        num_nodes = schedule.num_nodes
-        folded = [_fold_skip(g, edge_attr_dim) for g in schedule]
-        nodes_per_group = [len(g.nodes) for g in schedule]
+        groups, provs, writer = _compile_groups(schedule, x, edge_attr_dim)
+        for k, (g, prov) in enumerate(zip(groups, provs)):
+            late = (prov < 0) & (writer[g.src] >= 0)
+            if late.any():
+                row = int(g.src[np.argmax(late)])
+                raise ValueError(
+                    f"level group {k} reads row {row} before group "
+                    f"{int(writer[row])} writes it; a windowed schedule "
+                    "must be topological (every group reads only rows "
+                    "written by earlier groups or the pass input)"
+                )
         # greedy spans: [g0, g1) per window, >= 1 group each
         spans: List[Tuple[int, int]] = []
         g0 = 0
-        while g0 < len(folded):
-            n_sum = nodes_per_group[g0]
-            e_sum = len(folded[g0][0])
+        while g0 < len(groups):
+            n_sum = len(groups[g0].nodes)
+            e_sum = len(groups[g0].src)
             g1 = g0 + 1
-            while g1 < len(folded):
-                n_next = n_sum + nodes_per_group[g1]
-                e_next = e_sum + len(folded[g1][0])
+            while g1 < len(groups):
+                n_next = n_sum + len(groups[g1].nodes)
+                e_next = e_sum + len(groups[g1].src)
                 if n_next > node_budget:
                     break
                 if edge_budget is not None and e_next > edge_budget:
@@ -633,99 +680,32 @@ class WindowedSchedule:
                 g1 += 1
             spans.append((g0, g1))
             g0 = g1
-        # pass-global provenance, shared across windows
-        writer = np.full(num_nodes, -1, dtype=np.int64)
-        local = np.zeros(num_nodes, dtype=np.int64)
+        num_nodes = schedule.num_nodes
+        written = _written(groups)
         windows: List[Window] = []
-        written_parts: List[np.ndarray] = []
-        w_start = 0
-        for wi, (a, b) in enumerate(spans):
-            # first sweep: record each group's provenance, then mark the
-            # group as written so later groups in this window see it
-            provs: List[np.ndarray] = []
-            for k in range(a, b):
-                g = schedule.groups[k]
-                src = folded[k][0]
-                provs.append(writer[src])
-                writer[g.nodes] = k
-                local[g.nodes] = np.arange(len(g.nodes))
-            ext_parts = [
-                src[(prov >= 0) & (prov < a)]
-                for (src, _, _), prov in zip(folded[a:b], provs)
-            ]
-            ext_cat = (
-                np.concatenate(ext_parts)
-                if ext_parts
-                else np.zeros(0, np.int64)
-            )
-            ext_rows = np.unique(ext_cat)
-            # second sweep: build the window's compiled groups with
-            # window-local producers and frontier splits
-            cgroups: List[CompiledGroup] = []
-            node_offset = 0
-            edge_offset = 0
-            for k in range(a, b):
-                g = schedule.groups[k]
-                src, seg, edge_attr = folded[k]
-                prov = provs[k - a]
-                plan: List[GatherSplit] = []
-                for p in np.unique(prov) if src.size else ():
-                    if prov.size and (prov == p).all():
-                        positions = None
-                        chosen = src
-                    else:
-                        positions = np.flatnonzero(prov == p)
-                        chosen = src[positions]
-                    if p < 0:
-                        producer = PASS_INPUT
-                        rows, size = chosen, num_nodes
-                    elif p < a:
-                        producer = FRONTIER
-                        rows = np.searchsorted(ext_rows, chosen)
-                        size = len(ext_rows)
-                    else:
-                        producer = int(p - a)
-                        rows = local[chosen]
-                        size = nodes_per_group[p]
-                    plan.append(
-                        GatherSplit(
-                            producer, positions, SegmentLayout(rows, size)
-                        )
-                    )
-                cgroups.append(
-                    CompiledGroup(
-                        nodes=g.nodes,
-                        src=src,
-                        seg=seg,
-                        seg_layout=SegmentLayout(seg, len(g.nodes)),
-                        gather_plan=plan,
-                        x_rows=np.ascontiguousarray(x[g.nodes]),
-                        edge_attr=edge_attr,
-                        node_offset=node_offset,
-                        edge_offset=edge_offset,
-                    )
+        for a, b in spans:
+            n0, e0 = groups[a].node_offset, groups[a].edge_offset
+            cgroups = [
+                replace(
+                    g,
+                    node_offset=g.node_offset - n0,
+                    edge_offset=g.edge_offset - e0,
                 )
-                node_offset += len(g.nodes)
-                edge_offset += len(src)
-            win_written = (
-                np.concatenate([cg.nodes for cg in cgroups])
-                if cgroups
-                else np.zeros(0, np.int64)
-            )
-            written_parts.append(win_written)
+                for g in groups[a:b]
+            ]
+            earlier = np.concatenate([
+                g.src[(p >= 0) & (p < a)]
+                for g, p in zip(groups[a:b], provs[a:b])
+            ])
+            n1 = n0 + sum(len(g.nodes) for g in cgroups)
             windows.append(
                 Window(
-                    index=wi,
-                    compiled=CompiledSchedule(cgroups, num_nodes, win_written),
-                    ext_rows=ext_rows,
-                    written_start=w_start,
-                    written_stop=w_start + len(win_written),
+                    compiled=CompiledSchedule(
+                        cgroups, num_nodes, written[n0:n1]
+                    ),
+                    frontier_rows=int(np.unique(earlier).size),
+                    written_start=n0,
+                    written_stop=n1,
                 )
             )
-            w_start += len(win_written)
-        written = (
-            np.concatenate(written_parts)
-            if written_parts
-            else np.zeros(0, np.int64)
-        )
         return cls(windows, num_nodes, written, node_budget, edge_budget)

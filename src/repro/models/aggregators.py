@@ -13,7 +13,7 @@ node.  The shared interface is::
 ``edge_attr``       optional (E, p) attributes (positional encodings on
                     skip connections); only attention consumes them.
 ``layout``          optional precomputed segment layout over ``seg`` (from
-                    a compiled schedule); saves the per-call sort.
+                    a compiled schedule); saves the per-call rank plan.
 
 Each aggregator offers the interface at three fusion levels:
 
@@ -588,15 +588,7 @@ class AttentionAggregator(PassStepAggregator):
         dh = alpha[:, None] * dm_e
         dalpha = np.einsum("ij,ij->i", h_src, dm_e)
         weighted = alpha * dalpha
-        if layout.is_sorted:
-            sw = np.add.reduceat(weighted, layout.starts)
-            if layout.present.size == layout.num_segments:
-                # ids double as compressed ranks: take beats repeat
-                ds = weighted - alpha * sw[seg]
-            else:
-                ds = weighted - alpha * np.repeat(sw, layout.sizes)
-        else:
-            ds = weighted - alpha * segment_sum_np(weighted, layout)[seg]
+        ds = weighted - alpha * segment_sum_np(weighted, layout)[seg]
         dh += ds[:, None] * wk.reshape(1, -1)
         return dh, ds
 

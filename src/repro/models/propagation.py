@@ -14,9 +14,10 @@ pass as one autograd node:
   aggregator classes as ``step_*`` hooks — see
   :class:`~repro.models.aggregators.PassStepAggregator`);
 * the backward replays the groups in reverse, routing source gradients
-  to their producing groups through the schedule's precomputed
-  provenance plans — source and query values are re-gathered from the
-  retained pass input/output matrices rather than saved per group;
+  by global row id through the schedule's precomputed routing plans —
+  at most two scatters per group: rows the group read from the pass
+  input into the input gradient, rows written earlier in the pass into
+  the running output gradient;
 * everything that does not depend on mid-pass state is batched per pass:
   the GRU's recurrent input transform ``h @ W_hh + b_hh`` (one GEMM over
   the pass-input rows of the written nodes instead of one per group —
@@ -48,6 +49,19 @@ environment, :func:`set_pass_layout` from code, or the
 layout runs through the pluggable backend seam
 (:mod:`repro.nn.backends`).
 
+Every compiled level group is laid out rank-major (nodes by in-degree,
+edges rank by rank; see
+:class:`~repro.graphdata.batching.CompiledSchedule`), so each
+per-target reduction in the aggregator kernels is a short chain of
+slice ops.
+
+A :class:`~repro.graphdata.batching.WindowedSchedule` runs the
+streaming runner: the forward walks bounded windows of the same
+compiled groups, and the backward re-streams them in reverse,
+recomputing each window's forward from the pass output it already
+holds, before running the window's backward with the same routing as
+the full runner.
+
 A note on *batch interleaving*: level groups are keyed by level value,
 so when a batch merges several circuits (``graphdata.merge`` /
 ``merge_schedules``), nodes of different circuits at the same level
@@ -75,20 +89,15 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..graphdata.batching import (
-    FRONTIER,
-    PASS_INPUT,
     CompiledGroup,
     CompiledSchedule,
     PassBlock,
-    Window,
     WindowedSchedule,
 )
 from ..nn import kernels
 from ..nn.backends import matmul as _mm
-from ..nn.kernels import segment_present_sum
 from ..nn.tensor import Tensor, is_grad_enabled
 from .aggregators import PassStepAggregator, Sink, _acc
-from .statestore import StateStore
 
 __all__ = [
     "run_pass",
@@ -226,13 +235,7 @@ _WINDOW_STATS: Dict[str, int] = {}
 def reset_window_stats() -> None:
     """Zero the cumulative windowed-pass counters."""
     _WINDOW_STATS.update(
-        passes=0,
-        windows=0,
-        frontier_rows=0,
-        frontier_bytes=0,
-        spills=0,
-        reloads=0,
-        store_peak_bytes=0,
+        passes=0, windows=0, frontier_rows=0, store_peak_bytes=0
     )
 
 
@@ -240,8 +243,16 @@ reset_window_stats()
 
 
 def get_window_stats() -> Dict[str, int]:
-    """Cumulative windowed-pass counters (passes, windows, frontier rows
-    and bytes carried, store spills/reloads, peak store residency)."""
+    """Cumulative windowed-pass counters.
+
+    ``passes`` and ``windows`` count every windowed pass; ``frontier_rows``
+    sums, over the windows of each recorded (gradient-tracking) pass, the
+    distinct earlier-window rows the window reads — the rows its
+    backward re-stream reads across a window boundary.
+    ``store_peak_bytes`` is always 0: the backward keeps no frontier
+    store (it reads the pass output), and the key stays for readers of
+    the older counter set.
+    """
     return dict(_WINDOW_STATS)
 
 
@@ -647,22 +658,39 @@ def _regather_sources(
 ) -> np.ndarray:
     """Reconstruct the source rows a group read during the forward.
 
-    The schedule is topological: no source row is written after the
-    group reads it, so rows from producer ``-1`` still sit unchanged in
-    the pass input ``hd`` and rows from earlier groups sit in the final
-    working matrix ``work`` (each node is written exactly once).
-    Re-gathering here keeps the per-group ``(E_g, d)`` snapshots out of
-    the saved state.
+    Pass-input rows still sit unchanged in ``hd`` (even where a group
+    overwrites them later, as in an ``undirected`` schedule) and rows
+    written by earlier groups sit in the final working matrix ``work``
+    (each node is written exactly once).  Re-gathering here keeps the
+    per-group ``(E_g, d)`` snapshots out of the saved state.
     """
     plan = group.gather_plan
     if len(plan) == 1 and plan[0].positions is None:
-        base = hd if plan[0].producer < 0 else work
+        base = hd if plan[0].pass_input else work
         return base[group.src]
     out = np.empty((len(group.src),) + hd.shape[1:], hd.dtype)
     for split in plan:
-        base = hd if split.producer < 0 else work
+        base = hd if split.pass_input else work
         out[split.positions] = base[group.src[split.positions]]
     return out
+
+
+def _route_source_grads(
+    group: CompiledGroup,
+    dh_src: np.ndarray,
+    gwork: np.ndarray,
+    dh: Optional[np.ndarray],
+) -> None:
+    """Scatter a group's source gradients by global row id, shared by
+    both runners: rows the group read from the pass input go into ``dh``
+    (skipped when ``None``), rows written earlier in the pass into the
+    running output gradient ``gwork``."""
+    for split in group.gather_plan:
+        dest = dh if split.pass_input else gwork
+        if dest is None:
+            continue
+        g = dh_src if split.positions is None else dh_src[split.positions]
+        kernels.segment_scatter_add(dest, g, split.layout)
 
 
 def run_pass(
@@ -747,18 +775,7 @@ def run_pass(
             )
             if need_dh and dquery is not None:
                 dh[group.nodes] += dquery
-            for split in group.gather_plan:
-                g = (
-                    dh_src
-                    if split.positions is None
-                    else dh_src[split.positions]
-                )
-                rows, sums = segment_present_sum(g, split.layout)
-                if split.producer < 0:
-                    if need_dh:
-                        dh[rows] += sums
-                else:
-                    gwork[groups[split.producer].nodes[rows]] += sums
+            _route_source_grads(group, dh_src, gwork, dh)
         step.end_backward(hd, gru_sink, agg_sink, dh, block)
         if need_dh:
             # rows never written flow straight through to the pass input
@@ -774,69 +791,6 @@ def run_pass(
 # ---------------------------------------------------------------------------
 
 
-def _gather_window_sources(
-    hd: np.ndarray,
-    ext_vals: Optional[np.ndarray],
-    wouts: List[np.ndarray],
-    group: CompiledGroup,
-) -> np.ndarray:
-    """Reconstruct a group's source rows from window-bounded state only.
-
-    Rows come from the pass input (``hd``), the window's frontier
-    snapshot (``ext_vals`` — the rows earlier windows carried across the
-    boundary) or the outputs of earlier groups *in this window*
-    (``wouts``) — never from a full ``(N, d)`` working matrix, which is
-    what makes the reverse re-stream's resident state bounded.  The
-    splits' ``layout.segment_ids`` double as the gather index arrays.
-    """
-    plan = group.gather_plan
-    if len(plan) == 1 and plan[0].positions is None:
-        split = plan[0]
-        if split.producer == PASS_INPUT:
-            return hd[group.src]
-        if split.producer == FRONTIER:
-            return ext_vals[split.layout.segment_ids]
-        return wouts[split.producer][split.layout.segment_ids]
-    out = np.empty((len(group.src),) + hd.shape[1:], hd.dtype)
-    for split in plan:
-        idx = split.layout.segment_ids
-        if split.producer == PASS_INPUT:
-            vals = hd[idx]
-        elif split.producer == FRONTIER:
-            vals = ext_vals[idx]
-        else:
-            vals = wouts[split.producer][idx]
-        out[split.positions] = vals
-    return out
-
-
-def _route_window_grads(
-    group: CompiledGroup,
-    dh_src: np.ndarray,
-    win: Window,
-    gwork: np.ndarray,
-    dh: Optional[np.ndarray],
-    need_dh: bool,
-) -> None:
-    """Scatter a group's source gradients to their producers.
-
-    Identical to the full runner's routing, except frontier splits land
-    on the global rows named by the window's ``ext_rows`` cut set (those
-    producers live in earlier windows, visited later in the reverse
-    stream) and in-window producers are window-local.
-    """
-    for split in group.gather_plan:
-        g = dh_src if split.positions is None else dh_src[split.positions]
-        rows, sums = segment_present_sum(g, split.layout)
-        if split.producer == PASS_INPUT:
-            if need_dh:
-                dh[rows] += sums
-        elif split.producer == FRONTIER:
-            gwork[win.ext_rows[rows]] += sums
-        else:
-            gwork[win.compiled.groups[split.producer].nodes[rows]] += sums
-
-
 def _run_pass_windowed(
     h: Tensor,
     wsched: WindowedSchedule,
@@ -847,19 +801,23 @@ def _run_pass_windowed(
 
     The forward walks windows in level order; per-window transients
     (query/pre-activation rows, group outputs) are discarded as soon as
-    the window's nodes are written, and the rows each later window reads
-    across a boundary are parked in a :class:`StateStore` (in-memory,
-    optionally spilling to disk).  No per-group saved state is retained:
-    the reverse walk re-streams windows in reverse order, *recomputing*
-    each window's forward from the pass input plus its frontier snapshot,
-    then running the window's backward — still one autograd node per
-    pass.
+    the window's nodes are written.  No per-group saved state is
+    retained: the reverse walk re-streams windows in reverse order,
+    *recomputing* each window's forward, then running the window's
+    backward — still one autograd node per pass.  The recompute gathers
+    every group's sources from the pass output ``work``, which the
+    output tensor keeps alive through the backward: the schedule is
+    topological (checked by :meth:`WindowedSchedule.build`), so a row a
+    group read was either never written in the pass (pass input) or
+    written once by an earlier group, and ``work`` holds exactly the
+    value the forward read.
 
     Outputs are bitwise identical to the full runner for every window
-    budget: the recurrent pre-projection goes through the fixed-extent
-    chunk convention over the written axis (:data:`GEMM_CHUNK_ROWS`),
-    the static GRU input share is the same per-type table lookup, and
-    all remaining forward arithmetic is per-group in both runners.
+    budget: both runners compile the same rank-major groups, the
+    recurrent pre-projection goes through the fixed-extent chunk
+    convention over the written axis (:data:`GEMM_CHUNK_ROWS`), the
+    static GRU input share is the same per-type table lookup, and all
+    remaining forward arithmetic is per-group in both runners.
     Parameter/hidden-state gradients contract per window (window-sized
     GEMM extents), so they match the full pass to float32 round-off
     rather than bitwise; the equivalence suite pins both properties.
@@ -875,20 +833,10 @@ def _run_pass_windowed(
     agg_ctx, x_table = step.begin(hd)
     c = step.combine
     written_all = wsched.written
-    store = StateStore.from_env() if record else None
     gh = _ChunkedAffine(hd, written_all, c.w_hh.data, c.b_hh.data)
     work = hd.copy()
-    frontier_rows = 0
-    frontier_bytes = 0
     for win in wsched.windows:
         ws = win.compiled
-        if store is not None and win.ext_rows.size:
-            # rows from earlier windows are final (each node is written
-            # once per pass), so the snapshot can be taken up front
-            chunk = work[win.ext_rows]
-            store.put(win.index, chunk)
-            frontier_rows += len(win.ext_rows)
-            frontier_bytes += chunk.nbytes
         gh_w = gh.rows(win.written_start, win.written_stop)
         if use_block:
             q_w = hd[ws.written]
@@ -911,8 +859,10 @@ def _run_pass_windowed(
                 work[group.nodes] = out
     _WINDOW_STATS["passes"] += 1
     _WINDOW_STATS["windows"] += len(wsched.windows)
-    _WINDOW_STATS["frontier_rows"] += frontier_rows
-    _WINDOW_STATS["frontier_bytes"] += frontier_bytes
+    if record:
+        _WINDOW_STATS["frontier_rows"] += sum(
+            w.frontier_rows for w in wsched.windows
+        )
 
     def backward(grad: np.ndarray) -> None:
         gwork = grad.copy()
@@ -930,14 +880,8 @@ def _run_pass_windowed(
             }
         for win in reversed(wsched.windows):
             ws = win.compiled
-            ext_vals = (
-                store.get(win.index)
-                if store is not None and win.ext_rows.size
-                else None
-            )
             # drop the previous window's saved state (it holds views of
             # its projection chunks) before projecting this window's rows
-            wouts: List[np.ndarray] = []
             saveds: List[tuple] = []
             srcs: List[np.ndarray] = []
             gh_w = gh_b.rows(win.written_start, win.written_stop)
@@ -946,12 +890,10 @@ def _run_pass_windowed(
                 for group in ws.groups:
                     o0 = group.node_offset
                     o1 = o0 + len(group.nodes)
-                    h_src = _gather_window_sources(hd, ext_vals, wouts, group)
-                    out, saved = step.forward_block(
-                        group, h_src, q_w[o0:o1], gh_w[o0:o1], agg_ctx,
-                        x_table,
+                    _, saved = step.forward_block(
+                        group, work[group.src], q_w[o0:o1], gh_w[o0:o1],
+                        agg_ctx, x_table,
                     )
-                    wouts.append(out)
                     saveds.append(saved)
                 # packed per window and dropped with it: a window never
                 # retains a copy of its groups' feature/attribute rows
@@ -968,17 +910,16 @@ def _run_pass_windowed(
                         gru_sink,
                         agg_sink_w,
                     )
-                    _route_window_grads(group, dh_src, win, gwork, dh, need_dh)
+                    _route_source_grads(group, dh_src, gwork, dh)
                 step.end_backward(hd, gru_sink, agg_sink_w, dh, wblock)
             else:
                 for group in ws.groups:
                     o0 = group.node_offset
                     o1 = o0 + len(group.nodes)
-                    h_src = _gather_window_sources(hd, ext_vals, wouts, group)
-                    out, saved = step.forward(
+                    h_src = work[group.src]
+                    _, saved = step.forward(
                         group, h_src, hd[group.nodes], gh_w[o0:o1], agg_ctx
                     )
-                    wouts.append(out)
                     saveds.append(saved)
                     srcs.append(h_src)
                 gru_sink = {
@@ -1002,21 +943,10 @@ def _run_pass_windowed(
                     )
                     if need_dh and dquery is not None:
                         dh[group.nodes] += dquery
-                    _route_window_grads(group, dh_src, win, gwork, dh, need_dh)
+                    _route_source_grads(group, dh_src, gwork, dh)
                 step.end_window(q_w, ws.written, gru_sink, dh)
-            if store is not None and win.ext_rows.size:
-                store.drop(win.index)
         if not use_block:
             step.end_pass_windowed(hd, gru_acc, agg_sink, dh)
-        if store is not None:
-            stats = store.stats
-            _WINDOW_STATS["spills"] += stats["spills"]
-            _WINDOW_STATS["reloads"] += stats["reloads"]
-            _WINDOW_STATS["store_peak_bytes"] = max(
-                _WINDOW_STATS["store_peak_bytes"],
-                stats["peak_resident_bytes"],
-            )
-            store.clear()
         if need_dh:
             # rows never written flow straight through to the pass input
             gwork[written_all] = 0.0

@@ -6,11 +6,13 @@ node-state matrix, and segment (per-destination) reductions used by the
 aggregation functions — including the segment softmax that realises the
 paper's additive attention (Eq. 5).
 
-All segment reductions run on the sort-plus-``reduceat`` kernels of
-:mod:`repro.nn.kernels` rather than ``np.add.at``/``np.maximum.at``.  Each
-op accepts an optional precomputed :class:`~repro.nn.kernels.SegmentLayout`
-so hot paths (the compiled propagation schedules) pay the sort once per
-batch; without one, a layout is built on the fly.
+All segment reductions run on the rank-by-rank kernels of
+:mod:`repro.nn.kernels` rather than ``np.add.at``/``np.maximum.at``: one
+conflict-free vectorised op per rank, accumulating each segment in
+element order.  Each op accepts an optional precomputed
+:class:`~repro.nn.kernels.SegmentLayout` so hot paths (the compiled
+propagation schedules) pay the rank plan once per batch; without one, a
+layout is built on the fly.
 """
 
 from __future__ import annotations
@@ -19,12 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .kernels import (
-    SegmentLayout,
-    segment_present_sum,
-    segment_softmax_np,
-    segment_sum_np,
-)
+from .kernels import SegmentLayout, segment_softmax_np, segment_sum_np
 from .tensor import Tensor
 
 __all__ = [
@@ -57,8 +54,9 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
     """Select rows: ``out[k] = x[index[k]]`` (repeats allowed).
 
-    The backward pre-reduces repeated rows with a segment layout and
-    accumulates only the touched rows rather than a dense zero matrix.
+    The backward accumulates repeated rows rank by rank through a segment
+    layout, touching only the gathered rows rather than a dense zero
+    matrix.
     """
     index = np.asarray(index, dtype=np.int64)
     data = x.data[index]
@@ -66,8 +64,8 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
             lay = SegmentLayout(index, x.data.shape[0])
-            rows, sums = segment_present_sum(grad, lay)
-            x._accumulate_rows(rows, sums)
+            for elems, targets in lay.ranks:
+                x._accumulate_rows(targets, grad[elems])
 
     return Tensor._make(data, (x,), backward)
 

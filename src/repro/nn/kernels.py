@@ -1,14 +1,23 @@
 """Compiled segment/GRU kernels: the propagation fast path's number crunching.
 
-``np.add.at`` / ``np.maximum.at`` are the slowest reduction primitives in
-numpy (per-element dispatch, no vectorisation).  Every segment reduction in
-the autograd layer instead goes through a :class:`SegmentLayout`: a sort
-permutation over the segment ids, computed once and reused, that turns each
-reduction into a contiguous ``np.add.reduceat`` / ``np.maximum.reduceat``
-over the sorted rows.  The stable sort keeps elements of a segment in
-their original order, but ``reduceat`` may associate the additions
-pairwise where ``np.add.at`` is strictly sequential, so results match the
-reference to float32 round-off (~1 ulp), not bit for bit.
+Every segment reduction in the autograd layer goes through a
+:class:`SegmentLayout`: a *rank* plan over the segment ids, computed once
+and reused.  An element's rank is its position among its segment's
+elements (0 for the first), so within one rank every segment occurs at
+most once and a reduction is one conflict-free vectorised op per rank:
+the first rank initialises each present segment, every later rank
+combines into it in place.  Sums therefore accumulate strictly in element
+order, ``(x0 + x1) + x2`` — bit for bit what a sequential float32 loop
+(or ``np.add.at``) computes.
+
+Compiled level groups lay their edges out *rank-major* (see
+:class:`~repro.graphdata.batching.CompiledSchedule`): nodes by in-degree,
+descending, and edges rank by rank, so rank ``r`` is one contiguous slice
+of the edges feeding the first ``c_r`` nodes.  Their reductions are then
+``out = v[:S]`` plus one in-place slice op per further rank.  Any other
+segment-id array (the reference path's on-the-fly layouts, gradient
+routing by row id, the ``gather_rows`` backward) runs the same
+rank-by-rank accumulation with index arrays.
 
 The module also provides the closed-form fused forward/backward pairs the
 models' hot path runs on: the GRU combine (full and with a precomputed
@@ -20,7 +29,7 @@ single autograd node over a cached :class:`SegmentLayout`.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -28,9 +37,10 @@ from .backends import matmul as _mm
 
 __all__ = [
     "SegmentLayout",
+    "segment_rank_order",
     "segment_sum_np",
     "segment_max_np",
-    "segment_present_sum",
+    "segment_scatter_add",
     "segment_softmax_np",
     "segment_softmax_weighted_np",
     "attention_forward_np",
@@ -49,27 +59,46 @@ __all__ = [
     "gru_pre_backward_np",
 ]
 
+#: one rank of a :class:`SegmentLayout`: ``(elements, targets)``, both
+#: slices on rank-major layouts, index arrays otherwise
+Rank = Tuple[Union[slice, np.ndarray], Union[slice, np.ndarray]]
+
+
+def segment_rank_order(
+    segment_ids: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Elements ordered rank by rank, and the element count of each rank.
+
+    An element's rank is its position among its segment's elements in
+    element order (0 for the first); within a rank, elements run by
+    segment id.  Counts per rank are non-increasing.
+    """
+    ids = np.asarray(segment_ids, dtype=np.int64).reshape(-1)
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    # in id-sorted order: position minus the first position of its id
+    rank = np.arange(ids.size) - np.searchsorted(sorted_ids, sorted_ids)
+    return order[np.argsort(rank, kind="stable")], np.bincount(rank)
+
 
 class SegmentLayout:
-    """Cached sort permutation for reductions over one segment-id array.
+    """Cached rank plan for reductions over one segment-id array.
 
     Computed once per ``(segment_ids, num_segments)`` pair — e.g. once per
     level group of a compiled schedule — and reused by every segment sum,
     max and softmax over those ids, forward and backward, every epoch.
 
-    ``order``      stable argsort of ``segment_ids``
-    ``starts``     start offset of each *present* segment within the sorted
-                   order (empty segments simply don't appear)
-    ``present``    the distinct segment ids, ascending, one per ``starts``
-    ``is_sorted``  True when ``segment_ids`` is already non-decreasing —
-                   compiled level groups emit edges target-ordered, so the
-                   reduction kernels skip the permutation gather entirely
+    ``ranks``       one ``(elements, targets)`` pair per rank: rank ``r``
+                    reads ``x[elements]`` into segments ``targets``, no
+                    segment twice
+    ``rank_major``  True when every segment is present and the elements
+                    already run rank by rank, rank ``r`` feeding segments
+                    ``0..c_r-1`` in order — compiled level groups are laid
+                    out this way, and their ranks are plain slices
     """
 
-    __slots__ = (
-        "segment_ids", "num_segments", "order", "starts", "present",
-        "is_sorted", "_counts", "_sizes",
-    )
+    __slots__ = ("segment_ids", "num_segments", "ranks", "rank_major",
+                 "_counts")
 
     def __init__(self, segment_ids: np.ndarray, num_segments: int):
         ids = np.asarray(segment_ids, dtype=np.int64).reshape(-1)
@@ -82,29 +111,26 @@ class SegmentLayout:
                 )
         self.segment_ids = ids
         self.num_segments = int(num_segments)
-        self.is_sorted = bool(ids.size < 2 or (ids[1:] >= ids[:-1]).all())
-        self.order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[self.order]
-        if ids.size:
-            boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
-            self.starts = np.concatenate(
-                [np.zeros(1, np.int64), boundaries]
-            )
-            self.present = sorted_ids[self.starts]
-        else:
-            self.starts = np.zeros(0, np.int64)
-            self.present = np.zeros(0, np.int64)
         self._counts: Optional[np.ndarray] = None
-        self._sizes: Optional[np.ndarray] = None
-
-    @property
-    def sizes(self) -> np.ndarray:
-        """Element count per *present* segment (``starts``-aligned), cached."""
-        if self._sizes is None:
-            self._sizes = np.diff(
-                np.append(self.starts, self.segment_ids.size)
-            )
-        return self._sizes
+        self.ranks: List[Rank] = []
+        self.rank_major = False
+        if not ids.size:
+            return
+        perm, sizes = segment_rank_order(ids)
+        ends = np.cumsum(sizes)
+        bounds = zip([0] + ends[:-1].tolist(), ends.tolist())
+        # already in rank order, rank 0 covering every segment, and each
+        # rank's (ascending) ids ending at c_r - 1, i.e. exactly 0..c_r-1
+        self.rank_major = bool(
+            sizes[0] == self.num_segments
+            and (perm == np.arange(ids.size)).all()
+            and (ids[ends - 1] == sizes - 1).all()
+        )
+        if self.rank_major:
+            self.ranks = [(slice(a, b), slice(0, b - a)) for a, b in bounds]
+        else:
+            targets = ids[perm]
+            self.ranks = [(perm[a:b], targets[a:b]) for a, b in bounds]
 
     @property
     def counts(self) -> np.ndarray:
@@ -114,46 +140,37 @@ class SegmentLayout:
         the reduction: ``sum_e (x_e W + b) = (sum_e x_e) W + n_s b``.
         """
         if self._counts is None:
-            c = np.zeros(self.num_segments, dtype=np.float32)
-            if self.present.size:
-                sizes = np.diff(
-                    np.concatenate([self.starts, [self.segment_ids.size]])
-                )
-                c[self.present] = sizes
-            self._counts = c
+            self._counts = np.bincount(
+                self.segment_ids, minlength=self.num_segments
+            ).astype(np.float32)
         return self._counts
 
     def __len__(self) -> int:
         return self.segment_ids.size
 
 
-def segment_present_sum(
-    x: np.ndarray, layout: SegmentLayout
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Row sums per *present* segment: ``(present_ids, sums)``.
-
-    The sparse core of :func:`segment_sum_np`; scatter-style gradient
-    accumulation uses it directly to touch only the rows that actually
-    received contributions instead of materialising a dense buffer.
-    """
-    if not layout.present.size:
-        empty = np.zeros((0,) + x.shape[1:], dtype=np.float32)
-        return layout.present, empty
-    xs = x if layout.is_sorted else np.ascontiguousarray(x[layout.order])
-    return layout.present, np.add.reduceat(xs, layout.starts, axis=0)
+def _first_rank(
+    x: np.ndarray, layout: SegmentLayout, fill: float
+) -> np.ndarray:
+    """``(num_segments, ...)`` float32 initialised from rank 0; segments
+    without elements hold ``fill``."""
+    shape = (layout.num_segments,) + x.shape[1:]
+    if layout.rank_major:
+        out = np.empty(shape, np.float32)
+    else:
+        out = np.full(shape, fill, np.float32)
+    if layout.ranks:
+        elems, targets = layout.ranks[0]
+        out[targets] = x[elems]
+    return out
 
 
 def segment_sum_np(x: np.ndarray, layout: SegmentLayout) -> np.ndarray:
-    """Dense segment sum: ``out[s] = sum_{k: ids[k]==s} x[k]``; zeros for
-    empty segments."""
-    present, sums = segment_present_sum(x, layout)
-    if present.size == layout.num_segments:
-        # every segment present: the reduceat output already IS the dense
-        # result, in segment order — skip the zeros + scatter round-trip
-        return np.asarray(sums, dtype=np.float32)
-    out = np.zeros((layout.num_segments,) + x.shape[1:], dtype=np.float32)
-    if present.size:
-        out[present] = sums
+    """Dense segment sum: ``out[s] = sum_{k: ids[k]==s} x[k]``, added in
+    element order; zeros for empty segments."""
+    out = _first_rank(x, layout, 0.0)
+    for elems, targets in layout.ranks[1:]:
+        out[targets] += x[elems]
     return out
 
 
@@ -161,11 +178,23 @@ def segment_max_np(
     x: np.ndarray, layout: SegmentLayout, fill: float = -np.inf
 ) -> np.ndarray:
     """Per-segment max of a 1-D array; empty segments take ``fill``."""
-    out = np.full(layout.num_segments, fill, dtype=np.float32)
-    if layout.present.size:
-        xs = x if layout.is_sorted else np.ascontiguousarray(x[layout.order])
-        out[layout.present] = np.maximum.reduceat(xs, layout.starts)
+    out = _first_rank(x, layout, fill)
+    for elems, targets in layout.ranks[1:]:
+        out[targets] = np.maximum(out[targets], x[elems])
     return out
+
+
+def segment_scatter_add(
+    out: np.ndarray, x: np.ndarray, layout: SegmentLayout
+) -> None:
+    """``out[ids[k]] += x[k]`` for every element, in place.
+
+    Repeated ids accumulate rank by rank, so each row receives its
+    contributions in element order and only touched rows are written —
+    scatter-style gradient routing uses it instead of a dense buffer.
+    """
+    for elems, targets in layout.ranks:
+        out[targets] += x[elems]
 
 
 def segment_softmax_np(
@@ -182,10 +211,9 @@ def segment_softmax_np(
     if layout.segment_ids.size == 0:
         return np.zeros(0, dtype=np.float32)
     ids = layout.segment_ids
-    seg_max = segment_max_np(s, layout)
-    exps = np.exp(s - seg_max[ids])
-    denom = segment_sum_np(exps, layout)
-    return exps / denom[ids]
+    e = s - segment_max_np(s, layout)[ids]
+    np.exp(e, out=e)
+    return e / segment_sum_np(e, layout)[ids]
 
 
 def segment_softmax_weighted_np(
@@ -193,48 +221,11 @@ def segment_softmax_weighted_np(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Fused ``alpha = segment_softmax(s)`` + ``m = segment_sum(alpha*x)``.
 
-    The attention pass-step runs this once per level group, so the whole
-    score → softmax → weighted-sum chain shares one permutation (none at
-    all on sorted layouts) and broadcasts the per-segment max/denominator
-    with ``np.repeat`` instead of dense scatter + gather round-trips.
-    Returns ``(m, alpha)`` with ``m`` dense ``(num_segments, d)``.
+    The attention pass-step runs this once per level group.  Returns
+    ``(m, alpha)`` with ``m`` dense ``(num_segments, d)``.
     """
-    n = layout.num_segments
-    if layout.segment_ids.size == 0:
-        return (
-            np.zeros((n,) + x.shape[1:], dtype=np.float32),
-            np.zeros(0, dtype=np.float32),
-        )
-    if layout.is_sorted:
-        ss, xs = s, x
-    else:
-        ss = s[layout.order]
-        xs = np.ascontiguousarray(x[layout.order])
-    starts, sizes = layout.starts, layout.sizes
-    dense = layout.present.size == n
-    seg_max = np.maximum.reduceat(ss, starts)
-    if dense and layout.is_sorted:
-        # segment ids double as compressed ranks: broadcasting per-segment
-        # values by take is ~4x cheaper than repeat-by-counts
-        ids = layout.segment_ids
-        e = np.exp(ss - seg_max[ids])
-        denom = np.add.reduceat(e, starts)
-        a = e / denom[ids]
-    else:
-        e = np.exp(ss - np.repeat(seg_max, sizes))
-        denom = np.add.reduceat(e, starts)
-        a = e / np.repeat(denom, sizes)
-    msum = np.add.reduceat(xs * a[:, None], starts, axis=0)
-    if dense:
-        m = np.asarray(msum, dtype=np.float32)
-    else:
-        m = np.zeros((n,) + x.shape[1:], dtype=np.float32)
-        m[layout.present] = msum
-    if not layout.is_sorted:
-        alpha = np.empty_like(a)
-        alpha[layout.order] = a
-        a = alpha
-    return m, np.asarray(a, dtype=np.float32)
+    alpha = segment_softmax_np(s, layout)
+    return segment_sum_np(x * alpha[:, None], layout), alpha
 
 
 # ---------------------------------------------------------------------------

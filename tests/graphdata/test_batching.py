@@ -255,31 +255,33 @@ class TestCompiledSchedule:
         assert np.unique(all_nodes).size == all_nodes.size
         np.testing.assert_array_equal(cs.written, all_nodes)
 
-    def test_gather_plan_provenance(self):
-        """Every source row must be attributed to the group that wrote it
-        last (or the pass input), with correct local row indices."""
+    def test_gather_plan_routes_by_provenance(self):
+        """Each group's sources split in at most two, by global row id:
+        rows not yet written when the group reads them (the pass input)
+        and rows an earlier group wrote."""
         batch, cs = self._compiled()
-        writer = {}
-        for gi, group in enumerate(cs):
-            for split in group.gather_plan:
+        written = set()
+        for group in cs:
+            plan = group.gather_plan
+            assert 1 <= len(plan) <= 2
+            assert len({split.pass_input for split in plan}) == len(plan)
+            covered = np.zeros(len(group.src), np.int64)
+            for split in plan:
                 positions = (
                     np.arange(len(group.src))
                     if split.positions is None
                     else split.positions
                 )
+                covered[positions] += 1
                 src_nodes = group.src[positions]
-                local = split.layout.segment_ids
-                if split.producer == -1:
-                    for node, row in zip(src_nodes, local):
-                        assert node not in writer
-                        assert row == node
-                else:
-                    producer_nodes = cs.groups[split.producer].nodes
-                    for node, row in zip(src_nodes, local):
-                        assert writer[node] == split.producer
-                        assert producer_nodes[row] == node
-            for pos, node in enumerate(group.nodes):
-                writer[int(node)] = gi
+                np.testing.assert_array_equal(
+                    split.layout.segment_ids, src_nodes
+                )
+                assert split.layout.num_segments == cs.num_nodes
+                for node in src_nodes:
+                    assert (int(node) in written) != split.pass_input
+            assert (covered == 1).all()
+            written.update(group.nodes.tolist())
 
     def test_no_edge_attr_without_skip(self):
         _, cs = self._compiled(include_skip=False)

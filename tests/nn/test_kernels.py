@@ -3,7 +3,9 @@
 Two angles on every kernel: finite-difference gradcheck, and equivalence
 against the pre-fast-path reference ops (``np.add.at``/``np.maximum.at``
 reductions, the expression-by-expression GRU) across empty-segment,
-single-edge and large-fan-in edge cases.
+single-edge and large-fan-in edge cases.  The segment reductions are
+also pinned bitwise to a float32 sequential-loop oracle on random
+rank-major and general layouts.
 """
 
 import numpy as np
@@ -25,8 +27,10 @@ from repro.nn.kernels import (
     gru_pre_backward_np,
     gru_pre_forward_np,
     segment_max_np,
-    segment_present_sum,
+    segment_rank_order,
+    segment_scatter_add,
     segment_softmax_np,
+    segment_softmax_weighted_np,
     segment_sum_np,
 )
 from repro.nn.modules import GRUCell
@@ -87,12 +91,10 @@ class TestSegmentKernelEquivalence:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(ids.size, 3)).astype(np.float32)
         layout = SegmentLayout(ids, num)
-        # reduceat associates pairwise where add.at is strictly
-        # sequential, so agreement is to float32 round-off, not bitwise
-        np.testing.assert_allclose(
-            segment_sum_np(x, layout),
-            ref_segment_sum(x, ids, num),
-            rtol=1e-6, atol=1e-6,
+        # rank-by-rank accumulation adds each segment in element order,
+        # exactly like the strictly sequential add.at
+        np.testing.assert_array_equal(
+            segment_sum_np(x, layout), ref_segment_sum(x, ids, num)
         )
 
     def test_max_matches_maximum_at(self, name, ids, num):
@@ -117,14 +119,19 @@ class TestSegmentKernelEquivalence:
             out, ref_segment_softmax(s, ids, num), rtol=1e-6
         )
 
-    def test_present_sum_touches_only_present(self, name, ids, num):
+    def test_scatter_add_touches_only_present(self, name, ids, num):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(ids.size, 2)).astype(np.float32)
         layout = SegmentLayout(ids, num)
-        present, sums = segment_present_sum(x, layout)
-        assert sorted(set(present.tolist())) == sorted(set(ids.tolist()))
-        dense = segment_sum_np(x, layout)
-        np.testing.assert_array_equal(dense[present], sums)
+        out = np.full((num, 2), np.nan, np.float32)
+        out[np.unique(ids)] = 0.0
+        segment_scatter_add(out, x, layout)
+        absent = np.setdiff1d(np.arange(num), ids)
+        assert np.isnan(out[absent]).all()
+        present = np.unique(ids)
+        np.testing.assert_array_equal(
+            out[present], ref_segment_sum(x, ids, num)[present]
+        )
 
 
 class TestSegmentLayout:
@@ -145,6 +152,143 @@ class TestSegmentLayout:
         with pytest.raises(ValueError, match="segment ids"):
             SegmentLayout(np.array([-1]), 3)
 
+
+
+def seq_fold(x, ids, num, op, fill):
+    """The sequential-loop oracle: element by element, in element order,
+    the first element of a segment initialising it (float32 throughout)."""
+    out = np.full((num,) + x.shape[1:], fill, np.float32)
+    seen = np.zeros(num, bool)
+    for k, seg in enumerate(ids):
+        if seen[seg]:
+            out[seg] = op(out[seg], x[k])
+        else:
+            out[seg] = x[k]
+            seen[seg] = True
+    return out
+
+
+def rank_major_ids(rng, num, max_degree):
+    """Segment ids of a random rank-major layout over ``num`` segments:
+    degrees >= 1 sorted descending, rank ``r`` feeding segments
+    ``0..c_r-1``."""
+    degree = np.sort(rng.integers(1, max_degree + 1, size=num))[::-1]
+    per_rank = [np.arange(int((degree > r).sum())) for r in range(max_degree)]
+    return np.concatenate(per_rank).astype(np.int64)
+
+
+def general_ids(rng, num, num_edges):
+    """Random segment ids in random order; some segments stay empty."""
+    return rng.integers(0, num, size=num_edges).astype(np.int64)
+
+
+#: (name, layout kind, num_segments, size) for the random layouts
+RANDOM_LAYOUTS = [
+    ("rank_major", "rank_major", 37, 4),
+    ("rank_major_single_segment", "rank_major", 1, 6),
+    ("rank_major_single_rank", "rank_major", 9, 1),
+    ("general", "general", 23, 60),
+    ("general_sparse", "general", 40, 12),
+    ("general_single_segment", "general", 1, 7),
+    ("zero_edges", "general", 5, 0),
+]
+
+
+def random_layout_ids(kind, num, size, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "rank_major":
+        return rank_major_ids(rng, num, size)
+    return general_ids(rng, num, size)
+
+
+@pytest.mark.parametrize(
+    "name,kind,num,size", RANDOM_LAYOUTS, ids=[c[0] for c in RANDOM_LAYOUTS]
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+class TestSequentialOracle:
+    """Rank-by-rank reductions equal a float32 sequential loop, bit for
+    bit, on both the slice (rank-major) and the index-array paths."""
+
+    def test_layout_kind_detected(self, name, kind, num, size, seed):
+        ids = random_layout_ids(kind, num, size, seed)
+        layout = SegmentLayout(ids, num)
+        if kind == "rank_major":
+            assert layout.rank_major
+            assert all(isinstance(e, slice) for e, _ in layout.ranks)
+        if ids.size == 0:
+            assert layout.ranks == []
+        # each rank names every one of its segments at most once
+        for _, targets in layout.ranks:
+            t = np.arange(num)[targets]
+            assert np.unique(t).size == t.size
+
+    def test_sum(self, name, kind, num, size, seed):
+        ids = random_layout_ids(kind, num, size, seed)
+        x = np.random.default_rng(seed + 10).normal(
+            size=(ids.size, 5)
+        ).astype(np.float32)
+        np.testing.assert_array_equal(
+            segment_sum_np(x, SegmentLayout(ids, num)),
+            seq_fold(x, ids, num, np.add, 0.0),
+        )
+
+    def test_max(self, name, kind, num, size, seed):
+        ids = random_layout_ids(kind, num, size, seed)
+        s = np.random.default_rng(seed + 20).normal(
+            size=ids.size
+        ).astype(np.float32)
+        np.testing.assert_array_equal(
+            segment_max_np(s, SegmentLayout(ids, num)),
+            seq_fold(s, ids, num, np.maximum, -np.inf),
+        )
+
+    def test_softmax_weighted(self, name, kind, num, size, seed):
+        ids = random_layout_ids(kind, num, size, seed)
+        rng = np.random.default_rng(seed + 30)
+        s = rng.normal(size=ids.size).astype(np.float32)
+        x = rng.normal(size=(ids.size, 4)).astype(np.float32)
+        m, alpha = segment_softmax_weighted_np(s, x, SegmentLayout(ids, num))
+        mx = seq_fold(s, ids, num, np.maximum, -np.inf)
+        e = np.exp(s - mx[ids])
+        expect_alpha = e / seq_fold(e, ids, num, np.add, 0.0)[ids]
+        expect_m = seq_fold(x * expect_alpha[:, None], ids, num, np.add, 0.0)
+        assert m.shape == (num, 4) and m.dtype == np.float32
+        np.testing.assert_array_equal(alpha, expect_alpha)
+        np.testing.assert_array_equal(m, expect_m)
+
+    def test_scatter_add(self, name, kind, num, size, seed):
+        ids = random_layout_ids(kind, num, size, seed)
+        rng = np.random.default_rng(seed + 40)
+        x = rng.normal(size=(ids.size, 3)).astype(np.float32)
+        base = rng.normal(size=(num, 3)).astype(np.float32)
+        out = base.copy()
+        segment_scatter_add(out, x, SegmentLayout(ids, num))
+        expect = base.copy()
+        for k, seg in enumerate(ids):
+            expect[seg] = expect[seg] + x[k]
+        np.testing.assert_array_equal(out, expect)
+
+
+class TestSegmentRankOrder:
+    def test_rank_by_rank_then_by_id(self):
+        # ranks: [0, 0, 1, 0, 1, 2, 0] -> rank 0 holds elements 1, 3, 6, 0
+        # ordered by id (0, 1, 2, 3), then rank 1, then rank 2
+        ids = np.array([3, 0, 3, 1, 0, 3, 2])
+        perm, sizes = segment_rank_order(ids)
+        np.testing.assert_array_equal(perm, [1, 3, 6, 0, 4, 2, 5])
+        np.testing.assert_array_equal(sizes, [4, 2, 1])
+
+    def test_empty(self):
+        perm, sizes = segment_rank_order(np.zeros(0, np.int64))
+        assert perm.size == 0 and sizes.size == 0
+
+    def test_missing_segment_is_not_rank_major(self):
+        # rank-major needs every segment present in rank 0
+        layout = SegmentLayout(np.array([0, 1, 0]), 3)
+        assert not layout.rank_major
+        np.testing.assert_array_equal(
+            segment_sum_np(np.ones(3, np.float32), layout), [2, 1, 0]
+        )
 
 
 class TestFusedGRU:
