@@ -363,25 +363,26 @@ class CompiledGroup:
     gather_plan: List[GatherSplit]
     x_rows: np.ndarray
     edge_attr: Optional[np.ndarray] = None
-    #: row offsets of this group within the pass-wide block layout (see
-    #: :class:`PassBlock`): nodes occupy ``[node_offset, node_offset +
-    #: len(nodes))`` of the written-node axis, edges likewise on the edge
-    #: axis
+    #: row offsets of this group within its schedule's (or window's)
+    #: block layout (see :class:`PassBlock`): nodes occupy
+    #: ``[node_offset, node_offset + len(nodes))`` of the written-node
+    #: axis, edges likewise on the edge axis
     node_offset: int = 0
     edge_offset: int = 0
 
 
 @dataclass
 class PassBlock:
-    """Packed per-pass block layout over a compiled schedule's groups.
+    """Packed block layout over a compiled schedule's groups.
 
-    The whole-pass runner's batched ("block") execution mode lays every
-    per-group quantity of a pass out contiguously, in group order, so
-    every parameter gradient of the backward walk accumulates per-group
-    intermediates into ``(num_written, ·)`` / ``(num_edges, ·)`` buffers
-    (contiguous slice writes, no scatter) and contracts them against
-    these concatenated inputs in ONE large GEMM per pass instead of one
-    tiny GEMM per level group.
+    The pass runner's backward lays every per-group quantity of a window
+    (a whole :class:`CompiledSchedule`, or one window of a
+    :class:`WindowedSchedule`) out contiguously, in group order, so every
+    parameter gradient accumulates per-group intermediates into
+    ``(num_written, ·)`` / ``(num_edges, ·)`` buffers (contiguous slice
+    writes, no scatter) and contracts them against these concatenated
+    inputs in ONE large GEMM per window instead of one tiny GEMM per
+    level group.
 
     ``node_offsets``/``edge_offsets`` are ``(G+1,)`` cumulative sums;
     group ``k``'s rows are ``[offsets[k], offsets[k+1])``.  ``written``
@@ -584,21 +585,20 @@ class WindowedSchedule:
     """A level schedule partitioned into windows of bounded size.
 
     Greedy partition of the compiled level groups into consecutive windows
-    whose written-node count stays within ``node_budget`` (and,
-    optionally, whose folded edge count stays within ``edge_budget``); a
-    window always takes at least one group, so a single oversized level
-    group becomes its own window rather than failing.  The groups compile
+    whose written-node count stays within ``node_budget``; a window
+    always takes at least one group, so a single oversized level group
+    becomes its own window rather than failing.  The groups compile
     exactly as in :meth:`CompiledSchedule.compile` — same rank-major
     layouts, same routing plans — and only their block offsets are
     rebased per window.
 
-    The windowed pass runner streams windows in level order and, in the
-    backward, re-streams them in reverse, re-reading each window's
-    sources from the pass output — see
+    The pass runner streams windows in level order and, when there are
+    several, re-streams them in reverse in the backward, re-reading each
+    window's sources from the pass output — see
     :func:`repro.models.propagation.run_pass`.  That is only sound for a
     *topological* schedule, where no group reads a row written by itself
     or by a later group, so :meth:`build` rejects any other (an
-    ``undirected`` schedule, for one).  The runner packs a window's
+    ``undirected`` schedule, for one).  The runner then packs a window's
     :class:`PassBlock` only for that window's backward, so windows retain
     no copy of their groups' rows.
     """
@@ -608,15 +608,11 @@ class WindowedSchedule:
         windows: List[Window],
         num_nodes: int,
         written: np.ndarray,
-        node_budget: int,
-        edge_budget: Optional[int] = None,
     ):
         self.windows = windows
         self.num_nodes = num_nodes
         #: all node ids written during the pass, in window/group order
         self.written = written
-        self.node_budget = node_budget
-        self.edge_budget = edge_budget
 
     def __iter__(self):
         return iter(self.windows)
@@ -628,10 +624,6 @@ class WindowedSchedule:
     def num_groups(self) -> int:
         return sum(len(w.compiled.groups) for w in self.windows)
 
-    @property
-    def max_frontier_rows(self) -> int:
-        return max((w.frontier_rows for w in self.windows), default=0)
-
     @classmethod
     def build(
         cls,
@@ -639,7 +631,6 @@ class WindowedSchedule:
         x: np.ndarray,
         node_budget: int,
         edge_attr_dim: Optional[int] = None,
-        edge_budget: Optional[int] = None,
     ) -> "WindowedSchedule":
         """Partition and compile ``schedule`` into bounded windows.
 
@@ -649,8 +640,6 @@ class WindowedSchedule:
         node_budget = int(node_budget)
         if node_budget < 1:
             raise ValueError(f"node_budget must be >= 1, got {node_budget}")
-        if edge_budget is not None and edge_budget < 1:
-            raise ValueError(f"edge_budget must be >= 1, got {edge_budget}")
         groups, provs, writer = _compile_groups(schedule, x, edge_attr_dim)
         for k, (g, prov) in enumerate(zip(groups, provs)):
             late = (prov < 0) & (writer[g.src] >= 0)
@@ -667,16 +656,11 @@ class WindowedSchedule:
         g0 = 0
         while g0 < len(groups):
             n_sum = len(groups[g0].nodes)
-            e_sum = len(groups[g0].src)
             g1 = g0 + 1
             while g1 < len(groups):
-                n_next = n_sum + len(groups[g1].nodes)
-                e_next = e_sum + len(groups[g1].src)
-                if n_next > node_budget:
+                n_sum += len(groups[g1].nodes)
+                if n_sum > node_budget:
                     break
-                if edge_budget is not None and e_next > edge_budget:
-                    break
-                n_sum, e_sum = n_next, e_next
                 g1 += 1
             spans.append((g0, g1))
             g0 = g1
@@ -708,4 +692,4 @@ class WindowedSchedule:
                     written_stop=n1,
                 )
             )
-        return cls(windows, num_nodes, written, node_budget, edge_budget)
+        return cls(windows, num_nodes, written)

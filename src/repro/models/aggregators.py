@@ -3,8 +3,7 @@
 Every aggregator maps per-edge source states to one message per target
 node.  The shared interface is::
 
-    aggregator(h_src, query, seg, num_targets, edge_attr=None,
-               layout=None) -> (T, d)
+    aggregator(h_src, query, seg, num_targets, edge_attr=None) -> (T, d)
 
 ``h_src``   (E, d)  hidden state of each edge's source node
 ``query``   (T, d)  hidden state of each *target* node before update
@@ -12,20 +11,17 @@ node.  The shared interface is::
 ``seg``     (E,)    target index per edge, values in [0, num_targets)
 ``edge_attr``       optional (E, p) attributes (positional encodings on
                     skip connections); only attention consumes them.
-``layout``          optional precomputed segment layout over ``seg`` (from
-                    a compiled schedule); saves the per-call rank plan.
 
-Each aggregator offers the interface at three fusion levels:
+Each aggregator implements the design twice:
 
-* **reference** (no ``layout``) — the composite autograd formulation,
-  the equivalence-test oracle;
-* **fused node** (``layout`` given) — one closed-form autograd node per
-  call, via the matching kernels in :mod:`repro.nn.kernels`;
+* **reference** (``forward``) — the composite autograd formulation, the
+  ``compiled=False`` path and the equivalence-test oracle;
 * **pass step** (``step_*`` methods) — raw numpy forward/backward hooks
-  the whole-pass runner (:mod:`repro.models.propagation`) drives, with
-  parameter gradients batched into per-pass sink buffers.  A new
-  AGGREGATE design plugs into the compiled fast path by implementing
-  these five hooks.
+  over the closed-form kernels of :mod:`repro.nn.kernels`, which the
+  pass runner (:mod:`repro.models.propagation`) drives, with parameter
+  gradients batched into per-window sink buffers.  A new AGGREGATE
+  design plugs into the compiled fast path by implementing these five
+  hooks.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from ..graphdata.batching import PassBlock
 from ..nn import kernels
 from ..nn.backends import matmul as _mm
 from ..nn.functional import gather_rows, segment_softmax, segment_sum
-from ..nn.kernels import SegmentLayout, segment_sum_np
+from ..nn.kernels import segment_sum_np
 from ..nn.modules import Linear, MLP, Module
 from ..nn.tensor import Tensor
 
@@ -63,30 +59,20 @@ def _acc(param: Tensor, grad: np.ndarray) -> None:
 
 
 class PassStepAggregator(Module):
-    """The pass-step hooks the fused pass runner drives.
+    """The pass-step hooks the pass runner drives.
 
     ``step_begin``    per-pass pre-projections over the full pass-input
                       state ``hd`` (e.g. attention's query scores)
     ``step_forward``  one group's message matrix + saved activations
-    ``step_sink``     zeroed per-pass parameter-gradient buffers; when
-                      the runner executes the pass-wide block layout it
-                      passes the schedule's
-                      :class:`~repro.graphdata.batching.PassBlock` so
-                      the sink can allocate ``(num_written, ·)`` /
-                      ``(num_edges, ·)`` accumulation buffers
-    ``step_backward`` one group's ``dh_src`` given ``dm``, accumulating
-                      parameter gradients into the sink (per-group
-                      layout: one small GEMM per parameter per group)
-    ``step_backward_block``
-                      the block-layout counterpart: write the group's
-                      intermediates into the sink's pass-wide buffers by
+    ``step_sink``     a window's gradient buffers, sized from its
+                      :class:`~repro.graphdata.batching.PassBlock`:
+                      ``(num_written, ·)`` / ``(num_edges, ·)``
+                      accumulation buffers
+    ``step_backward`` one group's ``dh_src`` given ``dm``: write the
+                      group's intermediates into the sink's buffers by
                       contiguous slice (``group.node_offset`` /
                       ``group.edge_offset``) and leave every parameter
-                      GEMM to ``step_end``.  The default falls back to
-                      ``step_backward``, so an aggregator implementing
-                      only the per-group hooks still runs (un-batched)
-                      under the block layout — provided its
-                      ``step_sink`` accepts the ``block`` argument.
+                      GEMM to ``step_end``
     ``step_end``      fold the sink into the parameter tensors, and add
                       any batched contribution to ``dh`` (the pass-input
                       state gradient; ``None`` when not needed)
@@ -98,18 +84,11 @@ class PassStepAggregator(Module):
     def step_forward(self, group, h_src, ctx, edge_attr=None):
         raise NotImplementedError
 
-    def step_sink(
-        self, hd: np.ndarray, block: Optional[PassBlock] = None
-    ) -> Sink:
+    def step_sink(self, hd: np.ndarray, block: PassBlock) -> Sink:
         raise NotImplementedError
 
     def step_backward(self, group, dm, h_src, saved, sink, edge_attr=None):
         raise NotImplementedError
-
-    def step_backward_block(
-        self, group, dm, h_src, saved, sink, edge_attr=None
-    ):
-        return self.step_backward(group, dm, h_src, saved, sink, edge_attr)
 
     def step_end(
         self, hd: np.ndarray, sink: Sink, dh: Optional[np.ndarray]
@@ -130,30 +109,8 @@ class ConvSumAggregator(PassStepAggregator):
         seg: np.ndarray,
         num_targets: int,
         edge_attr: Optional[Tensor] = None,
-        layout: Optional[SegmentLayout] = None,
     ) -> Tensor:
-        if layout is not None:
-            return self._forward_fused(h_src, layout)
-        return segment_sum(self.linear(h_src), seg, num_targets, layout=layout)
-
-    def _forward_fused(self, h_src: Tensor, layout: SegmentLayout) -> Tensor:
-        w, b = self.linear.weight, self.linear.bias
-        m, s = kernels.conv_sum_forward_np(h_src.data, w.data, b.data, layout)
-
-        def backward(grad: np.ndarray) -> None:
-            need_w = w.requires_grad or b.requires_grad
-            dh, dw, db = kernels.conv_sum_backward_np(
-                grad, s, w.data, layout,
-                need_h=h_src.requires_grad, need_w=need_w,
-            )
-            if dh is not None:
-                h_src._accumulate(dh, own=True)
-            if w.requires_grad:
-                w._accumulate(dw, own=True)
-            if b.requires_grad:
-                b._accumulate(db, own=True)
-
-        return Tensor._make(m, (h_src, w, b), backward)
+        return segment_sum(self.linear(h_src), seg, num_targets)
 
     # -- pass-step hooks (see PassStepAggregator) ----------------------
     def step_forward(self, group, h_src, ctx, edge_attr=None):
@@ -162,12 +119,7 @@ class ConvSumAggregator(PassStepAggregator):
             h_src, lin.weight.data, lin.bias.data, group.seg_layout
         )
 
-    def step_sink(self, hd, block=None):
-        if block is None:
-            return {
-                "dw": np.zeros_like(self.linear.weight.data),
-                "db": np.zeros_like(self.linear.bias.data),
-            }
+    def step_sink(self, hd, block):
         d_in, d_out = self.linear.weight.data.shape
         n_w = block.num_written
         return {
@@ -177,32 +129,17 @@ class ConvSumAggregator(PassStepAggregator):
         }
 
     def step_backward(self, group, dm, h_src, saved, sink, edge_attr=None):
-        dh, dw, db = kernels.conv_sum_backward_np(
-            dm, saved, self.linear.weight.data, group.seg_layout
-        )
-        sink["dw"] += dw
-        sink["db"] += db
-        return dh
-
-    def step_backward_block(self, group, dm, h_src, saved, sink,
-                            edge_attr=None):
         o0 = group.node_offset
         o1 = o0 + len(group.nodes)
         sink["s"][o0:o1] = saved
         sink["dm"][o0:o1] = dm
-        dh, _, _ = kernels.conv_sum_backward_np(
-            dm, saved, self.linear.weight.data, group.seg_layout,
-            need_w=False,
+        return kernels.conv_sum_backward_np(
+            dm, self.linear.weight.data, group.seg_layout
         )
-        return dh
 
     def step_end(self, hd, sink, dh):
-        if "dm" in sink:
-            _acc(self.linear.weight, _mm(sink["s"].T, sink["dm"]))
-            _acc(self.linear.bias, _mm(sink["counts"], sink["dm"]))
-        else:
-            _acc(self.linear.weight, sink["dw"])
-            _acc(self.linear.bias, sink["db"])
+        _acc(self.linear.weight, _mm(sink["s"].T, sink["dm"]))
+        _acc(self.linear.bias, _mm(sink["counts"], sink["dm"]))
 
 
 class DeepSetAggregator(PassStepAggregator):
@@ -219,52 +156,10 @@ class DeepSetAggregator(PassStepAggregator):
         seg: np.ndarray,
         num_targets: int,
         edge_attr: Optional[Tensor] = None,
-        layout: Optional[SegmentLayout] = None,
     ) -> Tensor:
-        if layout is not None:
-            return self._forward_fused(h_src, layout)
-        return self.rho(
-            segment_sum(self.phi(h_src), seg, num_targets, layout=layout)
-        )
-
-    def _forward_fused(self, h_src: Tensor, layout: SegmentLayout) -> Tensor:
-        lin1, lin2 = self.phi.layers
-        rho = self.rho
-        params = (
-            lin1.weight, lin1.bias, lin2.weight, lin2.bias,
-            rho.weight, rho.bias,
-        )
-        m, saved = kernels.deepset_forward_np(
-            h_src.data,
-            lin1.weight.data, lin1.bias.data,
-            lin2.weight.data, lin2.bias.data,
-            rho.weight.data, rho.bias.data,
-            layout,
-        )
-
-        def backward(grad: np.ndarray) -> None:
-            need_w = any(p.requires_grad for p in params)
-            dh, *dparams = kernels.deepset_backward_np(
-                grad, h_src.data,
-                lin1.weight.data, lin2.weight.data, rho.weight.data,
-                saved, layout,
-                need_h=h_src.requires_grad, need_w=need_w,
-            )
-            if dh is not None:
-                h_src._accumulate(dh, own=True)
-            if need_w:
-                for p, dp in zip(params, dparams):
-                    if p.requires_grad:
-                        p._accumulate(dp, own=True)
-
-        return Tensor._make(m, (h_src, *params), backward)
+        return self.rho(segment_sum(self.phi(h_src), seg, num_targets))
 
     # -- pass-step hooks (see PassStepAggregator) ----------------------
-    def _step_params(self):
-        lin1, lin2 = self.phi.layers
-        return (("dw1", lin1.weight), ("db1", lin1.bias),
-                ("dw2", lin2.weight), ("db2", lin2.bias),
-                ("dwr", self.rho.weight), ("dbr", self.rho.bias))
 
     def step_forward(self, group, h_src, ctx, edge_attr=None):
         lin1, lin2 = self.phi.layers
@@ -276,11 +171,7 @@ class DeepSetAggregator(PassStepAggregator):
             group.seg_layout,
         )
 
-    def step_sink(self, hd, block=None):
-        if block is None:
-            return {
-                key: np.zeros_like(p.data) for key, p in self._step_params()
-            }
+    def step_sink(self, hd, block):
         d = self.rho.weight.data.shape[0]
         n_w, n_e = block.num_written, block.num_edges
         return {
@@ -294,17 +185,6 @@ class DeepSetAggregator(PassStepAggregator):
         }
 
     def step_backward(self, group, dm, h_src, saved, sink, edge_attr=None):
-        lin1, lin2 = self.phi.layers
-        dh, *dparams = kernels.deepset_backward_np(
-            dm, h_src, lin1.weight.data, lin2.weight.data,
-            self.rho.weight.data, saved, group.seg_layout,
-        )
-        for (key, _), dp in zip(self._step_params(), dparams):
-            sink[key] += dp
-        return dh
-
-    def step_backward_block(self, group, dm, h_src, saved, sink,
-                            edge_attr=None):
         lin1, lin2 = self.phi.layers
         r1, s1, s2 = saved
         ds2 = _mm(dm, self.rho.weight.data.T)
@@ -323,18 +203,14 @@ class DeepSetAggregator(PassStepAggregator):
         return _mm(da1, lin1.weight.data.T)
 
     def step_end(self, hd, sink, dh):
-        if "da1" in sink:
-            lin1, lin2 = self.phi.layers
-            da1, ds2, dm = sink["da1"], sink["ds2"], sink["dm"]
-            _acc(self.rho.weight, _mm(sink["s2"].T, dm))
-            _acc(self.rho.bias, dm.sum(axis=0))
-            _acc(lin2.weight, _mm(sink["s1"].T, ds2))
-            _acc(lin2.bias, _mm(sink["counts"], ds2))
-            _acc(lin1.weight, _mm(sink["h"].T, da1))
-            _acc(lin1.bias, da1.sum(axis=0))
-        else:
-            for key, p in self._step_params():
-                _acc(p, sink[key])
+        lin1, lin2 = self.phi.layers
+        da1, ds2, dm = sink["da1"], sink["ds2"], sink["dm"]
+        _acc(self.rho.weight, _mm(sink["s2"].T, dm))
+        _acc(self.rho.bias, dm.sum(axis=0))
+        _acc(lin2.weight, _mm(sink["s1"].T, ds2))
+        _acc(lin2.bias, _mm(sink["counts"], ds2))
+        _acc(lin1.weight, _mm(sink["h"].T, da1))
+        _acc(lin1.bias, da1.sum(axis=0))
 
 
 class GatedSumAggregator(PassStepAggregator):
@@ -351,43 +227,11 @@ class GatedSumAggregator(PassStepAggregator):
         seg: np.ndarray,
         num_targets: int,
         edge_attr: Optional[Tensor] = None,
-        layout: Optional[SegmentLayout] = None,
     ) -> Tensor:
-        if layout is not None:
-            return self._forward_fused(h_src, layout)
         gated = self.gate(h_src).sigmoid() * self.value(h_src)
-        return segment_sum(gated, seg, num_targets, layout=layout)
-
-    def _forward_fused(self, h_src: Tensor, layout: SegmentLayout) -> Tensor:
-        gate, value = self.gate, self.value
-        params = (gate.weight, gate.bias, value.weight, value.bias)
-        m, saved = kernels.gated_sum_forward_np(
-            h_src.data,
-            gate.weight.data, gate.bias.data,
-            value.weight.data, value.bias.data,
-            layout,
-        )
-
-        def backward(grad: np.ndarray) -> None:
-            need_w = any(p.requires_grad for p in params)
-            dh, *dparams = kernels.gated_sum_backward_np(
-                grad, h_src.data, gate.weight.data, value.weight.data,
-                saved, layout,
-                need_h=h_src.requires_grad, need_w=need_w,
-            )
-            if dh is not None:
-                h_src._accumulate(dh, own=True)
-            if need_w:
-                for p, dp in zip(params, dparams):
-                    if p.requires_grad:
-                        p._accumulate(dp, own=True)
-
-        return Tensor._make(m, (h_src, *params), backward)
+        return segment_sum(gated, seg, num_targets)
 
     # -- pass-step hooks (see PassStepAggregator) ----------------------
-    def _step_params(self):
-        return (("dwg", self.gate.weight), ("dbg", self.gate.bias),
-                ("dwv", self.value.weight), ("dbv", self.value.bias))
 
     def step_forward(self, group, h_src, ctx, edge_attr=None):
         return kernels.gated_sum_forward_np(
@@ -397,11 +241,7 @@ class GatedSumAggregator(PassStepAggregator):
             group.seg_layout,
         )
 
-    def step_sink(self, hd, block=None):
-        if block is None:
-            return {
-                key: np.zeros_like(p.data) for key, p in self._step_params()
-            }
+    def step_sink(self, hd, block):
         n_e = block.num_edges
         return {
             "dv": np.empty((n_e, self.value.weight.data.shape[1]), np.float32),
@@ -410,16 +250,6 @@ class GatedSumAggregator(PassStepAggregator):
         }
 
     def step_backward(self, group, dm, h_src, saved, sink, edge_attr=None):
-        dh, *dparams = kernels.gated_sum_backward_np(
-            dm, h_src, self.gate.weight.data, self.value.weight.data,
-            saved, group.seg_layout,
-        )
-        for (key, _), dp in zip(self._step_params(), dparams):
-            sink[key] += dp
-        return dh
-
-    def step_backward_block(self, group, dm, h_src, saved, sink,
-                            edge_attr=None):
         g, v = saved
         dgv = dm[group.seg_layout.segment_ids]
         dv = dgv * g
@@ -434,15 +264,11 @@ class GatedSumAggregator(PassStepAggregator):
         )
 
     def step_end(self, hd, sink, dh):
-        if "dv" in sink:
-            h_all, dv, dsg = sink["h"], sink["dv"], sink["dsg"]
-            _acc(self.value.weight, _mm(h_all.T, dv))
-            _acc(self.value.bias, dv.sum(axis=0))
-            _acc(self.gate.weight, _mm(h_all.T, dsg))
-            _acc(self.gate.bias, dsg.sum(axis=0))
-        else:
-            for key, p in self._step_params():
-                _acc(p, sink[key])
+        h_all, dv, dsg = sink["h"], sink["dv"], sink["dsg"]
+        _acc(self.value.weight, _mm(h_all.T, dv))
+        _acc(self.value.bias, dv.sum(axis=0))
+        _acc(self.gate.weight, _mm(h_all.T, dsg))
+        _acc(self.gate.bias, dsg.sum(axis=0))
 
 
 class AttentionAggregator(PassStepAggregator):
@@ -475,7 +301,6 @@ class AttentionAggregator(PassStepAggregator):
         seg: np.ndarray,
         num_targets: int,
         edge_attr: Optional[Tensor] = None,
-        layout: Optional[SegmentLayout] = None,
     ) -> Tensor:
         if edge_attr is not None:
             if self.w_edge is None:
@@ -493,10 +318,6 @@ class AttentionAggregator(PassStepAggregator):
                     f"aggregator was built with "
                     f"edge_attr_dim={self.edge_attr_dim}"
                 )
-        if layout is not None:
-            # compiled path: the whole score->softmax->weighted-sum chain
-            # runs as one fused autograd node over the cached layout
-            return self._forward_fused(h_src, query, edge_attr, layout)
         q_per_edge = gather_rows(query, seg)
         scores = self.w_query(q_per_edge) + self.w_key(h_src)
         if edge_attr is not None:
@@ -504,43 +325,6 @@ class AttentionAggregator(PassStepAggregator):
         alpha = segment_softmax(scores.reshape(-1), seg, num_targets)
         weighted = h_src * alpha.reshape(-1, 1)
         return segment_sum(weighted, seg, num_targets)
-
-    def _forward_fused(
-        self,
-        h_src: Tensor,
-        query: Tensor,
-        edge_attr,
-        layout: SegmentLayout,
-    ) -> Tensor:
-        wq, wk = self.w_query.weight, self.w_key.weight
-        we = self.w_edge.weight if edge_attr is not None else None
-        attr = (
-            edge_attr.data if isinstance(edge_attr, Tensor) else edge_attr
-        )
-        m, alpha = kernels.attention_forward_np(
-            h_src.data, query.data, wq.data, wk.data,
-            None if we is None else we.data, attr, layout,
-        )
-        parents = (h_src, query, wq, wk) + ((we,) if we is not None else ())
-
-        def backward(grad: np.ndarray) -> None:
-            need_edge = we is not None and we.requires_grad
-            dh, dq, dwq, dwk, dwe = kernels.attention_backward_np(
-                grad, h_src.data, query.data, wq.data, wk.data, attr,
-                alpha, layout, need_edge=need_edge,
-            )
-            if h_src.requires_grad:
-                h_src._accumulate(dh, own=True)
-            if query.requires_grad:
-                query._accumulate(dq, own=True)
-            if wq.requires_grad:
-                wq._accumulate(dwq, own=True)
-            if wk.requires_grad:
-                wk._accumulate(dwk, own=True)
-            if need_edge:
-                we._accumulate(dwe, own=True)
-
-        return Tensor._make(m, parents, backward)
 
     # -- pass-step hooks (see PassStepAggregator) ----------------------
     def step_begin(self, hd):
@@ -558,52 +342,30 @@ class AttentionAggregator(PassStepAggregator):
             scores = scores + (edge_attr @ self.w_edge.weight.data).ravel()
         return kernels.segment_softmax_weighted_np(scores, h_src, layout)
 
-    def step_sink(self, hd, block=None):
-        if block is not None:
-            return {
-                "dqs_w": np.empty(block.num_written, np.float32),
-                "written": block.written,
-                "ds": np.empty(block.num_edges, np.float32),
-                "h": np.empty((block.num_edges, hd.shape[1]), np.float32),
-                **(
-                    {"attr": block.edge_attr}
-                    if self.w_edge is not None and block.edge_attr is not None
-                    else {}
-                ),
-            }
-        sink = {
-            "dqs": np.zeros(hd.shape[0], np.float32),
-            "dwk": np.zeros_like(self.w_key.weight.data),
+    def step_sink(self, hd, block):
+        return {
+            "dqs_w": np.empty(block.num_written, np.float32),
+            "written": block.written,
+            "ds": np.empty(block.num_edges, np.float32),
+            "h": np.empty((block.num_edges, hd.shape[1]), np.float32),
+            **(
+                {"attr": block.edge_attr}
+                if self.w_edge is not None and block.edge_attr is not None
+                else {}
+            ),
         }
-        if self.w_edge is not None:
-            sink["dwe"] = np.zeros_like(self.w_edge.weight.data)
-        return sink
 
-    def _score_grads(self, group, dm, h_src, alpha):
-        """Shared per-group backward core: ``(dh_src, ds)``."""
+    def step_backward(self, group, dm, h_src, saved, sink, edge_attr=None):
+        alpha = saved
         layout = group.seg_layout
         seg = layout.segment_ids
-        wk = self.w_key.weight.data
         dm_e = dm[seg]
         dh = alpha[:, None] * dm_e
         dalpha = np.einsum("ij,ij->i", h_src, dm_e)
+        # softmax jacobian: ds = alpha * (dalpha - sum_segment(alpha*dalpha))
         weighted = alpha * dalpha
         ds = weighted - alpha * segment_sum_np(weighted, layout)[seg]
-        dh += ds[:, None] * wk.reshape(1, -1)
-        return dh, ds
-
-    def step_backward(self, group, dm, h_src, saved, sink, edge_attr=None):
-        dh, ds = self._score_grads(group, dm, h_src, saved)
-        wk = self.w_key.weight.data
-        sink["dwk"] += _mm(h_src.T, ds).reshape(wk.shape)
-        sink["dqs"][group.nodes] += segment_sum_np(ds, group.seg_layout)
-        if edge_attr is not None:
-            sink["dwe"] += _mm(edge_attr.T, ds).reshape(sink["dwe"].shape)
-        return dh
-
-    def step_backward_block(self, group, dm, h_src, saved, sink,
-                            edge_attr=None):
-        dh, ds = self._score_grads(group, dm, h_src, saved)
+        dh += ds[:, None] * self.w_key.weight.data.reshape(1, -1)
         e0 = group.edge_offset
         e1 = e0 + len(group.src)
         o0 = group.node_offset
@@ -616,30 +378,21 @@ class AttentionAggregator(PassStepAggregator):
         return dh
 
     def step_end(self, hd, sink, dh):
+        # the per-query score grads sit in written-node order, so the wq
+        # contraction and the dh scatter touch only the written rows
+        # (unique — fancy += is exact)
         wq = self.w_query.weight
-        if "ds" in sink:
-            # block layout: the per-query score grads sit in written-node
-            # order, so the wq contraction and the dh scatter touch only
-            # the written rows (unique — fancy += is exact)
-            dqs_w = sink["dqs_w"]
-            written = sink["written"]
-            _acc(wq, _mm(hd[written].T, dqs_w).reshape(wq.data.shape))
-            if dh is not None:
-                dh[written] += dqs_w[:, None] * wq.data.reshape(1, -1)
-            ds_all = sink["ds"]
-            wk = self.w_key.weight
-            _acc(wk, _mm(sink["h"].T, ds_all).reshape(wk.data.shape))
-            if sink.get("attr_used"):
-                we = self.w_edge.weight
-                _acc(we, _mm(sink["attr"].T, ds_all).reshape(we.data.shape))
-            return
-        dqs = sink["dqs"]
-        _acc(wq, _mm(hd.T, dqs).reshape(wq.data.shape))
+        dqs_w = sink["dqs_w"]
+        written = sink["written"]
+        _acc(wq, _mm(hd[written].T, dqs_w).reshape(wq.data.shape))
         if dh is not None:
-            dh += dqs[:, None] * wq.data.reshape(1, -1)
-        _acc(self.w_key.weight, sink["dwk"])
-        if "dwe" in sink:
-            _acc(self.w_edge.weight, sink["dwe"])
+            dh[written] += dqs_w[:, None] * wq.data.reshape(1, -1)
+        ds_all = sink["ds"]
+        wk = self.w_key.weight
+        _acc(wk, _mm(sink["h"].T, ds_all).reshape(wk.data.shape))
+        if sink.get("attr_used"):
+            we = self.w_edge.weight
+            _acc(we, _mm(sink["attr"].T, ds_all).reshape(we.data.shape))
 
 
 def build_aggregator(

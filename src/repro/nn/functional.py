@@ -9,15 +9,15 @@ paper's additive attention (Eq. 5).
 All segment reductions run on the rank-by-rank kernels of
 :mod:`repro.nn.kernels` rather than ``np.add.at``/``np.maximum.at``: one
 conflict-free vectorised op per rank, accumulating each segment in
-element order.  Each op accepts an optional precomputed
-:class:`~repro.nn.kernels.SegmentLayout` so hot paths (the compiled
-propagation schedules) pay the rank plan once per batch; without one, a
-layout is built on the fly.
+element order.  These ops back the reference (``compiled=False``) path
+and build their :class:`~repro.nn.kernels.SegmentLayout` per call; the
+compiled propagation path calls the kernels directly on the layouts its
+schedules cache.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -100,21 +100,14 @@ def scatter_rows(base: Tensor, index: np.ndarray, rows: Tensor) -> Tensor:
 
 
 def segment_sum(
-    x: Tensor,
-    segment_ids: np.ndarray,
-    num_segments: int,
-    layout: Optional[SegmentLayout] = None,
+    x: Tensor, segment_ids: np.ndarray, num_segments: int
 ) -> Tensor:
     """Sum rows of ``x`` grouped by ``segment_ids``.
 
     ``out[s] = sum_{k : segment_ids[k] == s} x[k]``; segments with no
     members yield zero rows.
     """
-    lay = (
-        layout
-        if layout is not None
-        else SegmentLayout(segment_ids, num_segments)
-    )
+    lay = SegmentLayout(segment_ids, num_segments)
     data = segment_sum_np(x.data, lay)
     ids = lay.segment_ids
 
@@ -126,10 +119,7 @@ def segment_sum(
 
 
 def segment_softmax(
-    scores: Tensor,
-    segment_ids: np.ndarray,
-    num_segments: int,
-    layout: Optional[SegmentLayout] = None,
+    scores: Tensor, segment_ids: np.ndarray, num_segments: int
 ) -> Tensor:
     """Numerically stable softmax within each segment.
 
@@ -137,11 +127,7 @@ def segment_softmax(
     within every segment.  This implements the ``softmax_{u in P(v)}`` of
     the paper's attention coefficients.
     """
-    lay = (
-        layout
-        if layout is not None
-        else SegmentLayout(segment_ids, num_segments)
-    )
+    lay = SegmentLayout(segment_ids, num_segments)
     ids = lay.segment_ids
     out = segment_softmax_np(scores.data.reshape(-1), lay)
 

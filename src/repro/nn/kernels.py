@@ -19,12 +19,15 @@ segment-id array (the reference path's on-the-fly layouts, gradient
 routing by row id, the ``gather_rows`` backward) runs the same
 rank-by-rank accumulation with index arrays.
 
-The module also provides the closed-form fused forward/backward pairs the
-models' hot path runs on: the GRU combine (full and with a precomputed
-hidden transform, so ``h @ W_hh`` happens once per pass instead of once
-per level group), and all four of the paper's AGGREGATE designs
-(Table II) — each collapsing a composite per-edge Linear/MLP graph into a
-single autograd node over a cached :class:`SegmentLayout`.
+The module also provides the closed-form kernels the models' hot path
+runs on: the fused GRU cell (forward and backward, used by
+:class:`~repro.nn.modules.GRUCell`), the GRU gate math given both
+pre-activations (the pass runner batches ``h @ W_hh`` per pass), and the
+forwards of the paper's AGGREGATE designs (Table II), each collapsing a
+composite per-edge Linear/MLP graph over a cached :class:`SegmentLayout`.
+Their backwards live with the pass-step hooks of
+:mod:`repro.models.aggregators`, which batch parameter gradients per
+window; ``conv_sum`` keeps its source-gradient kernel here.
 """
 
 from __future__ import annotations
@@ -43,20 +46,14 @@ __all__ = [
     "segment_scatter_add",
     "segment_softmax_np",
     "segment_softmax_weighted_np",
-    "attention_forward_np",
-    "attention_backward_np",
     "conv_sum_forward_np",
     "conv_sum_backward_np",
     "deepset_forward_np",
-    "deepset_backward_np",
     "gated_sum_forward_np",
-    "gated_sum_backward_np",
     "gru_forward_np",
     "gru_gates_np",
     "gru_gates_backward_np",
     "gru_backward_np",
-    "gru_pre_forward_np",
-    "gru_pre_backward_np",
 ]
 
 #: one rank of a :class:`SegmentLayout`: ``(elements, targets)``, both
@@ -229,69 +226,7 @@ def segment_softmax_weighted_np(
 
 
 # ---------------------------------------------------------------------------
-# fused additive attention (paper Eq. 5)
-# ---------------------------------------------------------------------------
-
-
-def attention_forward_np(
-    h_src: np.ndarray,
-    q: np.ndarray,
-    wq: np.ndarray,
-    wk: np.ndarray,
-    we: Optional[np.ndarray],
-    attr: Optional[np.ndarray],
-    layout: SegmentLayout,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fused attention aggregate: scores -> segment softmax -> weighted sum.
-
-    ``q`` is one row per *target* (not per edge); its score contribution is
-    computed once per target and gathered, matching the per-edge
-    composite formulation bit for bit.  Returns ``(m, alpha)`` with
-    ``alpha`` saved for the backward.
-    """
-    seg = layout.segment_ids
-    scores = _mm(q, wq).reshape(-1)[seg] + _mm(h_src, wk).reshape(-1)
-    if we is not None:
-        scores = scores + _mm(attr, we).reshape(-1)
-    alpha = segment_softmax_np(scores, layout)
-    m = segment_sum_np(h_src * alpha[:, None], layout)
-    return m, alpha
-
-
-def attention_backward_np(
-    dm: np.ndarray,
-    h_src: np.ndarray,
-    q: np.ndarray,
-    wq: np.ndarray,
-    wk: np.ndarray,
-    attr: Optional[np.ndarray],
-    alpha: np.ndarray,
-    layout: SegmentLayout,
-    need_edge: bool = False,
-) -> Tuple[np.ndarray, ...]:
-    """Closed-form backward of :func:`attention_forward_np`.
-
-    Returns ``(dh_src, dq, dwq, dwk, dwe)``; ``dwe`` is ``None`` unless
-    ``need_edge`` (the edge attributes themselves are constants).
-    """
-    seg = layout.segment_ids
-    dm_e = dm[seg]
-    dh = alpha[:, None] * dm_e
-    dalpha = np.einsum("ij,ij->i", h_src, dm_e)
-    # softmax jacobian: ds = alpha * (dalpha - sum_segment(alpha * dalpha))
-    weighted = alpha * dalpha
-    ds = weighted - alpha * segment_sum_np(weighted, layout)[seg]
-    dh += ds[:, None] * wk.reshape(1, -1)
-    dwk = _mm(h_src.T, ds).reshape(wk.shape)
-    ds_t = segment_sum_np(ds, layout)
-    dq = ds_t[:, None] * wq.reshape(1, -1)
-    dwq = _mm(q.T, ds_t).reshape(wq.shape)
-    dwe = _mm(attr.T, ds).reshape(-1, 1) if need_edge else None
-    return dh, dq, dwq, dwk, dwe
-
-
-# ---------------------------------------------------------------------------
-# fused non-attention aggregators (paper Table II)
+# fused aggregator forwards (paper Table II)
 # ---------------------------------------------------------------------------
 
 
@@ -320,25 +255,10 @@ def conv_sum_forward_np(
 
 
 def conv_sum_backward_np(
-    dm: np.ndarray,
-    s: np.ndarray,
-    w: np.ndarray,
-    layout: SegmentLayout,
-    need_h: bool = True,
-    need_w: bool = True,
-) -> Tuple[Optional[np.ndarray], ...]:
-    """Closed-form backward of :func:`conv_sum_forward_np`.
-
-    Returns ``(dh_src, dw, db)``; the weight/bias pair is ``None`` unless
-    ``need_w``.
-    """
-    dh = _mm(dm, w.T)[layout.segment_ids] if need_h else None
-    if need_w:
-        dw = _mm(s.T, dm)
-        db = _mm(layout.counts, dm)
-    else:
-        dw = db = None
-    return dh, dw, db
+    dm: np.ndarray, w: np.ndarray, layout: SegmentLayout
+) -> np.ndarray:
+    """Source gradient ``dh_src`` of :func:`conv_sum_forward_np`."""
+    return _mm(dm, w.T)[layout.segment_ids]
 
 
 def deepset_forward_np(
@@ -373,39 +293,6 @@ def deepset_forward_np(
     return m.astype(np.float32, copy=False), (r1, s1, s2)
 
 
-def deepset_backward_np(
-    dm: np.ndarray,
-    h_src: np.ndarray,
-    w1: np.ndarray,
-    w2: np.ndarray,
-    wr: np.ndarray,
-    saved: Tuple[np.ndarray, ...],
-    layout: SegmentLayout,
-    need_h: bool = True,
-    need_w: bool = True,
-) -> Tuple[Optional[np.ndarray], ...]:
-    """Closed-form backward of :func:`deepset_forward_np`.
-
-    Returns ``(dh_src, dw1, db1, dw2, db2, dwr, dbr)``; the parameter
-    gradients are ``None`` unless ``need_w``.
-    """
-    r1, s1, s2 = saved
-    ds2 = _mm(dm, wr.T)
-    dr1 = _mm(ds2, w2.T)[layout.segment_ids]
-    da1 = dr1 * (r1 > 0)
-    dh = _mm(da1, w1.T) if need_h else None
-    if need_w:
-        dwr = _mm(s2.T, dm)
-        dbr = dm.sum(axis=0)
-        dw2 = _mm(s1.T, ds2)
-        db2 = _mm(layout.counts, ds2)
-        dw1 = _mm(h_src.T, da1)
-        db1 = da1.sum(axis=0)
-    else:
-        dw1 = db1 = dw2 = db2 = dwr = dbr = None
-    return dh, dw1, db1, dw2, db2, dwr, dbr
-
-
 def gated_sum_forward_np(
     h_src: np.ndarray,
     wg: np.ndarray,
@@ -418,7 +305,7 @@ def gated_sum_forward_np(
 
     The sigmoid blocks pushing either linear through the reduction, so
     both stay per edge — the fusion collapses the seven-node composite
-    graph (two linears, sigmoid, product, segment sum) into one node with
+    graph (two linears, sigmoid, product, segment sum) into one call with
     the gate and value activations saved.
     """
     g = _mm(h_src, wg)
@@ -432,36 +319,6 @@ def gated_sum_forward_np(
     return m, (g, v)
 
 
-def gated_sum_backward_np(
-    dm: np.ndarray,
-    h_src: np.ndarray,
-    wg: np.ndarray,
-    wv: np.ndarray,
-    saved: Tuple[np.ndarray, np.ndarray],
-    layout: SegmentLayout,
-    need_h: bool = True,
-    need_w: bool = True,
-) -> Tuple[Optional[np.ndarray], ...]:
-    """Closed-form backward of :func:`gated_sum_forward_np`.
-
-    Returns ``(dh_src, dwg, dbg, dwv, dbv)``; the parameter gradients are
-    ``None`` unless ``need_w``.
-    """
-    g, v = saved
-    dgv = dm[layout.segment_ids]
-    dv = dgv * g
-    dsg = dgv * v * g * (1.0 - g)
-    dh = (_mm(dv, wv.T) + _mm(dsg, wg.T)) if need_h else None
-    if need_w:
-        dwv = _mm(h_src.T, dv)
-        dbv = dv.sum(axis=0)
-        dwg = _mm(h_src.T, dsg)
-        dbg = dsg.sum(axis=0)
-    else:
-        dwg = dbg = dwv = dbv = None
-    return dh, dwg, dbg, dwv, dbv
-
-
 # ---------------------------------------------------------------------------
 # fused GRU
 # ---------------------------------------------------------------------------
@@ -472,9 +329,9 @@ def gru_gates_np(
 ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
     """GRU gate math given BOTH pre-activations.
 
-    The whole-pass runner's block layout batches the input transform
-    ``gi`` itself (static part once per pass, message part per group), so
-    only the gate nonlinearity is left per group.  Returns
+    The pass runner batches the input transform ``gi`` itself (static
+    part a per-type table lookup, message part per group), so only the
+    gate nonlinearity is left per group.  Returns
     ``(h_new, saved)`` like the fused forwards.
     """
     d = h.shape[1]
@@ -537,10 +394,6 @@ def gru_gates_backward_np(
     return dgi, dgh
 
 
-_gru_gates = gru_gates_np
-_gru_gate_grads = gru_gates_backward_np
-
-
 def gru_forward_np(
     x: np.ndarray,
     h: np.ndarray,
@@ -556,7 +409,7 @@ def gru_forward_np(
     """
     gi = _mm(x, w_ih) + b_ih
     gh = _mm(h, w_hh) + b_hh
-    return _gru_gates(gi, gh, h)
+    return gru_gates_np(gi, gh, h)
 
 
 def gru_backward_np(
@@ -576,7 +429,7 @@ def gru_backward_np(
     groups not requested (``need_w`` covers both weights and biases).
     """
     z = saved[1]
-    dgi, dgh = _gru_gate_grads(grad, h, saved)
+    dgi, dgh = gru_gates_backward_np(grad, h, saved)
     dx = _mm(dgi, w_ih.T) if need_x else None
     dh = (_mm(dgh, w_hh.T) + grad * z) if need_h else None
     if need_w:
@@ -587,52 +440,3 @@ def gru_backward_np(
     else:
         dw_ih = dw_hh = db_ih = db_hh = None
     return dx, dh, dw_ih, dw_hh, db_ih, db_hh
-
-
-def gru_pre_forward_np(
-    x: np.ndarray,
-    h: np.ndarray,
-    gh: np.ndarray,
-    w_ih: np.ndarray,
-    b_ih: np.ndarray,
-) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
-    """GRU forward with the hidden transform precomputed.
-
-    ``gh = h @ W_hh + b_hh`` is supplied by the caller — the propagation
-    pass runner computes it ONCE over the full pass-input state and hands
-    each level group its rows, instead of paying a small matmul per group.
-    """
-    gi = _mm(x, w_ih) + b_ih
-    return _gru_gates(gi, gh, h)
-
-
-def gru_pre_backward_np(
-    grad: np.ndarray,
-    x: np.ndarray,
-    h: np.ndarray,
-    w_ih: np.ndarray,
-    saved: Tuple[np.ndarray, ...],
-    need_x: bool = True,
-    need_h: bool = True,
-    need_gh: bool = True,
-    need_w: bool = True,
-) -> Tuple[Optional[np.ndarray], ...]:
-    """Closed-form backward of :func:`gru_pre_forward_np`.
-
-    Returns ``(dx, dh, dgh, dw_ih, db_ih)``.  ``dh`` is only the *direct*
-    ``z * h`` contribution — the path through the hidden transform flows
-    via ``dgh`` into whatever op produced it (where ``dW_hh``/``db_hh``
-    and the rest of ``dh`` materialise once per pass).
-    """
-    z = saved[1]
-    dgi, dgh = _gru_gate_grads(grad, h, saved)
-    dx = _mm(dgi, w_ih.T) if need_x else None
-    dh = grad * z if need_h else None
-    if not need_gh:
-        dgh = None
-    if need_w:
-        dw_ih = _mm(x.T, dgi)
-        db_ih = dgi.sum(axis=0)
-    else:
-        dw_ih = db_ih = None
-    return dx, dh, dgh, dw_ih, db_ih

@@ -26,15 +26,14 @@ def make_batch():
     return prepare([g1, g2])
 
 
-def build(budget, edge_budget=None, include_skip=False):
+def build(budget, include_skip=False):
     batch = make_batch()
     sched = LevelSchedule.forward(
         batch.graph, include_skip=include_skip, pe_levels=4
     )
     attr_dim = 2 * 4 + 1 if include_skip else None
     return sched, WindowedSchedule.build(
-        sched, batch.x, budget,
-        edge_attr_dim=attr_dim, edge_budget=edge_budget,
+        sched, batch.x, budget, edge_attr_dim=attr_dim
     )
 
 
@@ -148,14 +147,6 @@ class TestPartition:
         assert len(ws) == 1
         assert ws.windows[0].frontier_rows == 0
 
-    def test_edge_budget_respected(self):
-        _, ws = build(10**9, edge_budget=24)
-        assert len(ws) > 1
-        for w in ws:
-            if len(w.compiled.groups) > 1:
-                edges = sum(len(cg.src) for cg in w.compiled.groups)
-                assert edges <= 24
-
     def test_written_offsets_are_contiguous(self):
         _, ws = build(9)
         stop = 0
@@ -173,12 +164,6 @@ class TestPartition:
         sched = LevelSchedule.forward(batch.graph)
         with pytest.raises(ValueError, match="node_budget"):
             WindowedSchedule.build(sched, batch.x, bad)
-
-    def test_bad_edge_budget_rejected(self):
-        batch = make_batch()
-        sched = LevelSchedule.forward(batch.graph)
-        with pytest.raises(ValueError, match="edge_budget"):
-            WindowedSchedule.build(sched, batch.x, 8, edge_budget=0)
 
 
 class TestRouting:
@@ -222,7 +207,6 @@ class TestRouting:
                         reads.update(split.layout.segment_ids.tolist())
             assert w.frontier_rows == len(reads & earlier)
             earlier.update(w.compiled.written.tolist())
-        assert ws.max_frontier_rows == max(w.frontier_rows for w in ws)
 
     def test_frontier_counts_pinned(self):
         # the partition alone fixes the per-window counts

@@ -11,8 +11,8 @@ from repro.models import (
     GatedSumAggregator,
     build_aggregator,
 )
-from repro.nn import Tensor
-from repro.nn.kernels import SegmentLayout
+from repro.graphdata import CompiledSchedule, LevelGroup, LevelSchedule
+from repro.nn import Tensor, gather_rows
 
 
 def rng():
@@ -38,6 +38,22 @@ class TestFactory:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown aggregator"):
             build_aggregator("magic", 8, rng())
+
+    @pytest.mark.parametrize("name", AGGREGATOR_NAMES)
+    def test_gradients_reach_parameters(self, name):
+        agg = build_aggregator(name, 4, rng())
+        h_src, query, seg = toy_inputs()
+        h_src.requires_grad = True
+        out = agg(h_src, query, seg, 3)
+        (out * out).sum().backward()
+        assert h_src.grad is not None
+        grads = [p.grad is not None for p in agg.parameters()]
+        if name == "attention":
+            # w_query receives zero-gradient only through softmax symmetry;
+            # it still must be reachable (non-None) via the graph
+            assert any(grads)
+        else:
+            assert all(grads)
 
 
 class TestConvSum:
@@ -130,16 +146,6 @@ class TestAttention:
         with pytest.raises(ValueError, match="edge_attr_dim"):
             agg(h_src, query, seg, 3, Tensor(np.zeros((5, 6), np.float32)))
 
-    def test_edge_attr_without_capacity_rejected_on_fused_path(self):
-        # the compiled (layout) dispatch must hit the same guard, not
-        # silently drop the attributes
-        agg = AttentionAggregator(4, rng())
-        h_src, query, seg = toy_inputs()
-        with pytest.raises(ValueError, match="edge_attr_dim"):
-            agg(h_src, query, seg, 3,
-                Tensor(np.zeros((5, 6), np.float32)),
-                layout=SegmentLayout(seg, 3))
-
     def test_edge_attr_width_mismatch_rejected(self):
         agg = AttentionAggregator(4, rng(), edge_attr_dim=6)
         h_src, query, seg = toy_inputs()
@@ -157,78 +163,118 @@ class TestAttention:
         # invariant to the query in the *additive single-head* design
         np.testing.assert_allclose(out1, out2, atol=1e-5)
 
-class TestFusedDispatch:
-    """With a precomputed layout every aggregator runs as ONE fused
-    autograd node; it must match the composite reference path in values
-    and in every gradient."""
 
-    @pytest.mark.parametrize("name", AGGREGATOR_NAMES)
-    def test_layout_path_matches_reference(self, name):
-        agg = build_aggregator(name, 4, rng())
-        h_src_np = np.random.default_rng(7).normal(size=(5, 4)).astype(
-            np.float32
+#: node ids ``0..SOURCES-1`` feed a one-group pass's targets
+SOURCES = 5
+
+#: (src, seg) of one level group: repeated source rows with uneven
+#: fan-in, every edge into one target, and one edge per target
+GROUP_SHAPES = {
+    "mixed": ([0, 1, 2, 3, 1], [0, 0, 1, 2, 2]),
+    "single_target": ([0, 1, 2, 3], [0, 0, 0, 0]),
+    "all_distinct": ([0, 1, 2], [0, 1, 2]),
+}
+
+
+def one_group_pass(src, seg, skip=None, edge_attr_dim=None):
+    """A compiled pass of one level group whose targets follow the
+    sources; ``skip`` adds ``(src, seg, attr)`` skip edges."""
+    extra = {}
+    if skip is not None:
+        skip_src, skip_seg, skip_attr = skip
+        extra = dict(
+            skip_src=np.array(skip_src), skip_seg=np.array(skip_seg),
+            skip_attr=skip_attr,
         )
-        _, query, seg = toy_inputs()
-        w = np.linspace(-1, 1, 12).reshape(3, 4).astype(np.float32)
-        results = {}
-        for layout in (None, SegmentLayout(seg, 3)):
-            h_src = Tensor(h_src_np, requires_grad=True)
-            agg.zero_grad()
-            out = agg(h_src, query, seg, 3, layout=layout)
-            (out * Tensor(w)).sum().backward()
-            results["fused" if layout is not None else "ref"] = (
-                out.data,
-                h_src.grad,
-                [p.grad for p in agg.parameters()],
-            )
-        out_ref, dh_ref, dp_ref = results["ref"]
-        out_fused, dh_fused, dp_fused = results["fused"]
-        np.testing.assert_allclose(out_fused, out_ref, rtol=1e-5, atol=1e-6)
-        np.testing.assert_allclose(dh_fused, dh_ref, rtol=1e-4, atol=1e-6)
-        for g_ref, g_fused in zip(dp_ref, dp_fused):
-            if g_ref is None:
-                assert g_fused is None or not np.abs(g_fused).max()
-                continue
-            np.testing.assert_allclose(g_fused, g_ref, rtol=1e-4, atol=1e-6)
+        seg_all = list(seg) + list(skip_seg)
+    else:
+        seg_all = list(seg)
+    num_targets = max(seg_all) + 1
+    num_nodes = SOURCES + num_targets
+    group = LevelGroup(
+        nodes=SOURCES + np.arange(num_targets),
+        src=np.array(src), seg=np.array(seg), **extra,
+    )
+    return CompiledSchedule.compile(
+        LevelSchedule([group], num_nodes),
+        np.zeros((num_nodes, 1), np.float32),
+        edge_attr_dim,
+    )
 
-    def test_attention_layout_path_with_edge_attr(self):
+
+def reference_pass(agg, cs, hd, w):
+    """The composite ``forward`` over the pass's group: its message and
+    the gradient of ``sum(message * w)`` w.r.t. the state ``hd``."""
+    group = cs.groups[0]
+    h = Tensor(hd, requires_grad=True)
+    attr = None if group.edge_attr is None else Tensor(group.edge_attr)
+    out = agg(
+        gather_rows(h, group.src), gather_rows(h, group.nodes),
+        group.seg, len(group.nodes), attr,
+    )
+    (out * Tensor(w)).sum().backward()
+    return out.data, h.grad
+
+
+def hook_pass(agg, cs, hd, w):
+    """:func:`reference_pass` through the pass-step hooks, driven as the
+    pass runner drives them over a one-window pass."""
+    group = cs.groups[0]
+    attr = group.edge_attr
+    h_src = hd[group.src]
+    m, saved = agg.step_forward(group, h_src, agg.step_begin(hd), attr)
+    sink = agg.step_sink(hd, cs.block())
+    dh_src = agg.step_backward(group, w, h_src, saved, sink, attr)
+    dh = np.zeros_like(hd)
+    agg.step_end(hd, sink, dh)
+    np.add.at(dh, group.src, dh_src)
+    return m, dh
+
+
+def assert_hooks_match_reference(agg, cs):
+    hd = np.random.default_rng(7).normal(size=(cs.num_nodes, 4)).astype(
+        np.float32
+    )
+    num_targets = len(cs.written)
+    w = np.linspace(-1, 1, num_targets * 4).reshape(num_targets, 4).astype(
+        np.float32
+    )
+    agg.zero_grad()
+    m_ref, dh_ref = reference_pass(agg, cs, hd, w)
+    dp_ref = [p.grad for p in agg.parameters()]
+    agg.zero_grad()
+    m_hook, dh_hook = hook_pass(agg, cs, hd, w)
+    dp_hook = [p.grad for p in agg.parameters()]
+    np.testing.assert_allclose(m_hook, m_ref, rtol=1e-5, atol=1e-6)
+    np.testing.assert_allclose(dh_hook, dh_ref, rtol=1e-4, atol=1e-6)
+    for g_ref, g_hook in zip(dp_ref, dp_hook):
+        if g_ref is None:
+            assert g_hook is None or not np.abs(g_hook).max()
+            continue
+        np.testing.assert_allclose(g_hook, g_ref, rtol=1e-4, atol=1e-6)
+
+
+class TestStepHooks:
+    """The pass-step hooks every compiled pass runs must match the
+    composite reference ``forward`` in the message, the state gradient
+    and every parameter gradient, on rank-major compiled groups."""
+
+    @pytest.mark.parametrize("shape", list(GROUP_SHAPES))
+    @pytest.mark.parametrize("name", AGGREGATOR_NAMES)
+    def test_step_hooks_match_reference(self, name, shape):
+        src, seg = GROUP_SHAPES[shape]
+        agg = build_aggregator(name, 4, rng())
+        assert_hooks_match_reference(agg, one_group_pass(src, seg))
+
+    def test_attention_step_hooks_with_edge_attr(self):
         agg = AttentionAggregator(4, rng(), edge_attr_dim=3)
         agg.w_edge.weight.data[:] = np.linspace(-1, 1, 3).reshape(3, 1)
-        h_src_np = np.random.default_rng(8).normal(size=(5, 4)).astype(
-            np.float32
+        attr = np.random.default_rng(9).normal(size=(2, 3)).astype(np.float32)
+        # real edges carry zero attributes, skip edges their own
+        cs = one_group_pass(
+            [0, 1, 2], [0, 0, 1], skip=([3, 1], [2, 2], attr),
+            edge_attr_dim=3,
         )
-        _, query, seg = toy_inputs()
-        attr = np.random.default_rng(9).normal(size=(5, 3)).astype(np.float32)
-        w = np.linspace(-1, 1, 12).reshape(3, 4).astype(np.float32)
-        results = {}
-        for key, layout in (("ref", None), ("fused", SegmentLayout(seg, 3))):
-            h_src = Tensor(h_src_np, requires_grad=True)
-            agg.zero_grad()
-            out = agg(h_src, query, seg, 3, Tensor(attr), layout=layout)
-            (out * Tensor(w)).sum().backward()
-            results[key] = (out.data, h_src.grad, agg.w_edge.weight.grad)
-        np.testing.assert_allclose(
-            results["fused"][0], results["ref"][0], rtol=1e-5, atol=1e-6
-        )
-        np.testing.assert_allclose(
-            results["fused"][1], results["ref"][1], rtol=1e-4, atol=1e-6
-        )
-        np.testing.assert_allclose(
-            results["fused"][2], results["ref"][2], rtol=1e-4, atol=1e-6
-        )
-
-    @pytest.mark.parametrize("name", AGGREGATOR_NAMES)
-    def test_gradients_reach_parameters(self, name):
-        agg = build_aggregator(name, 4, rng())
-        h_src, query, seg = toy_inputs()
-        h_src.requires_grad = True
-        out = agg(h_src, query, seg, 3)
-        (out * out).sum().backward()
-        assert h_src.grad is not None
-        grads = [p.grad is not None for p in agg.parameters()]
-        if name == "attention":
-            # w_query receives zero-gradient only through softmax symmetry;
-            # it still must be reachable (non-None) via the graph
-            assert any(grads)
-        else:
-            assert all(grads)
+        assert np.abs(cs.groups[0].edge_attr).max() > 0
+        assert_hooks_match_reference(agg, cs)
+        assert np.abs(agg.w_edge.weight.grad).max() > 0

@@ -1,10 +1,12 @@
-"""Every kernel backend × pass layout must match the reference model.
+"""Every kernel backend must match the reference model.
 
-The compiled fast path has two orthogonal per-process switches — the
-GEMM backend (:mod:`repro.nn.backends`) and the pass execution layout
-(:data:`repro.models.propagation.PASS_LAYOUTS`).  This module sweeps
-the full product: compiled-vs-reference forward/gradient equivalence
-plus a finite-difference spot check of the end-to-end autograd.
+The compiled fast path runs every GEMM through the per-process backend
+seam (:mod:`repro.nn.backends`).  This module sweeps every backend over
+both sides of the pass runner's choice — a full pass (one window, whose
+backward keeps the forward's group state) and a windowed pass (several
+windows, each recomputed in the backward): compiled-vs-reference
+forward/gradient equivalence plus a finite-difference spot check of the
+end-to-end autograd.
 """
 
 import numpy as np
@@ -13,23 +15,22 @@ import pytest
 from repro.datagen.generators import parity, ripple_adder
 from repro.graphdata import from_aig, prepare
 from repro.models import DeepGate
-from repro.models.propagation import PASS_LAYOUTS, use_pass_layout
+from repro.models.propagation import use_window_budget
 from repro.nn import Tensor, no_grad
 from repro.nn.backends import available_backends, use_backend
 from repro.synth import synthesize
 
-MATRIX = [
-    (backend, layout)
-    for backend in available_backends()
-    for layout in PASS_LAYOUTS
-]
-MATRIX_IDS = [f"{b}-{lay}" for b, lay in MATRIX]
+BACKENDS = available_backends()
 
 CONFIGS = [
     {},
     {"aggregator": "deepset", "use_skip": False},
 ]
 CONFIG_IDS = ["attention-skip", "deepset"]
+
+#: window budget per pass shape: ``None`` runs every pass as one window;
+#: 7 nodes splits each pass of the test batches into many windows
+PASS_SHAPES = {"full": None, "windowed": 7}
 
 
 def make_batch():
@@ -46,19 +47,21 @@ def make_pair(**kwargs):
     return ref, fast
 
 
-@pytest.mark.parametrize("backend,layout", MATRIX, ids=MATRIX_IDS)
+@pytest.mark.parametrize("shape", list(PASS_SHAPES))
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
 class TestEquivalenceMatrix:
-    def test_forward_matches(self, backend, layout, config):
+    def test_forward_matches(self, backend, config, shape):
         batch = make_batch()
         ref, fast = make_pair(**config)
         with no_grad():
             expected = ref(batch).data
-        with use_backend(backend), use_pass_layout(layout), no_grad():
-            actual = fast(batch).data
+        with use_backend(backend), use_window_budget(PASS_SHAPES[shape]):
+            with no_grad():
+                actual = fast(batch).data
         np.testing.assert_allclose(actual, expected, rtol=1e-5, atol=1e-6)
 
-    def test_gradients_match(self, backend, layout, config):
+    def test_gradients_match(self, backend, config, shape):
         batch = make_batch()
         ref, fast = make_pair(**config)
         # smooth loss: L1's kink would amplify round-off into mismatches
@@ -66,7 +69,7 @@ class TestEquivalenceMatrix:
             np.linspace(-1.0, 1.0, batch.num_nodes).astype(np.float32)
         )
         (ref(batch) * weights).sum().backward()
-        with use_backend(backend), use_pass_layout(layout):
+        with use_backend(backend), use_window_budget(PASS_SHAPES[shape]):
             (fast(batch) * weights).sum().backward()
         for (name, p_ref), (_, p_fast) in zip(
             ref.named_parameters(), fast.named_parameters()
@@ -74,16 +77,17 @@ class TestEquivalenceMatrix:
             assert p_ref.grad is not None and p_fast.grad is not None, name
             np.testing.assert_allclose(
                 p_ref.grad, p_fast.grad, rtol=2e-4, atol=2e-5,
-                err_msg=f"gradient mismatch for {name} "
-                        f"({backend}/{layout})",
+                err_msg=f"gradient mismatch for {name} ({backend}, {shape})",
             )
 
 
-@pytest.mark.parametrize("backend,layout", MATRIX, ids=MATRIX_IDS)
+@pytest.mark.parametrize("shape", list(PASS_SHAPES))
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestFiniteDifferenceMatrix:
-    """FD spot check of the whole compiled stack per backend × layout."""
+    """FD spot check of the whole compiled stack per backend and pass
+    shape."""
 
-    def test_parameter_gradients(self, backend, layout):
+    def test_parameter_gradients(self, backend, shape):
         g = from_aig(
             synthesize(ripple_adder(3)), num_patterns=128, seed=0
         )
@@ -100,7 +104,7 @@ class TestFiniteDifferenceMatrix:
             with no_grad():
                 return float((model(batch).data * weights.data).sum())
 
-        with use_backend(backend), use_pass_layout(layout):
+        with use_backend(backend), use_window_budget(PASS_SHAPES[shape]):
             model.zero_grad()
             (model(batch) * weights).sum().backward()
             rng = np.random.default_rng(7)
@@ -123,6 +127,7 @@ class TestFiniteDifferenceMatrix:
                 numeric = (fp - fm) / (2.0 * eps)
                 np.testing.assert_allclose(
                     gflat[idx], numeric, atol=2e-2, rtol=8e-2,
-                    err_msg=f"FD mismatch for {name}[{idx}] "
-                            f"({backend}/{layout})",
+                    err_msg=(
+                        f"FD mismatch for {name}[{idx}] ({backend}, {shape})"
+                    ),
                 )

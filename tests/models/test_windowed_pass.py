@@ -1,16 +1,20 @@
 """Windowed streaming propagation vs the full compiled pass.
 
-The streaming contract, checked over every aggregator × layout × budget:
+The streaming contract, checked over every aggregator × budget:
 
 * forward outputs (and therefore the loss) are **bitwise identical** to
   the full compiled pass for every window budget — including budgets of
-  one level group and budgets larger than the whole circuit — because
-  both paths compute their pass-wide affine pre-projections through the
-  same globally-aligned :data:`GEMM_CHUNK_ROWS` extents;
-* parameter and input gradients agree to round-off (window-sized GEMMs
-  change summation order, so grads are ``allclose``, not bitwise);
+  one level group and budgets larger than the whole circuit — whether or
+  not the pass records gradients, because every pass computes its
+  recurrent pre-projection through the same globally-aligned
+  :data:`GEMM_CHUNK_ROWS` extents;
+* a one-window pass runs the full pass's code, so its gradients are
+  bitwise identical too; several windows contract gradients per window
+  (window-sized GEMMs change summation order), so theirs are
+  ``allclose``, not bitwise;
 * a finite-difference probe validates the recompute-based backward
-  through a window boundary end to end.
+  through a window boundary end to end, for every aggregator;
+* a walk keeps group state only for a recorded one-window pass.
 """
 
 import weakref
@@ -23,13 +27,11 @@ from repro.datagen.generators import parity, ripple_adder
 from repro.graphdata import CircuitGraph, from_aig, prepare
 from repro.models import DeepGate
 from repro.models.propagation import (
-    PASS_LAYOUTS,
     WINDOW_ENV_VAR,
     get_window_budget,
     get_window_stats,
     reset_window_stats,
     set_window_budget,
-    use_pass_layout,
     use_window_budget,
 )
 from repro.nn import Tensor, no_grad
@@ -84,37 +86,79 @@ def grads_of(model):
     }
 
 
-@pytest.mark.parametrize("layout", PASS_LAYOUTS)
+def pass_setup(batch, model, direction, budget):
+    """The full and windowed schedules of one pass, and its step."""
+    node_type = batch.graph.node_type
+    if direction == "forward":
+        full = batch.compiled_forward_schedule(True, model.pe_levels)
+        windowed = batch.windowed_forward_schedule(
+            budget, True, model.pe_levels
+        )
+        step = P.AggregateCombineStep(
+            model.fwd_aggregate, model.fwd_combine, node_type,
+            use_edge_attr=True,
+        )
+    else:
+        full = batch.compiled_reverse_schedule()
+        windowed = batch.windowed_reverse_schedule(budget)
+        step = P.AggregateCombineStep(
+            model.rev_aggregate, model.rev_combine, node_type
+        )
+    return full, windowed, step
+
+
+def random_state(batch, seed=2):
+    return np.random.default_rng(seed).standard_normal(
+        (batch.num_nodes, 8)
+    ).astype(np.float32)
+
+
 @pytest.mark.parametrize("config", AGG_CONFIGS, ids=AGG_IDS)
 class TestBitwiseForward:
     @pytest.mark.parametrize("budget", BUDGETS)
-    def test_forward_bits_match_full(self, layout, config, budget):
+    @pytest.mark.parametrize(
+        "record", [False, True], ids=["no_grad", "recorded"]
+    )
+    def test_forward_bits_match_full(self, config, budget, record):
+        # a recorded one-window pass keeps every group's state and a
+        # recorded multi-window pass keeps none; neither may move a bit
         batch = make_batch()
         model = make_model(**config)
-        with use_pass_layout(layout), no_grad():
+        with no_grad():
             expected = model(batch).data
-            with use_window_budget(budget):
+        with use_window_budget(budget):
+            if record:
                 actual = model(batch).data
+            else:
+                with no_grad():
+                    actual = model(batch).data
         np.testing.assert_array_equal(actual, expected)
 
-    def test_gradients_match_full(self, layout, config):
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_gradients_match_full(self, config, budget):
         batch = make_batch()
         full = make_model(**config)
         windowed = make_model(**config)
         weights = Tensor(
             np.linspace(-1.0, 1.0, batch.num_nodes).astype(np.float32)
         )
-        with use_pass_layout(layout):
-            (full(batch) * weights).sum().backward()
-            with use_window_budget(7):
-                (windowed(batch) * weights).sum().backward()
+        (full(batch) * weights).sum().backward()
+        with use_window_budget(budget):
+            (windowed(batch) * weights).sum().backward()
         g_full, g_win = grads_of(full), grads_of(windowed)
         assert g_full.keys() == g_win.keys()
         for name in g_full:
-            np.testing.assert_allclose(
-                g_win[name], g_full[name], rtol=2e-4, atol=2e-5,
-                err_msg=f"gradient mismatch for {name} ({layout})",
-            )
+            if budget == 10**9:
+                # one window: the same code as the full pass
+                np.testing.assert_array_equal(
+                    g_win[name], g_full[name],
+                    err_msg=f"gradient bits differ for {name}",
+                )
+            else:
+                np.testing.assert_allclose(
+                    g_win[name], g_full[name], rtol=2e-4, atol=2e-5,
+                    err_msg=f"gradient mismatch for {name}",
+                )
 
 
 class TestChunkConvention:
@@ -130,32 +174,16 @@ class TestChunkConvention:
                 actual = model(batch).data
         np.testing.assert_array_equal(actual, expected)
 
-    @pytest.mark.parametrize("layout", PASS_LAYOUTS)
     @pytest.mark.parametrize("direction", ["forward", "reverse"])
     def test_each_chunk_once_per_walk_at_most_two_resident(
-        self, monkeypatch, direction, layout
+        self, monkeypatch, direction
     ):
         monkeypatch.setattr(P, "GEMM_CHUNK_ROWS", 64)
         g1 = from_aig(synthesize(ripple_adder(6)), num_patterns=256, seed=0)
         g2 = from_aig(synthesize(parity(5)), num_patterns=256, seed=1)
         batch = prepare([relabel(g1, 0), relabel(g2, 1)])
         model = make_model()
-        node_type = batch.graph.node_type
-        if direction == "forward":
-            full = batch.compiled_forward_schedule(True, model.pe_levels)
-            windowed = batch.windowed_forward_schedule(
-                16, True, model.pe_levels
-            )
-            step = P.AggregateCombineStep(
-                model.fwd_aggregate, model.fwd_combine, node_type,
-                use_edge_attr=True,
-            )
-        else:
-            full = batch.compiled_reverse_schedule()
-            windowed = batch.windowed_reverse_schedule(16)
-            step = P.AggregateCombineStep(
-                model.rev_aggregate, model.rev_combine, node_type
-            )
+        full, windowed, step = pass_setup(batch, model, direction, 16)
         # relabelled: windows read node ids out of order, but each reads
         # one contiguous range of the written axis
         assert (np.diff(windowed.written) < 0).any()
@@ -167,35 +195,94 @@ class TestChunkConvention:
         resident = [0]
         compute = P._ChunkedAffine._compute
 
-        def counting_compute(self, ci):
-            value = compute(self, ci)
+        def counting_compute(self, ci, *args):
+            value = compute(self, ci, *args)
             computed.append(ci)
             live.append(weakref.ref(value))
             resident[0] = max(resident[0], sum(r() is not None for r in live))
             return value
 
         monkeypatch.setattr(P._ChunkedAffine, "_compute", counting_compute)
-        h0 = np.random.default_rng(2).standard_normal(
-            (batch.num_nodes, 8)
-        ).astype(np.float32)
-        with use_pass_layout(layout):
-            expected = P.run_pass(Tensor(h0), full, step).data
-            assert computed == []  # the full runner projects in one sweep
-            out = P.run_pass(Tensor(h0, requires_grad=True), windowed, step)
-            np.testing.assert_array_equal(out.data, expected)
-            assert sorted(computed) == list(range(num_chunks))
-            computed.clear()
-            out.backward(np.ones_like(out.data))
-            assert sorted(computed) == list(range(num_chunks))
+        h0 = random_state(batch)
+        full_out = P.run_pass(Tensor(h0, requires_grad=True), full, step)
+        # the full pass is one window: one walk over every chunk
+        assert computed == list(range(num_chunks))
+        computed.clear()
+        # ... whose backward keeps the forward's state, projecting nothing
+        full_out.backward(np.ones_like(full_out.data))
+        assert computed == []
+        out = P.run_pass(Tensor(h0, requires_grad=True), windowed, step)
+        np.testing.assert_array_equal(out.data, full_out.data)
+        assert sorted(computed) == list(range(num_chunks))
+        computed.clear()
+        out.backward(np.ones_like(out.data))
+        assert sorted(computed) == list(range(num_chunks))
         assert resident[0] <= 2
 
 
-@pytest.mark.parametrize("layout", PASS_LAYOUTS)
+class TestSavedStateResidency:
+    """A walk keeps each group's saved state only when the pass records
+    gradients and has one window; otherwise a no-grad pass would hold all
+    per-group state until it ends."""
+
+    @pytest.fixture
+    def peaks(self, monkeypatch):
+        """Live saved-state count each time a group's forward starts."""
+        forward = P.AggregateCombineStep.forward
+        live, peaks = [], []
+
+        class Saved(list):  # a weak-referenceable stand-in for the tuple
+            pass
+
+        def tracking_forward(self, *args):
+            peaks.append(sum(r() is not None for r in live))
+            out, saved = forward(self, *args)
+            saved = Saved(saved)
+            live.append(weakref.ref(saved))
+            return out, saved
+
+        monkeypatch.setattr(
+            P.AggregateCombineStep, "forward", tracking_forward
+        )
+        return peaks
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_no_grad_pass_holds_one_group(self, peaks, direction):
+        batch = make_batch()
+        full, windowed, step = pass_setup(batch, make_model(), direction, 7)
+        h0 = Tensor(random_state(batch))
+        with no_grad():
+            for schedule in (full, windowed):
+                peaks.clear()
+                P.run_pass(h0, schedule, step)
+                assert max(peaks) <= 1
+        # a recorded one-window pass keeps every group's state
+        peaks.clear()
+        P.run_pass(h0, full, step)
+        assert max(peaks) == len(full.groups) - 1
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_multi_window_backward_holds_one_window(self, peaks, direction):
+        batch = make_batch()
+        _, windowed, step = pass_setup(batch, make_model(), direction, 7)
+        widest = max(len(w.compiled.groups) for w in windowed)
+        assert len(windowed) > 1 and widest > 1
+        out = P.run_pass(
+            Tensor(random_state(batch), requires_grad=True), windowed, step
+        )
+        assert max(peaks) <= 1
+        peaks.clear()
+        out.backward(np.ones_like(out.data))
+        assert len(peaks) == windowed.num_groups
+        assert max(peaks) <= widest + 1
+
+
 class TestFiniteDifference:
-    def test_parameter_gradients_across_window_boundary(self, layout):
+    @pytest.mark.parametrize("config", AGG_CONFIGS, ids=AGG_IDS)
+    def test_parameter_gradients_across_window_boundary(self, config):
         g = from_aig(synthesize(ripple_adder(3)), num_patterns=128, seed=0)
         batch = prepare([g])
-        model = make_model(dim=6)
+        model = make_model(dim=6, **config)
         weights = Tensor(
             np.linspace(0.2, 1.0, batch.num_nodes).astype(np.float32)
         )
@@ -206,7 +293,7 @@ class TestFiniteDifference:
 
         # budget 4: every pass crosses several window boundaries, so the
         # FD probe exercises the cross-window recompute, not just one window
-        with use_pass_layout(layout), use_window_budget(4):
+        with use_window_budget(4):
             model.zero_grad()
             (model(batch) * weights).sum().backward()
             rng = np.random.default_rng(7)
@@ -225,7 +312,7 @@ class TestFiniteDifference:
                 numeric = (fp - fm) / (2.0 * eps)
                 np.testing.assert_allclose(
                     gflat[idx], numeric, atol=2e-2, rtol=8e-2,
-                    err_msg=f"FD mismatch for {name}[{idx}] ({layout})",
+                    err_msg=f"FD mismatch for {name}[{idx}]",
                 )
 
 

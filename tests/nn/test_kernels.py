@@ -1,4 +1,4 @@
-"""Tests for the compiled segment/GRU/attention kernels.
+"""Tests for the compiled segment/GRU/aggregator kernels.
 
 Two angles on every kernel: finite-difference gradcheck, and equivalence
 against the pre-fast-path reference ops (``np.add.at``/``np.maximum.at``
@@ -14,18 +14,12 @@ import pytest
 from repro.nn import Tensor
 from repro.nn.kernels import (
     SegmentLayout,
-    attention_backward_np,
-    attention_forward_np,
     conv_sum_backward_np,
     conv_sum_forward_np,
-    deepset_backward_np,
     deepset_forward_np,
-    gated_sum_backward_np,
     gated_sum_forward_np,
-    gru_backward_np,
-    gru_forward_np,
-    gru_pre_backward_np,
-    gru_pre_forward_np,
+    gru_gates_backward_np,
+    gru_gates_np,
     segment_max_np,
     segment_rank_order,
     segment_scatter_add,
@@ -348,72 +342,6 @@ class TestFusedGRU:
         np.testing.assert_allclose(out1.data, expect, rtol=1e-6)
 
 
-class TestFusedAttention:
-    def _case(self, num_edges=7, num_targets=3, dim=4, attr_dim=2, seed=0):
-        rng = np.random.default_rng(seed)
-        ids = np.sort(rng.integers(0, num_targets, size=num_edges))
-        return (
-            rng.normal(size=(num_edges, dim)).astype(np.float32),
-            rng.normal(size=(num_targets, dim)).astype(np.float32),
-            rng.normal(size=(dim, 1)).astype(np.float32),
-            rng.normal(size=(dim, 1)).astype(np.float32),
-            rng.normal(size=(attr_dim, 1)).astype(np.float32),
-            rng.normal(size=(num_edges, attr_dim)).astype(np.float32),
-            SegmentLayout(ids, num_targets),
-        )
-
-    def test_forward_matches_composite_formulation(self):
-        h_src, q, wq, wk, we, attr, layout = self._case()
-        ids = layout.segment_ids
-        m, alpha = attention_forward_np(h_src, q, wq, wk, we, attr, layout)
-        scores = (
-            (q @ wq).reshape(-1)[ids]
-            + (h_src @ wk).reshape(-1)
-            + (attr @ we).reshape(-1)
-        )
-        expect_alpha = ref_segment_softmax(scores, ids, layout.num_segments)
-        np.testing.assert_allclose(alpha, expect_alpha, rtol=1e-6)
-        expect_m = ref_segment_sum(
-            h_src * expect_alpha[:, None], ids, layout.num_segments
-        )
-        np.testing.assert_allclose(m, expect_m, rtol=1e-5, atol=1e-7)
-
-    def test_backward_matches_finite_differences(self):
-        h_src, q, wq, wk, we, attr, layout = self._case()
-        dm = np.linspace(-1, 1, q.size).reshape(q.shape).astype(np.float32)
-
-        def value(h_src=h_src, q=q, wq=wq, wk=wk, we=we):
-            m, _ = attention_forward_np(h_src, q, wq, wk, we, attr, layout)
-            return float((m.astype(np.float64) * dm).sum())
-
-        _, alpha = attention_forward_np(h_src, q, wq, wk, we, attr, layout)
-        dh, dq, dwq, dwk, dwe = attention_backward_np(
-            dm, h_src, q, wq, wk, attr, alpha, layout, need_edge=True
-        )
-        eps = 1e-2
-        for arr, grad in ((h_src, dh), (q, dq), (wq, dwq), (wk, dwk),
-                          (we, dwe)):
-            num = np.zeros_like(arr, dtype=np.float64)
-            flat, nflat = arr.reshape(-1), num.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                fp = value()
-                flat[i] = orig - eps
-                fm = value()
-                flat[i] = orig
-                nflat[i] = (fp - fm) / (2 * eps)
-            np.testing.assert_allclose(grad, num, atol=2e-2, rtol=8e-2)
-
-    def test_empty_segments_get_zero_message(self):
-        h_src, q, wq, wk, we, attr, layout = self._case()
-        # add two extra targets nobody feeds
-        layout2 = SegmentLayout(layout.segment_ids, layout.num_segments + 2)
-        q2 = np.concatenate([q, np.ones((2, q.shape[1]), np.float32)])
-        m, _ = attention_forward_np(h_src, q2, wq, wk, we, attr, layout2)
-        np.testing.assert_array_equal(m[-2:], 0.0)
-
-
 def _finite_difference_check(value, pairs, eps=1e-2, atol=2e-2, rtol=8e-2):
     """Central-difference check of closed-form gradients.
 
@@ -443,8 +371,9 @@ AGG_CASES = [c for c in SEGMENT_CASES if c[0] != "large_fan_in"]
     "name,ids,num", AGG_CASES, ids=[c[0] for c in AGG_CASES]
 )
 class TestFusedAggregatorKernels:
-    """Forward equivalence vs the composite formulation and gradcheck for
-    the three fused non-attention aggregators (Table II)."""
+    """Forward equivalence vs the composite formulation for the three
+    fused non-attention aggregators (Table II), and a gradcheck of the
+    conv_sum source gradient."""
 
     D = 3
 
@@ -467,28 +396,18 @@ class TestFusedAggregatorKernels:
         layout = SegmentLayout(ids, num)
         h, mat = self._inputs(ids, seed=11)
         w, b = mat(self.D, self.D), mat(self.D)
-        m, s = conv_sum_forward_np(h, w, b, layout)
+        m, _ = conv_sum_forward_np(h, w, b, layout)
         np.testing.assert_allclose(
             m, ref_segment_sum(h @ w + b, ids, num), rtol=1e-5, atol=1e-6
         )
         dm = self._dm(num)
-        dh, dw, db = conv_sum_backward_np(dm, s, w, layout)
+        dh = conv_sum_backward_np(dm, w, layout)
 
         def value():
             out, _ = conv_sum_forward_np(h, w, b, layout)
             return float((out.astype(np.float64) * dm).sum())
 
-        _finite_difference_check(value, [(h, dh), (w, dw), (b, db)])
-
-    def test_conv_sum_need_flags(self, name, ids, num):
-        layout = SegmentLayout(ids, num)
-        h, mat = self._inputs(ids, seed=12)
-        w, b = mat(self.D, self.D), mat(self.D)
-        _, s = conv_sum_forward_np(h, w, b, layout)
-        dh, dw, db = conv_sum_backward_np(
-            self._dm(num), s, w, layout, need_h=False, need_w=False
-        )
-        assert dh is None and dw is None and db is None
+        _finite_difference_check(value, [(h, dh)])
 
     # -- deepset --------------------------------------------------------
     def test_deepset(self, name, ids, num):
@@ -497,20 +416,10 @@ class TestFusedAggregatorKernels:
         w1, b1 = mat(self.D, self.D), mat(self.D)
         w2, b2 = mat(self.D, self.D), mat(self.D)
         wr, br = mat(self.D, self.D), mat(self.D)
-        m, saved = deepset_forward_np(h, w1, b1, w2, b2, wr, br, layout)
+        m, _ = deepset_forward_np(h, w1, b1, w2, b2, wr, br, layout)
         phi = np.maximum(h @ w1 + b1, 0.0) @ w2 + b2
         expect = ref_segment_sum(phi, ids, num) @ wr + br
         np.testing.assert_allclose(m, expect, rtol=1e-5, atol=1e-6)
-        dm = self._dm(num)
-        grads = deepset_backward_np(dm, h, w1, w2, wr, saved, layout)
-
-        def value():
-            out, _ = deepset_forward_np(h, w1, b1, w2, b2, wr, br, layout)
-            return float((out.astype(np.float64) * dm).sum())
-
-        _finite_difference_check(
-            value, list(zip((h, w1, b1, w2, b2, wr, br), grads))
-        )
 
     # -- gated_sum ------------------------------------------------------
     def test_gated_sum(self, name, ids, num):
@@ -518,79 +427,72 @@ class TestFusedAggregatorKernels:
         h, mat = self._inputs(ids, seed=31)
         wg, bg = mat(self.D, self.D), mat(self.D)
         wv, bv = mat(self.D, self.D), mat(self.D)
-        m, saved = gated_sum_forward_np(h, wg, bg, wv, bv, layout)
+        m, _ = gated_sum_forward_np(h, wg, bg, wv, bv, layout)
         gate = 1.0 / (1.0 + np.exp(-(h @ wg + bg)))
         expect = ref_segment_sum(gate * (h @ wv + bv), ids, num)
         np.testing.assert_allclose(m, expect, rtol=1e-5, atol=1e-6)
-        dm = self._dm(num)
-        grads = gated_sum_backward_np(dm, h, wg, wv, saved, layout)
-
-        def value():
-            out, _ = gated_sum_forward_np(h, wg, bg, wv, bv, layout)
-            return float((out.astype(np.float64) * dm).sum())
-
-        _finite_difference_check(
-            value, list(zip((h, wg, bg, wv, bv), grads))
-        )
 
 
-class TestPreProjectedGRU:
-    """``gru_pre_*`` with ``gh = h @ W_hh + b_hh`` must reproduce the full
-    fused GRU, with the hidden-path gradient routed through ``dgh``."""
+class TestGRUGates:
+    """``gru_gates_*``: the pass runner's per-group GRU step, given both
+    pre-activations ``gi``/``gh`` (which the runner batches itself)."""
 
-    def _data(self, n=4, din=3, d=5, seed=17):
+    def _data(self, n=4, d=5, seed=17):
         rng = np.random.default_rng(seed)
         return (
-            rng.normal(size=(n, din)).astype(np.float32),
+            rng.normal(size=(n, 3 * d)).astype(np.float32),
+            rng.normal(size=(n, 3 * d)).astype(np.float32),
             rng.normal(size=(n, d)).astype(np.float32),
-            rng.normal(size=(din, 3 * d)).astype(np.float32) * 0.5,
-            rng.normal(size=(d, 3 * d)).astype(np.float32) * 0.5,
-            rng.normal(size=3 * d).astype(np.float32) * 0.5,
-            rng.normal(size=3 * d).astype(np.float32) * 0.5,
         )
 
-    def test_forward_matches_full(self):
-        x, h, w_ih, w_hh, b_ih, b_hh = self._data()
-        out_full, _ = gru_forward_np(x, h, w_ih, w_hh, b_ih, b_hh)
-        out_pre, _ = gru_pre_forward_np(
-            x, h, h @ w_hh + b_hh, w_ih, b_ih
-        )
-        np.testing.assert_array_equal(out_full, out_pre)
+    def _grad(self, h):
+        return np.linspace(-1, 1, h.size).reshape(h.shape).astype(np.float32)
 
-    def test_backward_chains_to_full(self):
-        x, h, w_ih, w_hh, b_ih, b_hh = self._data(seed=23)
-        grad = np.linspace(-1, 1, h.size).reshape(h.shape).astype(np.float32)
-        _, saved_full = gru_forward_np(x, h, w_ih, w_hh, b_ih, b_hh)
-        dx_f, dh_f, dw_ih_f, dw_hh_f, db_ih_f, db_hh_f = gru_backward_np(
-            grad, x, h, w_ih, w_hh, saved_full
-        )
-        gh = h @ w_hh + b_hh
-        _, saved_pre = gru_pre_forward_np(x, h, gh, w_ih, b_ih)
-        dx, dh, dgh, dw_ih, db_ih = gru_pre_backward_np(
-            grad, x, h, w_ih, saved_pre
-        )
-        np.testing.assert_allclose(dx, dx_f, rtol=1e-6, atol=1e-7)
-        np.testing.assert_allclose(dw_ih, dw_ih_f, rtol=1e-6, atol=1e-7)
-        np.testing.assert_allclose(db_ih, db_ih_f, rtol=1e-6, atol=1e-7)
-        # chaining dgh through the (batched-per-pass) transform recovers
-        # the full GRU's hidden-side gradients
+    def test_forward_matches_reference(self):
+        gi, gh, h = self._data()
+        d = h.shape[1]
+        out, _ = gru_gates_np(gi, gh, h)
+        r = 1.0 / (1.0 + np.exp(-(gi[:, :d] + gh[:, :d])))
+        z = 1.0 / (1.0 + np.exp(-(gi[:, d:2 * d] + gh[:, d:2 * d])))
+        n = np.tanh(gi[:, 2 * d:] + r * gh[:, 2 * d:])
         np.testing.assert_allclose(
-            dh + dgh @ w_hh.T, dh_f, rtol=1e-5, atol=1e-6
+            out, (1.0 - z) * n + z * h, rtol=1e-6, atol=1e-7
         )
-        np.testing.assert_allclose(h.T @ dgh, dw_hh_f, rtol=1e-5, atol=1e-6)
-        np.testing.assert_allclose(dgh.sum(0), db_hh_f, rtol=1e-5, atol=1e-6)
 
-    def test_need_flags(self):
-        x, h, w_ih, w_hh, b_ih, _ = self._data(seed=29)
-        gh = h @ w_hh
-        _, saved = gru_pre_forward_np(x, h, gh, w_ih, b_ih)
-        grad = np.ones_like(h)
-        dx, dh, dgh, dw_ih, db_ih = gru_pre_backward_np(
-            grad, x, h, w_ih, saved,
-            need_x=False, need_h=False, need_gh=False, need_w=False,
+    def test_backward_matches_finite_differences(self):
+        gi, gh, h = self._data(seed=23)
+        grad = self._grad(h)
+        _, saved = gru_gates_np(gi, gh, h)
+        dgi, dgh = gru_gates_backward_np(grad, h, saved)
+
+        def value():
+            out, _ = gru_gates_np(gi, gh, h)
+            return float((out.astype(np.float64) * grad).sum())
+
+        _finite_difference_check(value, [(gi, dgi), (gh, dgh)])
+
+    def test_out_buffers_match_fresh_allocation(self):
+        # the runner lands each group's gradients in its slice of the
+        # window's buffers: same bits, neighbours and saved state intact
+        gi, gh, h = self._data(seed=29)
+        grad = self._grad(h)
+        _, saved = gru_gates_np(gi, gh, h)
+        before = [a.copy() for a in saved]
+        dgi, dgh = gru_gates_backward_np(grad, h, saved)
+        n = len(h)
+        buf_gi = np.full((n + 3, gi.shape[1]), 7.0, np.float32)
+        buf_gh = np.full((n + 3, gh.shape[1]), 7.0, np.float32)
+        out_gi, out_gh = gru_gates_backward_np(
+            grad, h, saved, out_gi=buf_gi[2:2 + n], out_gh=buf_gh[2:2 + n]
         )
-        assert dx is None and dh is None and dgh is None
-        assert dw_ih is None and db_ih is None
+        assert np.shares_memory(out_gi, buf_gi)
+        assert np.shares_memory(out_gh, buf_gh)
+        np.testing.assert_array_equal(buf_gi[2:2 + n], dgi)
+        np.testing.assert_array_equal(buf_gh[2:2 + n], dgh)
+        for buf in (buf_gi, buf_gh):
+            assert (buf[:2] == 7.0).all() and (buf[2 + n:] == 7.0).all()
+        for a, b in zip(saved, before):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestAccumulateOwnership:
