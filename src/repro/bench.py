@@ -28,8 +28,8 @@ is far more stable run-to-run than a median of a handful of samples.
 
 ``repro bench compare old.json new.json`` prints per-metric speedups
 (``old / new`` for time metrics) and a headline deep-circuit training
-speedup, which is how the fast-path gain over a committed baseline file is
-tracked in CI.
+speedup, which is how CI tracks the trend against the committed reference
+``benchmarks/BENCH_batched.json``.
 """
 
 from __future__ import annotations
@@ -166,30 +166,14 @@ def build_suite_batches(
 def _make_model(
     dim: int, iterations: int, variant: str, aggregator: Optional[str] = None
 ) -> DeepGate:
-    """Build the benchmark model; ``variant`` picks the propagation path.
-
-    Runs against older checkouts that predate the ``compiled`` knob (for
-    capturing pre-fast-path baselines): there the variant is recorded as
-    ``legacy``.
-    """
+    """Build the benchmark model; ``variant`` picks the propagation path."""
     kwargs = dict(dim=dim, num_iterations=iterations,
                   rng=np.random.default_rng(0))
     if aggregator is not None:
         kwargs.update(
             aggregator=aggregator, use_skip=(aggregator == "attention")
         )
-    try:
-        return DeepGate(compiled=(variant != "reference"), **kwargs)
-    except TypeError:
-        return DeepGate(**kwargs)
-
-
-def _variant_label(variant: str) -> str:
-    import inspect
-
-    if "compiled" not in inspect.signature(DeepGate.__init__).parameters:
-        return "legacy"
-    return variant
+    return DeepGate(compiled=(variant != "reference"), **kwargs)
 
 
 def _normalise_rss_kb(
@@ -529,7 +513,7 @@ def run_benchmarks(
     return {
         "schema": 1,
         "name": name,
-        "variant": _variant_label(variant),
+        "variant": variant,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),

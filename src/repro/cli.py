@@ -33,12 +33,13 @@ from typing import Union
 
 import numpy as np
 
-from .aig import AIG, Netlist, aiger, bench, verilog
+from .aig import AIG, CircuitParseError, Netlist, aiger, bench, verilog
 from .datagen.generators import GENERATOR_CATALOG
 from .sat import check_equivalence
 from .sim import find_reconvergences, monte_carlo_probabilities
 from .synth import has_constant_outputs, strip_constant_outputs, synthesize
 from .testability import run_fault_simulation
+from .utils import default_workers
 
 __all__ = ["main", "build_parser"]
 
@@ -49,14 +50,28 @@ DEFAULT_PORT = 8351
 Circuit = Union[Netlist, AIG]
 
 
-def _read_circuit(path: str) -> Circuit:
-    if path.endswith(".bench"):
-        return bench.load(path)
-    if path.endswith(".v"):
-        return verilog.load(path)
-    if path.endswith(".aag"):
-        return aiger.load(path)
+#: circuit file suffix -> (serve protocol format name, reader module)
+_CIRCUIT_SUFFIXES = {
+    ".bench": ("bench", bench),
+    ".v": ("verilog", verilog),
+    ".aag": ("aiger", aiger),
+}
+
+
+def _circuit_suffix(path: str) -> tuple:
+    """The ``(format name, reader)`` entry for a circuit file's suffix."""
+    for suffix, entry in _CIRCUIT_SUFFIXES.items():
+        if path.endswith(suffix):
+            return entry
     raise SystemExit(f"unsupported circuit format: {path} (.bench/.v/.aag)")
+
+
+def _read_circuit(path: str) -> Circuit:
+    _, reader = _circuit_suffix(path)
+    try:
+        return reader.load(path)
+    except (OSError, CircuitParseError) as exc:
+        raise SystemExit(f"{path}: {exc}") from exc
 
 
 def _write_circuit(circuit: Circuit, path: str) -> None:
@@ -96,8 +111,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
         key, _, value = override.partition("=")
         if not value:
             raise SystemExit(f"bad --param {override!r}; use key=value")
-        kwargs[key] = int(value)
-    netlist = factory(**kwargs)
+        try:
+            kwargs[key] = int(value)
+        except ValueError:
+            raise SystemExit(f"bad --param {override!r}; value must be an integer")
+    try:
+        netlist = factory(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"bad --param for {args.family}: {exc}") from exc
     _write_circuit(netlist, args.output)
     print(f"wrote {netlist.num_gates()} gates to {args.output}")
     return 0
@@ -248,11 +269,16 @@ def _dist_progress(event) -> None:
     )
 
 
+def _workers(args: argparse.Namespace) -> int:
+    """``--workers``, or the ``REPRO_WORKERS``/CPU-count default for 0."""
+    return args.workers or default_workers()
+
+
 def cmd_dataset_build(args: argparse.Namespace) -> int:
-    from .datagen.pipeline import build_shards, default_workers, plan_shards
+    from .datagen.pipeline import build_shards, plan_shards
 
     config = _pipeline_config_from_args(args)
-    workers = args.workers or default_workers()
+    workers = _workers(args)
     mode = "distributed workers" if args.dist else "workers"
     print(
         f"building {sum(c for _, c in config.suites)} circuits "
@@ -316,13 +342,7 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
         run_benchmarks,
         write_bench_file,
     )
-    from .nn.backends import KernelBackendError, set_backend
 
-    if args.backend:
-        try:
-            set_backend(args.backend)
-        except KernelBackendError as exc:
-            raise SystemExit(str(exc)) from exc
     known = all_suite_names() + [HUGE_SUITE]
     for suite in args.suite or []:
         if suite not in known:
@@ -479,10 +499,10 @@ def _unit_progress(event) -> None:
 
 
 def cmd_experiment_run(args: argparse.Namespace) -> int:
-    from .runtime import default_workers, execute_parallel
+    from .runtime import execute_parallel
 
     exp, spec = _experiment_spec(args)
-    workers = args.workers if args.workers else default_workers()
+    workers = _workers(args)
     try:
         if args.dist:
             from .dist import PoisonedWorkError, execute_distributed
@@ -601,7 +621,7 @@ def cmd_experiment_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment_capture(args: argparse.Namespace) -> int:
-    from .runtime import default_workers, execute_parallel
+    from .runtime import execute_parallel
     from .runtime.golden import (
         DEFAULT_ABS_FLOOR,
         DEFAULT_REL_TOLERANCE,
@@ -619,7 +639,7 @@ def cmd_experiment_capture(args: argparse.Namespace) -> int:
             overrides[key] = float(value)
         except ValueError:
             raise SystemExit(f"bad --tolerance limit {value!r}")
-    workers = args.workers if args.workers else default_workers()
+    workers = _workers(args)
     record = execute_parallel(
         args.name,
         spec,
@@ -654,7 +674,6 @@ def cmd_experiment_verify(args: argparse.Namespace) -> int:
         render_report_text,
         verify_golden,
     )
-    from .runtime.parallel import default_workers
 
     root = Path(args.goldens_dir) if args.goldens_dir else default_goldens_dir()
     if args.fixtures:
@@ -676,7 +695,7 @@ def cmd_experiment_verify(args: argparse.Namespace) -> int:
         print(f"no golden fixtures under {root}", file=sys.stderr)
         return 1
 
-    workers = args.workers if args.workers else default_workers()
+    workers = _workers(args)
     failed = 0
     for path in paths:
         try:
@@ -780,17 +799,6 @@ def cmd_worker_dataset(args: argparse.Namespace) -> int:
     return _run_worker_until_signalled(source, args)
 
 
-def _circuit_format(path: str) -> str:
-    """Map a circuit file suffix onto a serve protocol format name."""
-    if path.endswith(".bench"):
-        return "bench"
-    if path.endswith(".v"):
-        return "verilog"
-    if path.endswith(".aag"):
-        return "aiger"
-    raise SystemExit(f"unsupported circuit format: {path} (.bench/.v/.aag)")
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
@@ -803,13 +811,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         service_from_checkpoint,
     )
 
-    if args.backend:
-        from .nn.backends import KernelBackendError, set_backend
-
-        try:
-            set_backend(args.backend)
-        except KernelBackendError as exc:
-            raise SystemExit(str(exc)) from exc
     ref = args.checkpoint or args.run
     try:
         path = resolve_checkpoint(ref, runs_dir=args.runs_dir)
@@ -876,7 +877,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             return 0
         if not args.circuit:
             raise SystemExit("give a circuit file, or --stats")
-        fmt = args.fmt or _circuit_format(args.circuit)
+        fmt = args.fmt or _circuit_suffix(args.circuit)[0]
         text = Path(args.circuit).read_text()
         reply = client.query(text, fmt=fmt, num_iterations=args.iterations)
     except ServeClientError as exc:
@@ -1042,11 +1043,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument("--reference", action="store_true",
                    help="run the uncompiled reference propagation path")
-    q.add_argument(
-        "--backend", default=None,
-        help="kernel GEMM backend (numpy/threaded; default: "
-             "REPRO_KERNEL_BACKEND or numpy)",
-    )
     q.add_argument(
         "--huge-gates", type=int, default=100_000,
         help="gate count for the opt-in 'huge' suite (--suite huge)",
@@ -1278,11 +1274,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact: one pass per unique circuit (bitwise-reproducible); "
              "merged: fuse distinct circuits into one pass (~1 ulp)",
     )
-    p.add_argument(
-        "--backend", default=None,
-        help="kernel GEMM backend (numpy/threaded; default: "
-             "REPRO_KERNEL_BACKEND or numpy)",
-    )
     p.add_argument("--verbose", action="store_true",
                    help="log one line per request (http.server access log)")
     p.set_defaults(func=cmd_serve)
@@ -1344,40 +1335,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rewrite_legacy_experiment_argv(argv):
-    """Map the pre-registry ``repro experiment <name> --scale S`` form.
-
-    Deprecated but kept working: a bare experiment name after
-    ``experiment`` becomes ``experiment run <name>``.
-    """
-    args = list(argv)
-    # only when 'experiment' is the subcommand itself — an operand named
-    # 'experiment' elsewhere (e.g. a circuit file) must not be rewritten
-    if not args or args[0] != "experiment":
-        return args
-    rest = args[1:]
-    if rest and rest[0] not in ("run", "list", "report", "compare",
-                                "capture", "verify", "-h", "--help"):
-        if rest[0].startswith("-"):
-            # option-first legacy form ('experiment --scale smoke table1')
-            note = (
-                "note: 'repro experiment' without a subcommand is "
-                "deprecated; use 'repro experiment run ...'"
-            )
-        else:
-            note = (
-                f"note: 'repro experiment {rest[0]}' is deprecated; "
-                f"use 'repro experiment run {rest[0]}'"
-            )
-        print(note, file=sys.stderr)
-        args.insert(1, "run")
-    return args
-
-
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser().parse_args(_rewrite_legacy_experiment_argv(argv))
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

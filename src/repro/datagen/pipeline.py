@@ -39,7 +39,6 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,7 +72,6 @@ __all__ = [
     "build_shards",
     "load_manifest",
     "manifest_is_current",
-    "default_workers",
 ]
 
 
@@ -322,19 +320,6 @@ def write_manifest(
     # atomic: a manifest either describes a complete build or doesn't exist
     atomic_write_text(out_dir / MANIFEST_NAME, text)
     return manifest
-
-
-def default_workers() -> int:
-    """Worker-count default: ``REPRO_WORKERS`` env var, else the CPU count."""
-    env = os.environ.get("REPRO_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise SystemExit(
-                f"bad REPRO_WORKERS {env!r}: expected an integer"
-            )
-    return max(1, multiprocessing.cpu_count())
 
 
 def build_shards(

@@ -19,9 +19,7 @@ Each module exposes ``run(scale)`` returning structured rows and
 ``format_table(rows)`` rendering the paper-style table, and registers
 itself with the experiment runtime (:mod:`repro.runtime`): a frozen spec
 dataclass plus a runner, driven by ``python -m repro experiment
-run/list/report``.  The old per-module CLIs
-(``python -m repro.experiments.table2``) survive as deprecation shims
-that forward to the registry path.
+run/list/report``.
 """
 
 from . import (

@@ -36,7 +36,6 @@ from ..train.metrics import ErrorAccumulator
 from ..train.trainer import TrainConfig, Trainer
 from .common import (
     Scale,
-    deprecated_main,
     format_rows,
     get_scale,
     merged_dataset,
@@ -254,12 +253,3 @@ def _merge(spec: AblationsSpec, unit_results: List[dict]) -> ExperimentResult:
         rows=row_dicts,
         table=format_table(rows),
     )
-
-
-def main(argv=None) -> None:
-    """Deprecated shim; use ``python -m repro experiment run ablations``."""
-    deprecated_main("ablations", argv)
-
-
-if __name__ == "__main__":
-    main()

@@ -24,13 +24,9 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..datagen.pipeline import (
-    PipelineConfig,
-    build_shards,
-    default_workers,
-    generate_suite,
-)
+from ..datagen.pipeline import PipelineConfig, build_shards, generate_suite
 from ..graphdata.dataset import CircuitDataset, ShardedCircuitDataset
+from ..utils import default_workers
 
 __all__ = [
     "Scale",
@@ -356,31 +352,3 @@ def pretrained_backbone(cfg: Scale):
         ).fit(train)
         _BACKBONE_CACHE[cfg] = model
     return _BACKBONE_CACHE[cfg]
-
-
-def deprecated_main(name: str, argv=None) -> None:
-    """Shared body of the legacy per-module ``main()`` entry points.
-
-    The old ``python -m repro.experiments.<module> --scale S`` commands
-    now forward to the registry-driven CLI (``repro experiment run``), so
-    they gain run caching/artifacts for free and there is exactly one
-    execution path.
-    """
-    import argparse
-    import warnings
-
-    warnings.warn(
-        f"python -m repro.experiments.{name} is deprecated; use "
-        f"python -m repro experiment run {name}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    parser = argparse.ArgumentParser(
-        description=f"[deprecated] run the {name} experiment"
-    )
-    parser.add_argument("--scale", default="default", choices=sorted(SCALES))
-    args = parser.parse_args(argv)
-
-    from ..cli import main as cli_main
-
-    cli_main(["experiment", "run", name, "--scale", args.scale])

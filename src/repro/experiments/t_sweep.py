@@ -24,7 +24,6 @@ from ..runtime.registry import (
 from ..train.trainer import TrainConfig, Trainer, evaluate_model
 from .common import (
     Scale,
-    deprecated_main,
     format_rows,
     get_scale,
     merged_dataset,
@@ -165,12 +164,3 @@ def _merge(spec: TSweepSpec, unit_results: List[dict]) -> ExperimentResult:
         table=format_table(points),
         meta={"convergence_T": convergence_iteration(points)},
     )
-
-
-def main(argv=None) -> None:
-    """Deprecated shim; use ``python -m repro experiment run tsweep``."""
-    deprecated_main("tsweep", argv)
-
-
-if __name__ == "__main__":
-    main()

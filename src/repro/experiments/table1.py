@@ -21,7 +21,6 @@ from ..runtime.registry import (
 from .common import (
     Scale,
     cached_suites,
-    deprecated_main,
     format_rows,
     get_scale,
     resolve_scale,
@@ -159,12 +158,3 @@ def _merge(spec: Table1Spec, unit_results: List[dict]) -> ExperimentResult:
         ],
         table=format_table(rows),
     )
-
-
-def main(argv=None) -> None:
-    """Deprecated shim; use ``python -m repro experiment run table1``."""
-    deprecated_main("table1", argv)
-
-
-if __name__ == "__main__":
-    main()

@@ -30,7 +30,6 @@ from ..runtime.registry import (
 from ..train.trainer import TrainConfig, Trainer
 from .common import (
     Scale,
-    deprecated_main,
     format_rows,
     get_scale,
     merged_dataset,
@@ -180,12 +179,3 @@ def _merge(spec: Table2Spec, unit_results: List[dict]) -> ExperimentResult:
         rows=list(unit_results),
         table=format_table(rows),
     )
-
-
-def main(argv=None) -> None:
-    """Deprecated shim; use ``python -m repro experiment run table2``."""
-    deprecated_main("table2", argv)
-
-
-if __name__ == "__main__":
-    main()

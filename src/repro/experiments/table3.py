@@ -31,7 +31,6 @@ from ..synth.pipeline import has_constant_outputs, strip_constant_outputs, synth
 from ..train.trainer import TrainConfig, Trainer, evaluate_model
 from .common import (
     Scale,
-    deprecated_main,
     format_rows,
     get_scale,
     merged_dataset,
@@ -269,12 +268,3 @@ def _merge(spec: Table3Spec, unit_results: List[dict]) -> ExperimentResult:
         ],
         table=format_table(rows),
     )
-
-
-def main(argv=None) -> None:
-    """Deprecated shim; use ``python -m repro experiment run table3``."""
-    deprecated_main("table3", argv)
-
-
-if __name__ == "__main__":
-    main()

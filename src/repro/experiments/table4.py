@@ -35,7 +35,6 @@ from ..synth.pipeline import has_constant_outputs, strip_constant_outputs, synth
 from ..train.trainer import TrainConfig, Trainer
 from .common import (
     Scale,
-    deprecated_main,
     format_rows,
     get_scale,
     merged_dataset,
@@ -253,12 +252,3 @@ def _merge(spec: Table4Spec, unit_results: List[dict]) -> ExperimentResult:
         rows=list(unit_results),
         table=format_table(rows),
     )
-
-
-def main(argv=None) -> None:
-    """Deprecated shim; use ``python -m repro experiment run table4``."""
-    deprecated_main("table4", argv)
-
-
-if __name__ == "__main__":
-    main()

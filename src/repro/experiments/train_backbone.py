@@ -13,7 +13,7 @@ train_backbone`` resolves without a hand-given path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -119,14 +119,3 @@ def run(spec: TrainBackboneSpec) -> ExperimentResult:
 )
 def _run(spec: TrainBackboneSpec) -> ExperimentResult:
     return run(spec)
-
-
-def main(argv: Optional[list] = None) -> None:
-    """Deprecated shim; use ``python -m repro experiment run train_backbone``."""
-    from .common import deprecated_main
-
-    deprecated_main("train_backbone", argv)
-
-
-if __name__ == "__main__":
-    main()

@@ -32,7 +32,6 @@ import numpy as np
 
 from ..graphdata.batching import PassBlock
 from ..nn import kernels
-from ..nn.backends import matmul as _mm
 from ..nn.functional import gather_rows, segment_softmax, segment_sum
 from ..nn.kernels import segment_sum_np
 from ..nn.modules import Linear, MLP, Module
@@ -138,8 +137,8 @@ class ConvSumAggregator(PassStepAggregator):
         )
 
     def step_end(self, hd, sink, dh):
-        _acc(self.linear.weight, _mm(sink["s"].T, sink["dm"]))
-        _acc(self.linear.bias, _mm(sink["counts"], sink["dm"]))
+        _acc(self.linear.weight, sink["s"].T @ sink["dm"])
+        _acc(self.linear.bias, sink["counts"] @ sink["dm"])
 
 
 class DeepSetAggregator(PassStepAggregator):
@@ -187,8 +186,8 @@ class DeepSetAggregator(PassStepAggregator):
     def step_backward(self, group, dm, h_src, saved, sink, edge_attr=None):
         lin1, lin2 = self.phi.layers
         r1, s1, s2 = saved
-        ds2 = _mm(dm, self.rho.weight.data.T)
-        dr1 = _mm(ds2, lin2.weight.data.T)[group.seg_layout.segment_ids]
+        ds2 = dm @ self.rho.weight.data.T
+        dr1 = (ds2 @ lin2.weight.data.T)[group.seg_layout.segment_ids]
         da1 = dr1 * (r1 > 0)
         o0 = group.node_offset
         o1 = o0 + len(group.nodes)
@@ -200,16 +199,16 @@ class DeepSetAggregator(PassStepAggregator):
         sink["ds2"][o0:o1] = ds2
         sink["da1"][e0:e1] = da1
         sink["h"][e0:e1] = h_src
-        return _mm(da1, lin1.weight.data.T)
+        return da1 @ lin1.weight.data.T
 
     def step_end(self, hd, sink, dh):
         lin1, lin2 = self.phi.layers
         da1, ds2, dm = sink["da1"], sink["ds2"], sink["dm"]
-        _acc(self.rho.weight, _mm(sink["s2"].T, dm))
+        _acc(self.rho.weight, sink["s2"].T @ dm)
         _acc(self.rho.bias, dm.sum(axis=0))
-        _acc(lin2.weight, _mm(sink["s1"].T, ds2))
-        _acc(lin2.bias, _mm(sink["counts"], ds2))
-        _acc(lin1.weight, _mm(sink["h"].T, da1))
+        _acc(lin2.weight, sink["s1"].T @ ds2)
+        _acc(lin2.bias, sink["counts"] @ ds2)
+        _acc(lin1.weight, sink["h"].T @ da1)
         _acc(lin1.bias, da1.sum(axis=0))
 
 
@@ -259,15 +258,13 @@ class GatedSumAggregator(PassStepAggregator):
         sink["dv"][e0:e1] = dv
         sink["dsg"][e0:e1] = dsg
         sink["h"][e0:e1] = h_src
-        return _mm(dv, self.value.weight.data.T) + _mm(
-            dsg, self.gate.weight.data.T
-        )
+        return dv @ self.value.weight.data.T + dsg @ self.gate.weight.data.T
 
     def step_end(self, hd, sink, dh):
         h_all, dv, dsg = sink["h"], sink["dv"], sink["dsg"]
-        _acc(self.value.weight, _mm(h_all.T, dv))
+        _acc(self.value.weight, h_all.T @ dv)
         _acc(self.value.bias, dv.sum(axis=0))
-        _acc(self.gate.weight, _mm(h_all.T, dsg))
+        _acc(self.gate.weight, h_all.T @ dsg)
         _acc(self.gate.bias, dsg.sum(axis=0))
 
 
@@ -384,15 +381,15 @@ class AttentionAggregator(PassStepAggregator):
         wq = self.w_query.weight
         dqs_w = sink["dqs_w"]
         written = sink["written"]
-        _acc(wq, _mm(hd[written].T, dqs_w).reshape(wq.data.shape))
+        _acc(wq, (hd[written].T @ dqs_w).reshape(wq.data.shape))
         if dh is not None:
             dh[written] += dqs_w[:, None] * wq.data.reshape(1, -1)
         ds_all = sink["ds"]
         wk = self.w_key.weight
-        _acc(wk, _mm(sink["h"].T, ds_all).reshape(wk.data.shape))
+        _acc(wk, (sink["h"].T @ ds_all).reshape(wk.data.shape))
         if sink.get("attr_used"):
             we = self.w_edge.weight
-            _acc(we, _mm(sink["attr"].T, ds_all).reshape(we.data.shape))
+            _acc(we, (sink["attr"].T @ ds_all).reshape(we.data.shape))
 
 
 def build_aggregator(

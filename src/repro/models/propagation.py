@@ -34,8 +34,7 @@ runs as a single window spanning the whole pass.
   gradients, messages, aggregator activations) land in contiguous buffers
   laid out by the window's :class:`~repro.graphdata.batching.PassBlock`,
   and every parameter gradient contracts them in one GEMM per window
-  instead of one small GEMM per level group.  Every GEMM runs through the
-  pluggable backend seam (:mod:`repro.nn.backends`).
+  instead of one small GEMM per level group.
 
 Every compiled level group is laid out rank-major (nodes by in-degree,
 edges rank by rank; see
@@ -76,7 +75,6 @@ from ..graphdata.batching import (
     WindowedSchedule,
 )
 from ..nn import kernels
-from ..nn.backends import matmul as _mm
 from ..nn.tensor import Tensor, is_grad_enabled
 from .aggregators import PassStepAggregator, Sink, _acc
 
@@ -204,7 +202,7 @@ GEMM_CHUNK_ROWS = 32768
 
 def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ w + b`` as one GEMM, the bias added in place."""
-    out = _mm(a, w)
+    out = a @ w
     out += b
     return out
 
@@ -349,10 +347,10 @@ class AggregateCombineStep:
         )
         c = self.combine
         if x_table is not None:
-            gi = _mm(m, c.w_ih.data[:query.shape[1]])
+            gi = m @ c.w_ih.data[:query.shape[1]]
             gi += x_table[self.node_type[group.nodes]]
         else:
-            gi = _mm(m, c.w_ih.data) + c.b_ih.data
+            gi = m @ c.w_ih.data + c.b_ih.data
         out, gru_saved = kernels.gru_gates_np(gi, gh_rows, query)
         return out, (m, agg_saved, gru_saved, h_src)
 
@@ -398,7 +396,7 @@ class AggregateCombineStep:
         # folded into dh once in end_backward
         np.multiply(grad, gru_saved[1], out=gru_sink["dq"][o0:o1])
         w_ih = c.w_ih.data
-        dm = _mm(dgi, w_ih[: query.shape[1]].T if self.fixed_x else w_ih.T)
+        dm = dgi @ (w_ih[: query.shape[1]].T if self.fixed_x else w_ih.T)
         return self.aggregate.step_backward(
             group, dm, h_src, agg_saved, agg_sink, self._edge_attr(group)
         )
@@ -419,19 +417,17 @@ class AggregateCombineStep:
         # (written nodes are unique, so fancy += is exact)
         dgh = gru_sink["dgh"]
         hdw = hd[block.written]
-        _acc(c.w_hh, _mm(hdw.T, dgh))
+        _acc(c.w_hh, hdw.T @ dgh)
         _acc(c.b_hh, dgh.sum(axis=0))
         if dh is not None:
-            dhw = _mm(dgh, c.w_hh.data.T)
+            dhw = dgh @ c.w_hh.data.T
             dhw += gru_sink["dq"]  # per-group direct z*h query grads
             dh[block.written] += dhw
         self.aggregate.step_end(hd, agg_sink, dh)
         dgi_all = gru_sink["dgi"]
-        dw_m = _mm(gru_sink["m"].T, dgi_all)
+        dw_m = gru_sink["m"].T @ dgi_all
         if self.fixed_x:
-            dw_ih = np.concatenate(
-                [dw_m, _mm(block.x_rows.T, dgi_all)], axis=0
-            )
+            dw_ih = np.concatenate([dw_m, block.x_rows.T @ dgi_all], axis=0)
         else:
             dw_ih = dw_m
         _acc(c.w_ih, dw_ih)

@@ -11,16 +11,13 @@ Two execution paths:
 * the **fused epilogue** (``fused=True``, used by the compiled models)
   runs the whole readout as ONE autograd node with a closed-form
   backward, so the final stage after a compiled pass stops being a chain
-  of ~10 small-tensor graph nodes per type.  Its GEMMs run through the
-  pluggable backend seam like the pass kernels.
+  of ~10 small-tensor graph nodes per type.
 """
 
 from __future__ import annotations
 
-
 import numpy as np
 
-from ..nn.backends import matmul as _mm
 from ..nn.functional import gather_rows, scatter_rows
 from ..nn.modules import MLP, Module
 from ..nn.tensor import Tensor, is_grad_enabled
@@ -73,10 +70,8 @@ class PerTypeRegressor(Module):
                 continue
             lin1, lin2 = self.heads[t].layers
             x = hd[idx]
-            r1 = np.maximum(
-                _mm(x, lin1.weight.data) + lin1.bias.data, 0.0
-            )
-            z = _mm(r1, lin2.weight.data) + lin2.bias.data
+            r1 = np.maximum(x @ lin1.weight.data + lin1.bias.data, 0.0)
+            z = r1 @ lin2.weight.data + lin2.bias.data
             p = 1.0 / (1.0 + np.exp(-z))
             out[idx] = p.ravel()
             saved.append((t, idx, x, r1, p))
@@ -95,13 +90,13 @@ class PerTypeRegressor(Module):
             for t, idx, x, r1, p in saved:
                 lin1, lin2 = self.heads[t].layers
                 dz = grad[idx].reshape(-1, 1) * p * (1.0 - p)
-                _acc(lin2.weight, _mm(r1.T, dz))
+                _acc(lin2.weight, r1.T @ dz)
                 _acc(lin2.bias, dz.sum(axis=0))
-                da1 = _mm(dz, lin2.weight.data.T) * (r1 > 0)
-                _acc(lin1.weight, _mm(x.T, da1))
+                da1 = (dz @ lin2.weight.data.T) * (r1 > 0)
+                _acc(lin1.weight, x.T @ da1)
                 _acc(lin1.bias, da1.sum(axis=0))
                 if need_h:
-                    dh[idx] = _mm(da1, lin1.weight.data.T)
+                    dh[idx] = da1 @ lin1.weight.data.T
             if need_h:
                 h._accumulate(dh, own=True)
 

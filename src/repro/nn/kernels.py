@@ -36,8 +36,6 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .backends import matmul as _mm
-
 __all__ = [
     "SegmentLayout",
     "segment_rank_order",
@@ -248,7 +246,7 @@ def conv_sum_forward_np(
     per-segment source sums) saved for the backward.
     """
     s = segment_sum_np(h_src, layout)
-    m = _mm(s, w)
+    m = s @ w
     if b is not None:
         m += layout.counts[:, None] * b
     return m.astype(np.float32, copy=False), s
@@ -258,7 +256,7 @@ def conv_sum_backward_np(
     dm: np.ndarray, w: np.ndarray, layout: SegmentLayout
 ) -> np.ndarray:
     """Source gradient ``dh_src`` of :func:`conv_sum_forward_np`."""
-    return _mm(dm, w.T)[layout.segment_ids]
+    return (dm @ w.T)[layout.segment_ids]
 
 
 def deepset_forward_np(
@@ -279,15 +277,15 @@ def deepset_forward_np(
     ``(m, saved)`` with the ReLU output, its segment sums and rho's input
     saved for the backward.
     """
-    a1 = _mm(h_src, w1)
+    a1 = h_src @ w1
     if b1 is not None:
         a1 += b1
     r1 = np.maximum(a1, 0.0)
     s1 = segment_sum_np(r1, layout)
-    s2 = _mm(s1, w2)
+    s2 = s1 @ w2
     if b2 is not None:
         s2 += layout.counts[:, None] * b2
-    m = _mm(s2, wr)
+    m = s2 @ wr
     if br is not None:
         m = m + br
     return m.astype(np.float32, copy=False), (r1, s1, s2)
@@ -308,11 +306,11 @@ def gated_sum_forward_np(
     graph (two linears, sigmoid, product, segment sum) into one call with
     the gate and value activations saved.
     """
-    g = _mm(h_src, wg)
+    g = h_src @ wg
     if bg is not None:
         g += bg
     g = _sigmoid(g)
-    v = _mm(h_src, wv)
+    v = h_src @ wv
     if bv is not None:
         v += bv
     m = segment_sum_np(g * v, layout)
@@ -407,8 +405,8 @@ def gru_forward_np(
     ``h' = (1 - z) * n + z * h`` with ``r = sigmoid(W_r x + U_r h)``,
     ``z`` alike, and ``n = tanh(W_n x + r * (U_n h))`` (biases folded in).
     """
-    gi = _mm(x, w_ih) + b_ih
-    gh = _mm(h, w_hh) + b_hh
+    gi = x @ w_ih + b_ih
+    gh = h @ w_hh + b_hh
     return gru_gates_np(gi, gh, h)
 
 
@@ -430,11 +428,11 @@ def gru_backward_np(
     """
     z = saved[1]
     dgi, dgh = gru_gates_backward_np(grad, h, saved)
-    dx = _mm(dgi, w_ih.T) if need_x else None
-    dh = (_mm(dgh, w_hh.T) + grad * z) if need_h else None
+    dx = dgi @ w_ih.T if need_x else None
+    dh = (dgh @ w_hh.T + grad * z) if need_h else None
     if need_w:
-        dw_ih = _mm(x.T, dgi)
-        dw_hh = _mm(h.T, dgh)
+        dw_ih = x.T @ dgi
+        dw_hh = h.T @ dgh
         db_ih = dgi.sum(axis=0)
         db_hh = dgh.sum(axis=0)
     else:

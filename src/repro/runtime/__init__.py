@@ -38,7 +38,6 @@ from .golden import (
 )
 from .parallel import (
     UnitProgress,
-    default_workers,
     execute_parallel,
     load_unit_result,
     unit_dir_for,
@@ -85,7 +84,6 @@ __all__ = [
     "spec_hash",
     "spec_hash_from_dict",
     "UnitProgress",
-    "default_workers",
     "execute_parallel",
     "load_unit_result",
     "unit_dir_for",

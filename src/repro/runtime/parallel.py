@@ -67,7 +67,6 @@ __all__ = [
     "UNITS_DIR_NAME",
     "UNIT_MANIFEST_NAME",
     "UnitProgress",
-    "default_workers",
     "unit_hash",
     "unit_dir_for",
     "load_unit_result",
@@ -84,18 +83,6 @@ UNIT_RESULT_NAME = "result.json"
 #: ``status`` ("cached" | "done"), ``key``, ``label``, ``index`` (0-based
 #: position in unit order), ``total`` and ``elapsed`` seconds.
 UnitProgress = Callable[[Dict[str, object]], None]
-
-
-def default_workers() -> int:
-    """``REPRO_WORKERS`` env var, else the CPU count.
-
-    One policy for the whole toolkit: delegates to the dataset
-    pipeline's resolver (which rejects non-integer values with a clean
-    error instead of a traceback).
-    """
-    from ..datagen.pipeline import default_workers as _default_workers
-
-    return _default_workers()
 
 
 def unit_hash(spec_digest: str, unit: UnitSpec) -> str:

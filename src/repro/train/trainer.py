@@ -16,15 +16,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -131,16 +123,14 @@ class Trainer:
         self,
         train_data: TrainData,
         eval_data: Optional[TrainData] = None,
-        callback: Optional[Callable[[int, float, Optional[float]], None]] = None,
         callbacks: Sequence[Callback] = (),
         resume_from: Optional[Union[str, Path]] = None,
     ) -> TrainHistory:
         """Train for ``config.epochs`` epochs; returns loss/error history.
 
         ``train_data`` may be a dataset (in-memory or sharded) or a
-        pre-configured :class:`DataLoader`.  ``callback`` is the legacy
-        per-epoch hook ``(epoch, loss, eval_error)``; ``callbacks`` take
-        the richer :class:`~repro.train.callbacks.Callback` objects.
+        pre-configured :class:`DataLoader`.  ``callbacks`` are
+        :class:`~repro.train.callbacks.Callback` objects.
         ``resume_from`` restores a checkpoint written by
         :meth:`save_checkpoint` and continues from its next epoch.
         """
@@ -189,8 +179,6 @@ class Trainer:
                 if eval_error is not None:
                     msg += f" eval={eval_error:.4f}"
                 print(msg)
-            if callback is not None:
-                callback(epoch, epoch_loss, eval_error)
             for cb in callbacks:
                 cb.on_epoch_end(self, epoch, epoch_loss, eval_error)
             if self._stop_requested:

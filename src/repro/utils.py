@@ -1,4 +1,5 @@
-"""Small shared utilities (atomic file and directory publication).
+"""Small shared utilities: atomic file and directory publication, and
+the worker-count default.
 
 Everything that persists cache state in this repo — dataset shards,
 run/unit directories, checkpoints, lease files — goes through one of the
@@ -20,6 +21,7 @@ __all__ = [
     "atomic_write_text",
     "atomic_write_json",
     "atomic_replace_dir",
+    "default_workers",
 ]
 
 
@@ -81,3 +83,20 @@ def atomic_replace_dir(
             if attempt:
                 raise
             shutil.rmtree(final_dir, ignore_errors=True)
+
+
+def default_workers() -> int:
+    """Worker-count default: ``REPRO_WORKERS`` env var, else the CPU count.
+
+    One policy for dataset builds and experiment runs; a non-integer
+    value is a clean error instead of a traceback.
+    """
+    env = os.environ.get("REPRO_WORKERS")
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise SystemExit(
+                f"bad REPRO_WORKERS {env!r}: expected an integer"
+            )
+    return max(1, os.cpu_count() or 1)

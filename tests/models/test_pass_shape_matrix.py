@@ -1,12 +1,11 @@
-"""Every kernel backend must match the reference model.
+"""The compiled model must match the reference on every pass shape.
 
-The compiled fast path runs every GEMM through the per-process backend
-seam (:mod:`repro.nn.backends`).  This module sweeps every backend over
-both sides of the pass runner's choice — a full pass (one window, whose
-backward keeps the forward's group state) and a windowed pass (several
-windows, each recomputed in the backward): compiled-vs-reference
-forward/gradient equivalence plus a finite-difference spot check of the
-end-to-end autograd.
+This module sweeps every aggregator over both sides of the pass
+runner's choice — a full pass (one window, whose backward keeps the
+forward's group state) and a windowed pass (several windows, each
+recomputed in the backward): compiled-vs-reference forward/gradient
+equivalence plus a finite-difference spot check of the end-to-end
+autograd.
 """
 
 import numpy as np
@@ -17,16 +16,15 @@ from repro.graphdata import from_aig, prepare
 from repro.models import DeepGate
 from repro.models.propagation import use_window_budget
 from repro.nn import Tensor, no_grad
-from repro.nn.backends import available_backends, use_backend
 from repro.synth import synthesize
-
-BACKENDS = available_backends()
 
 CONFIGS = [
     {},
+    {"aggregator": "conv_sum", "use_skip": False},
     {"aggregator": "deepset", "use_skip": False},
+    {"aggregator": "gated_sum", "use_skip": False},
 ]
-CONFIG_IDS = ["attention-skip", "deepset"]
+CONFIG_IDS = ["attention-skip", "conv_sum", "deepset", "gated_sum"]
 
 #: window budget per pass shape: ``None`` runs every pass as one window;
 #: 7 nodes splits each pass of the test batches into many windows
@@ -48,20 +46,18 @@ def make_pair(**kwargs):
 
 
 @pytest.mark.parametrize("shape", list(PASS_SHAPES))
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
 class TestEquivalenceMatrix:
-    def test_forward_matches(self, backend, config, shape):
+    def test_forward_matches(self, config, shape):
         batch = make_batch()
         ref, fast = make_pair(**config)
         with no_grad():
             expected = ref(batch).data
-        with use_backend(backend), use_window_budget(PASS_SHAPES[shape]):
-            with no_grad():
-                actual = fast(batch).data
+        with use_window_budget(PASS_SHAPES[shape]), no_grad():
+            actual = fast(batch).data
         np.testing.assert_allclose(actual, expected, rtol=1e-5, atol=1e-6)
 
-    def test_gradients_match(self, backend, config, shape):
+    def test_gradients_match(self, config, shape):
         batch = make_batch()
         ref, fast = make_pair(**config)
         # smooth loss: L1's kink would amplify round-off into mismatches
@@ -69,7 +65,7 @@ class TestEquivalenceMatrix:
             np.linspace(-1.0, 1.0, batch.num_nodes).astype(np.float32)
         )
         (ref(batch) * weights).sum().backward()
-        with use_backend(backend), use_window_budget(PASS_SHAPES[shape]):
+        with use_window_budget(PASS_SHAPES[shape]):
             (fast(batch) * weights).sum().backward()
         for (name, p_ref), (_, p_fast) in zip(
             ref.named_parameters(), fast.named_parameters()
@@ -77,17 +73,15 @@ class TestEquivalenceMatrix:
             assert p_ref.grad is not None and p_fast.grad is not None, name
             np.testing.assert_allclose(
                 p_ref.grad, p_fast.grad, rtol=2e-4, atol=2e-5,
-                err_msg=f"gradient mismatch for {name} ({backend}, {shape})",
+                err_msg=f"gradient mismatch for {name} ({shape})",
             )
 
 
 @pytest.mark.parametrize("shape", list(PASS_SHAPES))
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestFiniteDifferenceMatrix:
-    """FD spot check of the whole compiled stack per backend and pass
-    shape."""
+    """FD spot check of the whole compiled stack per pass shape."""
 
-    def test_parameter_gradients(self, backend, shape):
+    def test_parameter_gradients(self, shape):
         g = from_aig(
             synthesize(ripple_adder(3)), num_patterns=128, seed=0
         )
@@ -104,7 +98,7 @@ class TestFiniteDifferenceMatrix:
             with no_grad():
                 return float((model(batch).data * weights.data).sum())
 
-        with use_backend(backend), use_window_budget(PASS_SHAPES[shape]):
+        with use_window_budget(PASS_SHAPES[shape]):
             model.zero_grad()
             (model(batch) * weights).sum().backward()
             rng = np.random.default_rng(7)
@@ -127,7 +121,5 @@ class TestFiniteDifferenceMatrix:
                 numeric = (fp - fm) / (2.0 * eps)
                 np.testing.assert_allclose(
                     gflat[idx], numeric, atol=2e-2, rtol=8e-2,
-                    err_msg=(
-                        f"FD mismatch for {name}[{idx}] ({backend}, {shape})"
-                    ),
+                    err_msg=f"FD mismatch for {name}[{idx}] ({shape})",
                 )

@@ -1,6 +1,15 @@
-"""Unit tests for bench helpers: RSS normalisation, compare, merge."""
+"""Unit tests for bench helpers: model construction, RSS
+normalisation, compare, merge."""
 
-from repro.bench import _normalise_rss_kb, compare_bench, merge_bench
+import pytest
+
+from repro import bench
+from repro.bench import (
+    _make_model,
+    _normalise_rss_kb,
+    compare_bench,
+    merge_bench,
+)
 
 
 class TestRssNormalisation:
@@ -94,3 +103,21 @@ class TestMerge:
         new = {"suites": {"wide": {"nodes": 7, "forward_s": 0.1}}}
         merged = merge_bench(old, new)
         assert set(merged["suites"]) == {"deep", "wide"}
+
+
+class TestMakeModel:
+    def test_variant_picks_propagation_path(self):
+        assert _make_model(4, 1, "compiled").compiled
+        assert not _make_model(4, 1, "reference").compiled
+
+    def test_constructor_error_is_not_retried(self, monkeypatch):
+        calls = []
+
+        def broken(**kwargs):
+            calls.append(kwargs)
+            raise TypeError("bad model argument")
+
+        monkeypatch.setattr(bench, "DeepGate", broken)
+        with pytest.raises(TypeError, match="bad model argument"):
+            _make_model(4, 1, "compiled")
+        assert len(calls) == 1 and calls[0]["compiled"] is True

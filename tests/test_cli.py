@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _CIRCUIT_SUFFIXES, _workers, main
 
 
 @pytest.fixture
@@ -27,6 +29,24 @@ class TestGenerate:
     def test_bad_param(self, tmp_path):
         with pytest.raises(SystemExit, match="key=value"):
             main(["generate", "parity", "--param", "width",
+                  "-o", str(tmp_path / "x.bench")])
+
+    def test_non_integer_param_is_clean_error(self, tmp_path):
+        with pytest.raises(SystemExit, match="bad --param 'width=abc'"):
+            main(["generate", "ripple_adder", "--param", "width=abc",
+                  "-o", str(tmp_path / "x.bench")])
+
+    def test_unknown_param_is_clean_error(self, tmp_path):
+        with pytest.raises(SystemExit, match="bad --param.*bogus"):
+            main(["generate", "ripple_adder", "--param", "bogus=3",
+                  "-o", str(tmp_path / "x.bench")])
+
+    def test_factory_rejection_is_clean_error(self, tmp_path):
+        # majority_voter raises ValueError for an even input count
+        with pytest.raises(
+            SystemExit, match="bad --param for majority_voter: .*odd"
+        ):
+            main(["generate", "majority_voter", "--param", "width=4",
                   "-o", str(tmp_path / "x.bench")])
 
     def test_verilog_output(self, tmp_path):
@@ -59,6 +79,54 @@ class TestStatsSimFaults:
     def test_sim(self, adder_bench, capsys):
         assert main(["sim", str(adder_bench), "--patterns", "2048"]) == 0
         assert "signal probabilities" in capsys.readouterr().out
+
+    def test_missing_file_is_clean_error(self, tmp_path):
+        path = tmp_path / "missing.aag"
+        with pytest.raises(SystemExit, match="missing.aag: .*No such file"):
+            main(["sim", str(path)])
+
+    def test_malformed_file_keeps_parser_line(self, tmp_path):
+        path = tmp_path / "bad.aag"
+        path.write_text("aag 3 2 0 1 1\n2\n4\n6\n6 2 x\n")
+        with pytest.raises(SystemExit, match=r"bad.aag: line 5: "):
+            main(["stats", str(path)])
+
+    @pytest.mark.parametrize(
+        "name,text,line",
+        [
+            ("bad.bench", "INPUT(a)\nOUTPUT(y)\ny = FOO(a)\n", 3),
+            ("bad.v", "module m(a, y);\ninput a;\noutput y;\n"
+                      "assign y = a &;\nendmodule\n", 4),
+        ],
+        ids=["bench", "verilog"],
+    )
+    def test_malformed_netlist_keeps_parser_line(
+        self, tmp_path, name, text, line
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(SystemExit, match=rf"{name}: line {line}: "):
+            main(["stats", str(path)])
+
+    @pytest.mark.parametrize("command", ["stats", "synth", "faults", "equiv"])
+    def test_every_reader_reports_missing_file_cleanly(
+        self, adder_bench, tmp_path, command
+    ):
+        missing = str(tmp_path / "missing.bench")
+        argv = [command, missing]
+        if command == "equiv":
+            argv = [command, str(adder_bench), missing]
+        with pytest.raises(SystemExit, match="missing.bench: .*No such file"):
+            main(argv)
+
+    @pytest.mark.parametrize("suffix", sorted(_CIRCUIT_SUFFIXES))
+    def test_stats_reads_each_circuit_format(self, tmp_path, capsys, suffix):
+        path = tmp_path / f"adder{suffix}"
+        assert main(["generate", "ripple_adder", "--param", "width=4",
+                     "-o", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["stats", str(path)]) == 0
+        assert "levels" in capsys.readouterr().out
 
     def test_faults(self, adder_bench, capsys):
         assert main(["faults", str(adder_bench), "--patterns", "512"]) == 0
@@ -127,13 +195,14 @@ class TestExperimentCLI:
                      "--runs-dir", str(tmp_path), "--format", "markdown"]) == 0
         assert "| suite |" in capsys.readouterr().out
 
-    def test_legacy_positional_form(self, capsys, tmp_path):
-        # pre-registry spelling still works, routed through `run`
-        assert main(["experiment", "table1", "--scale", "smoke",
-                     "--runs-dir", str(tmp_path)]) == 0
-        captured = capsys.readouterr()
-        assert "Table I" in captured.out
-        assert "deprecated" in captured.err
+    def test_positional_name_is_usage_error(self, capsys, tmp_path):
+        # argv is parsed as given: an experiment name where the
+        # subcommand belongs is not rewritten into `experiment run`
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "table1", "--scale", "smoke",
+                  "--runs-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'table1'" in capsys.readouterr().err
 
     def test_bad_set_override(self, tmp_path):
         with pytest.raises(SystemExit, match="key=value"):
@@ -154,12 +223,6 @@ class TestExperimentCLI:
         with pytest.raises(SystemExit, match="unknown ablation"):
             main(["experiment", "run", "ablations", "--scale", "smoke",
                   "--runs-dir", str(tmp_path), "--set", "which=bogus"])
-
-    def test_operand_named_experiment_not_rewritten(self, tmp_path):
-        from repro.cli import _rewrite_legacy_experiment_argv
-
-        argv = ["equiv", "experiment", "other.v"]
-        assert _rewrite_legacy_experiment_argv(argv) == argv
 
     def test_workers_run_matches_serial_and_shows_progress(
         self, capsys, tmp_path
@@ -184,6 +247,19 @@ class TestExperimentCLI:
         assert main(["experiment", "run", "table1", "--scale", "smoke",
                      "--runs-dir", str(tmp_path), "--quiet"]) == 0
         assert "[unit" not in capsys.readouterr().err
+
+
+class TestWorkersResolver:
+    """``--workers 0`` resolves through the shared default; any other
+    count is taken as given."""
+
+    def test_zero_uses_env_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        assert _workers(argparse.Namespace(workers=0)) == 3
+
+    def test_explicit_count_wins_over_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        assert _workers(argparse.Namespace(workers=2)) == 2
 
 
 class TestDistCLI:
@@ -525,6 +601,14 @@ class TestBenchCLI:
             main(["bench", "compare", str(tmp_path / "nope.json"),
                   str(tmp_path / "nope2.json")])
 
+    def test_run_has_no_backend_option(self, capsys, tmp_path):
+        # every GEMM is np.matmul; there is no kernel backend to pick
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "run", "--backend", "numpy",
+                  "-o", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
 
 class TestServeQueryCLI:
     """Argument handling and a live serve round trip."""
@@ -557,6 +641,13 @@ class TestServeQueryCLI:
     def test_serve_requires_checkpoint_or_run(self):
         with pytest.raises(SystemExit):
             main(["serve"])
+
+    def test_serve_has_no_backend_option(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--backend", "numpy",
+                  "--checkpoint", str(tmp_path / "ck.npz")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_serve_unresolvable_run_is_clean_error(self, tmp_path):
         with pytest.raises(SystemExit, match="train_backbone"):

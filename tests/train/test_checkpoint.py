@@ -252,13 +252,6 @@ class TestCallbacks:
         assert fn(0, 1e-3) == pytest.approx(1e-3)
         assert fn(10, 1e-3) == pytest.approx(1e-5)
 
-    def test_legacy_callback_still_works(self):
-        ds = tiny_dataset(2)
-        calls = []
-        trainer = Trainer(make_model(), TrainConfig(epochs=3, batch_size=2))
-        trainer.fit(ds, callback=lambda ep, loss, ev: calls.append(ep))
-        assert calls == [0, 1, 2]
-
 
 class TestStreamedShardTraining:
     @pytest.fixture(scope="class")

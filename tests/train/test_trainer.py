@@ -5,6 +5,7 @@ import pytest
 
 from repro.models import DeepGate
 from repro.train import (
+    Callback,
     ErrorAccumulator,
     TrainConfig,
     Trainer,
@@ -92,10 +93,26 @@ class TestTrainer:
     def test_callback_invoked(self):
         ds = tiny_dataset(2)
         calls = []
+
+        class Record(Callback):
+            def on_epoch_end(self, trainer, epoch, train_loss, eval_error):
+                calls.append((epoch, train_loss, eval_error))
+
         model = DeepGate(dim=4, num_iterations=1, rng=np.random.default_rng(2))
         trainer = Trainer(model, TrainConfig(epochs=3, batch_size=2, lr=1e-3))
-        trainer.fit(ds, callback=lambda ep, loss, ev: calls.append((ep, loss, ev)))
+        history = trainer.fit(ds, ds, callbacks=[Record()])
         assert [c[0] for c in calls] == [0, 1, 2]
+        assert [c[1] for c in calls] == history.train_loss
+        assert [c[2] for c in calls] == history.eval_error
+
+    def test_plain_function_hook_is_rejected(self):
+        # per-epoch hooks are Callback objects passed as `callbacks=`
+        trainer = Trainer(
+            DeepGate(dim=4, num_iterations=1, rng=np.random.default_rng(2)),
+            TrainConfig(epochs=1, batch_size=2),
+        )
+        with pytest.raises(TypeError, match="callback"):
+            trainer.fit(tiny_dataset(2), callback=lambda *a: None)
 
     def test_evaluate_with_custom_iterations(self):
         ds = tiny_dataset(3)
