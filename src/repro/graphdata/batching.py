@@ -15,7 +15,7 @@ Two pieces of machinery the models rely on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,8 @@ __all__ = [
     "GatherSplit",
     "CompiledGroup",
     "CompiledSchedule",
+    "GroupStep",
+    "WalkPlan",
     "PassBlock",
     "Window",
     "WindowedSchedule",
@@ -443,6 +445,62 @@ class PassBlock:
         )
 
 
+class GroupStep(NamedTuple):
+    """One level group as a forward walk reads it (see :class:`WalkPlan`).
+
+    ``rows``/``edges`` are the group's slices of its schedule's
+    written-node and edge axes.  ``one_rank`` marks a group whose nodes
+    each have exactly one in-edge.  ``edge_attr`` is the group's
+    attribute block when any of its edges carries a nonzero attribute (a
+    skip edge), else ``None``: a real edge's all-zero row scores ``±0``,
+    which cannot change a softmax.
+    """
+
+    nodes: np.ndarray
+    src: np.ndarray
+    layout: SegmentLayout
+    rows: slice
+    edges: slice
+    one_rank: bool
+    edge_attr: Optional[np.ndarray]
+
+
+@dataclass
+class WalkPlan:
+    """What a forward walk over a schedule needs that depends only on the
+    schedule: one flat :class:`GroupStep` per group, in group order, and
+    ``edge_targets``, the target node id of every edge on the edge axis
+    (each group's ``nodes[seg]``, concatenated), so a per-node quantity
+    gathers onto every edge of the walk in one ``take``.
+    """
+
+    steps: List[GroupStep]
+    edge_targets: np.ndarray
+
+    @classmethod
+    def build(cls, groups: List[CompiledGroup]) -> "WalkPlan":
+        steps = []
+        for g in groups:
+            layout = g.seg_layout
+            attr = g.edge_attr
+            steps.append(GroupStep(
+                nodes=g.nodes,
+                src=g.src,
+                layout=layout,
+                rows=slice(g.node_offset, g.node_offset + len(g.nodes)),
+                edges=slice(g.edge_offset, g.edge_offset + len(g.src)),
+                one_rank=layout.grid and len(layout.ranks) == 1,
+                edge_attr=attr if attr is not None and attr.any() else None,
+            ))
+        targets = [g.nodes[g.seg] for g in groups]
+        return cls(
+            steps=steps,
+            edge_targets=(
+                np.concatenate(targets) if targets else np.zeros(0, np.int64)
+            ),
+        )
+
+
 def _written(groups: List[CompiledGroup]) -> np.ndarray:
     """The groups' node ids, concatenated in group order."""
     if not groups:
@@ -503,7 +561,8 @@ class CompiledSchedule:
     the pass input and rows written earlier in the pass.  The plan lets
     the runner gather from a single working matrix, materialise the
     state exactly once per pass, and route source gradients with at most
-    two scatters per group.
+    two scatters per group.  :meth:`block` and :meth:`walk_plan` cache
+    the backward's packed layout and the forward walk's per-group plan.
     """
 
     def __init__(
@@ -517,6 +576,7 @@ class CompiledSchedule:
         #: all node ids written during the pass (unique by construction)
         self.written = written
         self._block: Optional[PassBlock] = None
+        self._plan: Optional[WalkPlan] = None
 
     def __iter__(self):
         return iter(self.groups)
@@ -533,6 +593,13 @@ class CompiledSchedule:
         if self._block is None:
             self._block = PassBlock.pack(self.groups, self.written)
         return self._block
+
+    def walk_plan(self) -> WalkPlan:
+        """The forward walk's :class:`WalkPlan`, built once and cached
+        (valid for the same reason as :meth:`block`)."""
+        if self._plan is None:
+            self._plan = WalkPlan.build(self.groups)
+        return self._plan
 
     @classmethod
     def compile(

@@ -20,8 +20,18 @@ Each aggregator implements the design twice:
   over the closed-form kernels of :mod:`repro.nn.kernels`, which the
   pass runner (:mod:`repro.models.propagation`) drives, with parameter
   gradients batched into per-window sink buffers.  A new AGGREGATE
-  design plugs into the compiled fast path by implementing these five
-  hooks.
+  design plugs into the compiled fast path by implementing these hooks
+  (see :class:`PassStepAggregator`).
+
+The forward hooks run in three tiers, so each level group's step makes
+as few NumPy calls as it can: ``step_begin`` once per pass over the
+pass-input state, ``step_walk`` once per walk over the schedule's
+:class:`~repro.graphdata.batching.WalkPlan` (gathers that every group
+would otherwise repeat, done once and sliced per group), and
+``step_forward`` once per group.  Segment reductions go through the
+shared kernels, which reduce a uniform fan-in group as one grid
+reduction; attention passes a group whose nodes each have one in-edge
+straight through (its softmax weights are exactly 1 for finite scores).
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..graphdata.batching import PassBlock
+from ..graphdata.batching import GroupStep, PassBlock, WalkPlan
 from ..nn import kernels
 from ..nn.functional import gather_rows, segment_softmax, segment_sum
 from ..nn.kernels import segment_sum_np
@@ -62,7 +72,17 @@ class PassStepAggregator(Module):
 
     ``step_begin``    per-pass pre-projections over the full pass-input
                       state ``hd`` (e.g. attention's query scores)
-    ``step_forward``  one group's message matrix + saved activations
+    ``step_walk``     per-walk state from ``step_begin``'s context and the
+                      walk's :class:`~repro.graphdata.batching.WalkPlan`:
+                      whatever every group step would gather, gathered
+                      once for the walk's edges (attention: each edge's
+                      query score); ``use_edge_attr`` says whether
+                      skip-edge attributes feed the scores.  Defaults to
+                      the ``step_begin`` context
+    ``step_forward``  one group's message matrix + saved activations,
+                      from its :class:`~repro.graphdata.batching.GroupStep`
+                      (slices, layout and flags precomputed per schedule),
+                      its gathered sources and the walk state
     ``step_sink``     a window's gradient buffers, sized from its
                       :class:`~repro.graphdata.batching.PassBlock`:
                       ``(num_written, ·)`` / ``(num_edges, ·)``
@@ -80,7 +100,10 @@ class PassStepAggregator(Module):
     def step_begin(self, hd: np.ndarray) -> Optional[np.ndarray]:
         return None
 
-    def step_forward(self, group, h_src, ctx, edge_attr=None):
+    def step_walk(self, ctx, plan: WalkPlan, use_edge_attr: bool):
+        return ctx
+
+    def step_forward(self, gs: GroupStep, h_src: np.ndarray, walk):
         raise NotImplementedError
 
     def step_sink(self, hd: np.ndarray, block: PassBlock) -> Sink:
@@ -112,10 +135,10 @@ class ConvSumAggregator(PassStepAggregator):
         return segment_sum(self.linear(h_src), seg, num_targets)
 
     # -- pass-step hooks (see PassStepAggregator) ----------------------
-    def step_forward(self, group, h_src, ctx, edge_attr=None):
+    def step_forward(self, gs, h_src, walk):
         lin = self.linear
         return kernels.conv_sum_forward_np(
-            h_src, lin.weight.data, lin.bias.data, group.seg_layout
+            h_src, lin.weight.data, lin.bias.data, gs.layout
         )
 
     def step_sink(self, hd, block):
@@ -160,14 +183,14 @@ class DeepSetAggregator(PassStepAggregator):
 
     # -- pass-step hooks (see PassStepAggregator) ----------------------
 
-    def step_forward(self, group, h_src, ctx, edge_attr=None):
+    def step_forward(self, gs, h_src, walk):
         lin1, lin2 = self.phi.layers
         return kernels.deepset_forward_np(
             h_src,
             lin1.weight.data, lin1.bias.data,
             lin2.weight.data, lin2.bias.data,
             self.rho.weight.data, self.rho.bias.data,
-            group.seg_layout,
+            gs.layout,
         )
 
     def step_sink(self, hd, block):
@@ -232,12 +255,12 @@ class GatedSumAggregator(PassStepAggregator):
 
     # -- pass-step hooks (see PassStepAggregator) ----------------------
 
-    def step_forward(self, group, h_src, ctx, edge_attr=None):
+    def step_forward(self, gs, h_src, walk):
         return kernels.gated_sum_forward_np(
             h_src,
             self.gate.weight.data, self.gate.bias.data,
             self.value.weight.data, self.value.bias.data,
-            group.seg_layout,
+            gs.layout,
         )
 
     def step_sink(self, hd, block):
@@ -329,15 +352,25 @@ class AttentionAggregator(PassStepAggregator):
         # query rows always come from the pass-input state
         return (hd @ self.w_query.weight.data).ravel()
 
-    def step_forward(self, group, h_src, ctx, edge_attr=None):
-        layout = group.seg_layout
-        scores = (
-            ctx[group.nodes][layout.segment_ids]
-            + (h_src @ self.w_key.weight.data).ravel()
-        )
-        if edge_attr is not None:
-            scores = scores + (edge_attr @ self.w_edge.weight.data).ravel()
-        return kernels.segment_softmax_weighted_np(scores, h_src, layout)
+    def step_walk(self, ctx, plan, use_edge_attr):
+        # every edge's query score in one take; the skip-edge weights
+        # when attributes feed the scores
+        we = self.w_edge.weight.data if use_edge_attr else None
+        return ctx.take(plan.edge_targets), we
+
+    def step_forward(self, gs, h_src, walk):
+        if gs.one_rank:
+            # one in-edge per node: each softmax weight is
+            # exp(s - s) / exp(s - s), exactly 1 for a finite score, so
+            # the message is the source row and no score is needed
+            return h_src, np.ones(len(h_src), np.float32)
+        qs, we = walk
+        # (query + key) [+ attribute], the reference's rounding order
+        scores = (h_src @ self.w_key.weight.data).ravel()
+        scores += qs[gs.edges]
+        if we is not None and gs.edge_attr is not None:
+            scores += (gs.edge_attr @ we).ravel()
+        return kernels.segment_softmax_weighted_np(scores, h_src, gs.layout)
 
     def step_sink(self, hd, block):
         return {

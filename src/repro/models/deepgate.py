@@ -19,8 +19,10 @@ skip connections.  The knobs:
                  path (state materialised once per pass, cached segment
                  layouts, precomputed edge-attribute blocks).  ``False``
                  keeps the reference level-by-level ``scatter_rows`` loop —
-                 numerically identical, used for equivalence tests and as
-                 the ``repro bench --reference`` baseline.
+                 equal up to float32 round-off (the fused kernels change
+                 the summation order; the equivalence suite checks
+                 ``rtol=1e-5, atol=1e-6``), used for equivalence tests and
+                 as the ``repro bench --reference`` baseline.
 """
 
 from __future__ import annotations

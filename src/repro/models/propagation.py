@@ -15,7 +15,27 @@ runs as a single window spanning the whole pass.
   sources from a single working matrix and running the closed-form
   aggregator + GRU kernels of :mod:`repro.nn.kernels` (per-design logic
   lives on the aggregator classes as ``step_*`` hooks — see
-  :class:`~repro.models.aggregators.PassStepAggregator`).
+  :class:`~repro.models.aggregators.PassStepAggregator`).  A serve-sized
+  group is a few nodes, so the number of NumPy calls per group, not the
+  arithmetic, sets the pass time; the walk keeps it low:
+
+  - the schedule's cached
+    :class:`~repro.graphdata.batching.WalkPlan` gives each group as one
+    flat tuple (sources, slices, layout and flags);
+  - once per walk, ``take`` gathers the query rows, the static GRU input
+    share of every written node and (attention) every edge's query
+    score, and each group slices them;
+  - a group whose ``n`` nodes all have the same in-degree ``R`` reduces
+    as one ``(R, n)`` grid reduction (the *grid rule*), and attention
+    passes a group whose nodes each have one in-edge straight through,
+    since each softmax weight is exactly 1 for a finite score (the
+    *one-rank rule*);
+  - a walk that keeps nothing builds no saved tuples, and a pass that
+    records nothing lists no parameters.
+
+  The per-group products (key scores, skip-edge scores, the message
+  GEMM) keep their per-group shapes: BLAS does not give a row subset of
+  a larger product the same bits.
 * The backward replays the windows in reverse, each window's groups in
   reverse, routing source gradients by global row id through the
   schedule's routing plans — at most two scatters per group: rows the
@@ -70,6 +90,7 @@ import numpy as np
 from ..graphdata.batching import (
     CompiledGroup,
     CompiledSchedule,
+    GroupStep,
     PassBlock,
     Window,
     WindowedSchedule,
@@ -116,8 +137,8 @@ def get_window_budget() -> Optional[int]:
     """The process's window node budget; ``None`` = full (unwindowed).
 
     Resolves ``REPRO_WINDOW_BUDGET`` on first use: unset, empty, ``0``,
-    ``off`` or ``full`` disable windowing; a positive integer caps the
-    written-node count per window.
+    ``off``, ``full`` or ``none`` (any case) disable windowing; a
+    positive integer caps the written-node count per window.
     """
     global _active_window_budget
     if _active_window_budget is _UNSET:
@@ -282,7 +303,9 @@ class AggregateCombineStep:
     connections; attention only).
 
     The static input-transform share is a per-type table built in
-    :meth:`begin`; the backward lands gate gradients and messages in
+    :meth:`begin` and looked up once per walk in :meth:`begin_walk`;
+    :meth:`forward` is the per-group entry point.  The backward lands
+    gate gradients and messages in
     contiguous per-window buffers (:meth:`begin_backward`), and
     :meth:`end_backward` contracts them into the parameter gradients
     with one GEMM each.
@@ -330,29 +353,46 @@ class AggregateCombineStep:
             x_table = c.w_ih.data[hd.shape[1]:] + c.b_ih.data
         return self.aggregate.step_begin(hd), x_table
 
+    def begin_walk(
+        self, ctx: Tuple[object, Optional[np.ndarray]], ws: CompiledSchedule
+    ) -> tuple:
+        """Per-walk set-up over ``ws``, the walked window's schedule:
+        the aggregator's walk state, the message block of ``W_ih`` and
+        the GRU input bias of every written node — with ``fixed_x`` its
+        type's ``x_table`` row (one ``take`` for the walk), else
+        ``b_ih`` broadcast."""
+        agg_ctx, x_table = ctx
+        c = self.combine
+        agg_walk = self.aggregate.step_walk(
+            agg_ctx, ws.walk_plan(), self.use_edge_attr
+        )
+        if x_table is None:
+            b = c.b_ih.data
+            static = np.broadcast_to(b, (len(ws.written), b.shape[0]))
+            return agg_walk, c.w_ih.data, static
+        w_m = c.w_ih.data[: c.w_hh.data.shape[0]]
+        static = x_table.take(self.node_type.take(ws.written), axis=0)
+        return agg_walk, w_m, static
+
     def forward(
         self,
-        group: CompiledGroup,
+        gs: GroupStep,
         h_src: np.ndarray,
         query: np.ndarray,
         gh_rows: np.ndarray,
-        ctx: Tuple[object, Optional[np.ndarray]],
-    ) -> Tuple[np.ndarray, tuple]:
-        """One group's forward: the GRU input transform splits into the
-        static share looked up in the ``x_table`` of :meth:`begin`'s
-        ``ctx`` plus a message-only GEMM."""
-        agg_ctx, x_table = ctx
-        m, agg_saved = self.aggregate.step_forward(
-            group, h_src, agg_ctx, self._edge_attr(group)
-        )
-        c = self.combine
-        if x_table is not None:
-            gi = m @ c.w_ih.data[:query.shape[1]]
-            gi += x_table[self.node_type[group.nodes]]
-        else:
-            gi = m @ c.w_ih.data + c.b_ih.data
+        walk: tuple,
+        keep: bool,
+    ) -> Tuple[np.ndarray, Optional[tuple]]:
+        """One group's forward: the GRU input transform is a
+        message-only GEMM plus the static share :meth:`begin_walk` took.
+        Returns the new rows and, with ``keep``, the saved state for the
+        backward (else ``None``)."""
+        agg_walk, w_m, static = walk
+        m, agg_saved = self.aggregate.step_forward(gs, h_src, agg_walk)
+        gi = m @ w_m
+        gi += static[gs.rows]
         out, gru_saved = kernels.gru_gates_np(gi, gh_rows, query)
-        return out, (m, agg_saved, gru_saved, h_src)
+        return out, ((m, agg_saved, gru_saved, h_src) if keep else None)
 
     def begin_backward(
         self, hd: np.ndarray, block: PassBlock
@@ -469,20 +509,20 @@ def _walk(
     forward walk); the backward's recompute leaves ``work`` alone.  With
     ``keep``, returns every group's saved state in group order and the
     window's query rows, for the window's backward; without, returns
-    ``None`` and holds one group's state at a time.
+    ``None`` and builds no saved state.
     """
     ws = win.compiled
-    q_w = hd[ws.written]
+    q_w = hd.take(ws.written, axis=0)
     gh_w = gh.rows(win.written_start, win.written_stop, q_w)
+    walk = step.begin_walk(ctx, ws)
     saveds: List[tuple] = []
-    for group in ws.groups:
-        o0 = group.node_offset
-        o1 = o0 + len(group.nodes)
+    for gs in ws.walk_plan().steps:
+        rows = gs.rows
         out, saved = step.forward(
-            group, work[group.src], q_w[o0:o1], gh_w[o0:o1], ctx
+            gs, work.take(gs.src, axis=0), q_w[rows], gh_w[rows], walk, keep
         )
         if write:
-            work[group.nodes] = out
+            work[gs.nodes] = out
         if keep:
             saveds.append(saved)
     return (saveds, q_w) if keep else None
@@ -559,8 +599,11 @@ def run_pass(
     if not windows:
         return h
     hd = h.data
-    params = step.params()
-    record = is_grad_enabled() and (
+    # listing the parameters walks the module tree: only a recording
+    # pass needs them
+    record = is_grad_enabled()
+    params = step.params() if record else []
+    record = record and (
         h.requires_grad or any(p.requires_grad for p in params)
     )
     keep = record and len(windows) == 1

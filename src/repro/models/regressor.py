@@ -75,11 +75,14 @@ class PerTypeRegressor(Module):
             p = 1.0 / (1.0 + np.exp(-z))
             out[idx] = p.ravel()
             saved.append((t, idx, x, r1, p))
+        # listing the parameters walks the module tree: only a recording
+        # call needs them
+        record = is_grad_enabled()
         params = tuple(
             p for head in self.heads for p in head.parameters()
-        )
+        ) if record else ()
         if not (
-            is_grad_enabled()
+            record
             and (h.requires_grad or any(p.requires_grad for p in params))
         ):
             return Tensor(out)

@@ -14,10 +14,17 @@ Compiled level groups lay their edges out *rank-major* (see
 :class:`~repro.graphdata.batching.CompiledSchedule`): nodes by in-degree,
 descending, and edges rank by rank, so rank ``r`` is one contiguous slice
 of the edges feeding the first ``c_r`` nodes.  Their reductions are then
-``out = v[:S]`` plus one in-place slice op per further rank.  Any other
-segment-id array (the reference path's on-the-fly layouts, gradient
-routing by row id, the ``gather_rows`` backward) runs the same
-rank-by-rank accumulation with index arrays.
+``out = v[:S]`` plus one in-place slice op per further rank.  When every
+rank covers every segment (uniform fan-in, a *grid* layout) the elements
+form an ``(R, S)`` grid and a reduction is one axis-0 ufunc reduction
+(one binary ufunc for ``R == 2``, a copy for ``R == 1``), which folds the
+ranks in the same order.  Any other segment-id array (the reference
+path's on-the-fly layouts, gradient routing by row id, the
+``gather_rows`` backward) runs the same rank-by-rank accumulation with
+index arrays.
+
+Kernels never write into their inputs; every in-place op works on an
+array the kernel allocated itself.
 
 The module also provides the closed-form kernels the models' hot path
 runs on: the fused GRU cell (forward and backward, used by
@@ -90,10 +97,15 @@ class SegmentLayout:
                     already run rank by rank, rank ``r`` feeding segments
                     ``0..c_r-1`` in order — compiled level groups are laid
                     out this way, and their ranks are plain slices
+    ``grid``        True when the layout is rank-major and every rank
+                    covers all segments, so the elements reshape to an
+                    ``(R, num_segments)`` grid.  A single segment of three
+                    or more ranks is left out: NumPy reduces a lone
+                    contiguous row pairwise, not in rank order.
     """
 
     __slots__ = ("segment_ids", "num_segments", "ranks", "rank_major",
-                 "_counts")
+                 "grid", "_counts")
 
     def __init__(self, segment_ids: np.ndarray, num_segments: int):
         ids = np.asarray(segment_ids, dtype=np.int64).reshape(-1)
@@ -109,6 +121,7 @@ class SegmentLayout:
         self._counts: Optional[np.ndarray] = None
         self.ranks: List[Rank] = []
         self.rank_major = False
+        self.grid = False
         if not ids.size:
             return
         perm, sizes = segment_rank_order(ids)
@@ -123,6 +136,9 @@ class SegmentLayout:
         )
         if self.rank_major:
             self.ranks = [(slice(a, b), slice(0, b - a)) for a, b in bounds]
+            self.grid = bool(sizes[-1] == self.num_segments) and (
+                self.num_segments > 1 or sizes.size <= 2
+            )
         else:
             targets = ids[perm]
             self.ranks = [(perm[a:b], targets[a:b]) for a, b in bounds]
@@ -149,20 +165,35 @@ def _first_rank(
 ) -> np.ndarray:
     """``(num_segments, ...)`` float32 initialised from rank 0; segments
     without elements hold ``fill``."""
-    shape = (layout.num_segments,) + x.shape[1:]
     if layout.rank_major:
-        out = np.empty(shape, np.float32)
-    else:
-        out = np.full(shape, fill, np.float32)
+        # rank 0 is the leading slice and covers every segment in order
+        return x[layout.ranks[0][0]].astype(np.float32)
+    out = np.full((layout.num_segments,) + x.shape[1:], fill, np.float32)
     if layout.ranks:
         elems, targets = layout.ranks[0]
         out[targets] = x[elems]
     return out
 
 
+def _grid(x: np.ndarray, layout: SegmentLayout) -> np.ndarray:
+    """A grid layout's elements as an ``(R, num_segments, ...)`` view."""
+    return x.reshape((len(layout.ranks), layout.num_segments) + x.shape[1:])
+
+
+def _rank_reduce(op: np.ufunc, grid: np.ndarray) -> np.ndarray:
+    """``op`` folded over a grid's ranks (axis 0), first rank first."""
+    if len(grid) == 1:
+        return grid[0].copy()
+    if len(grid) == 2:
+        return op(grid[0], grid[1])
+    return op.reduce(grid, axis=0)
+
+
 def segment_sum_np(x: np.ndarray, layout: SegmentLayout) -> np.ndarray:
     """Dense segment sum: ``out[s] = sum_{k: ids[k]==s} x[k]``, added in
     element order; zeros for empty segments."""
+    if layout.grid:
+        return _rank_reduce(np.add, _grid(x, layout))
     out = _first_rank(x, layout, 0.0)
     for elems, targets in layout.ranks[1:]:
         out[targets] += x[elems]
@@ -173,9 +204,15 @@ def segment_max_np(
     x: np.ndarray, layout: SegmentLayout, fill: float = -np.inf
 ) -> np.ndarray:
     """Per-segment max of a 1-D array; empty segments take ``fill``."""
+    if layout.grid:
+        return _rank_reduce(np.maximum, _grid(x, layout))
     out = _first_rank(x, layout, fill)
     for elems, targets in layout.ranks[1:]:
-        out[targets] = np.maximum(out[targets], x[elems])
+        if layout.rank_major:  # slice targets: fold the view in place
+            part = out[targets]
+            np.maximum(part, x[elems], out=part)
+        else:
+            out[targets] = np.maximum(out[targets], x[elems])
     return out
 
 
@@ -203,12 +240,21 @@ def segment_softmax_np(
     empty segments the layout declares (their ``-inf`` running maxima and
     zero denominators are never indexed).
     """
+    if layout.grid:
+        # per-segment maxima and sums broadcast over the (R, n) grid
+        # instead of being re-gathered per element
+        e = _grid(s, layout)
+        e = e - _rank_reduce(np.maximum, e)
+        np.exp(e, out=e)
+        e /= _rank_reduce(np.add, e)
+        return e.reshape(-1)
     if layout.segment_ids.size == 0:
         return np.zeros(0, dtype=np.float32)
     ids = layout.segment_ids
-    e = s - segment_max_np(s, layout)[ids]
+    e = s - segment_max_np(s, layout).take(ids)
     np.exp(e, out=e)
-    return e / segment_sum_np(e, layout)[ids]
+    e /= segment_sum_np(e, layout).take(ids)
+    return e
 
 
 def segment_softmax_weighted_np(
@@ -228,8 +274,13 @@ def segment_softmax_weighted_np(
 # ---------------------------------------------------------------------------
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid_(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` in place, as four ufuncs; the same bits as
+    the out-of-place expression.  Only for arrays the kernel allocated."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    return np.reciprocal(x, out=x)
 
 
 def conv_sum_forward_np(
@@ -249,7 +300,7 @@ def conv_sum_forward_np(
     m = s @ w
     if b is not None:
         m += layout.counts[:, None] * b
-    return m.astype(np.float32, copy=False), s
+    return m, s
 
 
 def conv_sum_backward_np(
@@ -287,8 +338,8 @@ def deepset_forward_np(
         s2 += layout.counts[:, None] * b2
     m = s2 @ wr
     if br is not None:
-        m = m + br
-    return m.astype(np.float32, copy=False), (r1, s1, s2)
+        m += br
+    return m, (r1, s1, s2)
 
 
 def gated_sum_forward_np(
@@ -309,7 +360,7 @@ def gated_sum_forward_np(
     g = h_src @ wg
     if bg is not None:
         g += bg
-    g = _sigmoid(g)
+    _sigmoid_(g)
     v = h_src @ wv
     if bv is not None:
         v += bv
@@ -331,17 +382,24 @@ def gru_gates_np(
     part a per-type table lookup, message part per group), so only the
     gate nonlinearity is left per group.  Returns
     ``(h_new, saved)`` like the fused forwards.
+
+    At pass-step sizes a ufunc on a strided gate slice costs more than
+    its arithmetic, so the ``r|z`` pre-activation is one contiguous
+    ``(n, 2h)`` sum whose sigmoid runs in place once (``r`` and ``z`` are
+    its halves), and the candidate is built in place; every in-place op
+    writes an array this function allocated.
     """
     d = h.shape[1]
-    g = gi + gh  # one (n, 3h) add instead of three gate-sliced ones
-    r = _sigmoid(g[:, :d])
-    z = _sigmoid(g[:, d:2 * d])
+    rz = _sigmoid_(gi[:, :2 * d] + gh[:, :2 * d])
+    r, z = rz[:, :d], rz[:, d:]
     hn = gh[:, 2 * d:]
-    n = np.tanh(gi[:, 2 * d:] + r * hn)
+    n = r * hn
+    n += gi[:, 2 * d:]
+    np.tanh(n, out=n)
     out = h - n
     out *= z
     out += n           # n + z * (h - n), one temporary instead of two
-    return out.astype(np.float32, copy=False), (r, z, n, hn)
+    return out, (r, z, n, hn)
 
 
 def gru_gates_backward_np(

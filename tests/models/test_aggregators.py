@@ -222,7 +222,9 @@ def hook_pass(agg, cs, hd, w):
     group = cs.groups[0]
     attr = group.edge_attr
     h_src = hd[group.src]
-    m, saved = agg.step_forward(group, h_src, agg.step_begin(hd), attr)
+    plan = cs.walk_plan()
+    walk = agg.step_walk(agg.step_begin(hd), plan, attr is not None)
+    m, saved = agg.step_forward(plan.steps[0], h_src, walk)
     sink = agg.step_sink(hd, cs.block())
     dh_src = agg.step_backward(group, w, h_src, saved, sink, attr)
     dh = np.zeros_like(hd)

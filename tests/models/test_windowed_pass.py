@@ -227,7 +227,10 @@ class TestSavedStateResidency:
 
     @pytest.fixture
     def peaks(self, monkeypatch):
-        """Live saved-state count each time a group's forward starts."""
+        """Live saved-state count each time a group's forward starts.
+
+        A walk that keeps nothing gets ``None`` back (no saved state is
+        built), which counts as nothing live."""
         forward = P.AggregateCombineStep.forward
         live, peaks = [], []
 
@@ -237,8 +240,9 @@ class TestSavedStateResidency:
         def tracking_forward(self, *args):
             peaks.append(sum(r() is not None for r in live))
             out, saved = forward(self, *args)
-            saved = Saved(saved)
-            live.append(weakref.ref(saved))
+            if saved is not None:
+                saved = Saved(saved)
+                live.append(weakref.ref(saved))
             return out, saved
 
         monkeypatch.setattr(

@@ -5,7 +5,9 @@ against the pre-fast-path reference ops (``np.add.at``/``np.maximum.at``
 reductions, the expression-by-expression GRU) across empty-segment,
 single-edge and large-fan-in edge cases.  The segment reductions are
 also pinned bitwise to a float32 sequential-loop oracle on random
-rank-major and general layouts.
+rank-major, grid (uniform fan-in) and general layouts, and the GRU gate
+kernel bitwise to the op order it replaced.  No kernel may write into
+its inputs.
 """
 
 import numpy as np
@@ -176,14 +178,26 @@ def general_ids(rng, num, num_edges):
     return rng.integers(0, num, size=num_edges).astype(np.int64)
 
 
+def grid_ids(num, ranks):
+    """Segment ids of a uniform rank-major layout: every one of the
+    ``ranks`` ranks covers all ``num`` segments."""
+    return np.tile(np.arange(num, dtype=np.int64), ranks)
+
+
 #: (name, layout kind, num_segments, size) for the random layouts
 RANDOM_LAYOUTS = [
     ("rank_major", "rank_major", 37, 4),
     ("rank_major_single_segment", "rank_major", 1, 6),
     ("rank_major_single_rank", "rank_major", 9, 1),
+    ("grid_one_rank", "grid", 11, 1),
+    ("grid_two_ranks", "grid", 13, 2),
+    ("grid_three_ranks", "grid", 7, 3),
     ("general", "general", 23, 60),
     ("general_sparse", "general", 40, 12),
     ("general_single_segment", "general", 1, 7),
+    # one segment of 13 ranks: an axis-0 reduction of a lone row would
+    # add pairwise, so this layout must stay off the grid path
+    ("single_segment_thirteen_ranks", "general", 1, 13),
     ("zero_edges", "general", 5, 0),
 ]
 
@@ -192,7 +206,18 @@ def random_layout_ids(kind, num, size, seed):
     rng = np.random.default_rng(seed)
     if kind == "rank_major":
         return rank_major_ids(rng, num, size)
+    if kind == "grid":
+        return grid_ids(num, size)
     return general_ids(rng, num, size)
+
+
+def assert_bits_equal(actual, expected):
+    """Same dtype, shape and bit pattern (tells ``-0.0`` from ``0.0``)."""
+    assert actual.dtype == expected.dtype == np.float32
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(
+        actual.view(np.uint32), expected.view(np.uint32)
+    )
 
 
 @pytest.mark.parametrize(
@@ -206,11 +231,21 @@ class TestSequentialOracle:
     def test_layout_kind_detected(self, name, kind, num, size, seed):
         ids = random_layout_ids(kind, num, size, seed)
         layout = SegmentLayout(ids, num)
-        if kind == "rank_major":
+        if kind in ("rank_major", "grid"):
             assert layout.rank_major
             assert all(isinstance(e, slice) for e, _ in layout.ranks)
         if ids.size == 0:
             assert layout.ranks == []
+        # the grid is reported exactly for rank-major layouts of uniform
+        # fan-in, except a lone segment of more than two ranks
+        degree = np.bincount(ids, minlength=num)
+        uniform = ids.size > 0 and bool((degree == degree[0]).all())
+        expect_grid = (
+            layout.rank_major and uniform and (num > 1 or degree[0] <= 2)
+        )
+        assert layout.grid == expect_grid
+        if kind == "grid":
+            assert layout.grid and len(layout.ranks) == size
         # each rank names every one of its segments at most once
         for _, targets in layout.ranks:
             t = np.arange(num)[targets]
@@ -250,6 +285,16 @@ class TestSequentialOracle:
         np.testing.assert_array_equal(alpha, expect_alpha)
         np.testing.assert_array_equal(m, expect_m)
 
+    def test_softmax_weighted_leaves_inputs(self, name, kind, num, size, seed):
+        ids = random_layout_ids(kind, num, size, seed)
+        rng = np.random.default_rng(seed + 50)
+        s = rng.normal(size=ids.size).astype(np.float32)
+        x = rng.normal(size=(ids.size, 3)).astype(np.float32)
+        before = (s.copy(), x.copy())
+        segment_softmax_weighted_np(s, x, SegmentLayout(ids, num))
+        assert_bits_equal(s, before[0])
+        assert_bits_equal(x, before[1])
+
     def test_scatter_add(self, name, kind, num, size, seed):
         ids = random_layout_ids(kind, num, size, seed)
         rng = np.random.default_rng(seed + 40)
@@ -275,6 +320,24 @@ class TestSegmentRankOrder:
     def test_empty(self):
         perm, sizes = segment_rank_order(np.zeros(0, np.int64))
         assert perm.size == 0 and sizes.size == 0
+
+    def test_lone_segment_sums_in_rank_order(self):
+        # NumPy sums a lone contiguous row pairwise once it holds eight
+        # or more elements; a one-node group's 1-D sums must still add
+        # in rank order (about a third of these draws would differ)
+        ids = np.zeros(13, np.int64)
+        layout = SegmentLayout(ids, 1)
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            s = rng.normal(size=13).astype(np.float32)
+            assert_bits_equal(
+                segment_sum_np(s, layout), seq_fold(s, ids, 1, np.add, 0.0)
+            )
+            e = np.exp(s - s.max())
+            alpha = segment_softmax_np(s, layout)
+            assert_bits_equal(
+                alpha, e / seq_fold(e, ids, 1, np.add, 0.0)[ids]
+            )
 
     def test_missing_segment_is_not_rank_major(self):
         # rank-major needs every segment present in rank 0
@@ -458,6 +521,49 @@ class TestGRUGates:
         np.testing.assert_allclose(
             out, (1.0 - z) * n + z * h, rtol=1e-6, atol=1e-7
         )
+
+    @staticmethod
+    def _gates(n, strided, seed=31, d=5):
+        """``gi``/``gh``/``h`` for ``n`` nodes; ``strided`` makes
+        ``gi``/``gh`` every-other-column views of wider arrays, so they
+        are not contiguous even for one row."""
+        rng = np.random.default_rng(seed)
+        step = 2 if strided else 1
+        wide = [
+            rng.normal(size=(n, 3 * d * step)).astype(np.float32)
+            for _ in range(2)
+        ]
+        gi, gh = (w[:, ::step] for w in wide)
+        assert gi.flags.c_contiguous != strided
+        return gi, gh, rng.normal(size=(n, d)).astype(np.float32)
+
+    @pytest.mark.parametrize("strided", [False, True])
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_bitwise_equal_to_out_of_place_op_order(self, n, strided):
+        # the in-place contiguous chain must keep the bits of the
+        # expression-by-expression formula it replaced
+        gi, gh, h = self._gates(n, strided)
+        d = h.shape[1]
+        out, (r, z, cand, hn) = gru_gates_np(gi, gh, h)
+        g = gi + gh
+        expect_r = 1.0 / (1.0 + np.exp(-g[:, :d]))
+        expect_z = 1.0 / (1.0 + np.exp(-g[:, d:2 * d]))
+        expect_n = np.tanh(gi[:, 2 * d:] + expect_r * gh[:, 2 * d:])
+        expect = (h - expect_n) * expect_z + expect_n
+        for actual, want in (
+            (out, expect), (r, expect_r), (z, expect_z), (cand, expect_n),
+        ):
+            assert_bits_equal(np.ascontiguousarray(actual), want)
+        np.testing.assert_array_equal(hn, gh[:, 2 * d:])
+
+    @pytest.mark.parametrize("strided", [False, True])
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_leaves_inputs(self, n, strided):
+        gi, gh, h = self._gates(n, strided, seed=37)
+        before = [a.copy() for a in (gi, gh, h)]
+        gru_gates_np(gi, gh, h)
+        for a, b in zip((gi, gh, h), before):
+            assert_bits_equal(np.ascontiguousarray(a), b)
 
     def test_backward_matches_finite_differences(self):
         gi, gh, h = self._data(seed=23)
