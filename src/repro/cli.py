@@ -867,7 +867,8 @@ def cmd_query(args: argparse.Namespace) -> int:
                     f"({reply.errors} errors) over {reply.uptime_s:.1f}s\n"
                     f"cache: {reply.cache_hits} hits / {reply.cache_misses} "
                     f"misses, {reply.cache_entries}/{reply.cache_capacity} "
-                    f"entries, {reply.cache_evictions} evictions\n"
+                    f"entries, {reply.cache_evictions} evictions, "
+                    f"{reply.memo_hits} memo hits\n"
                     f"batcher[{reply.batch_mode}]: {reply.batches} cycles, "
                     f"{reply.batched_requests} jobs, largest "
                     f"{reply.max_batch_observed} "
@@ -1259,7 +1260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=DEFAULT_PORT)
     p.add_argument("--cache-size", type=int, default=128,
-                   help="compiled circuits held in the strash-keyed LRU")
+                   help="compiled circuits (with their stored predictions) "
+                        "held in the strash-keyed LRU")
     p.add_argument("--max-batch-size", type=int, default=16,
                    help="requests coalesced into one micro-batch cycle")
     p.add_argument("--max-wait-ms", type=float, default=2.0,

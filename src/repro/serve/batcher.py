@@ -80,6 +80,12 @@ class MicroBatcher:
         )
         self._worker.start()
 
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` has begun (``submit`` then raises
+        :class:`BatcherClosed`)."""
+        return self._closed
+
     # -- producer side -------------------------------------------------
     def submit(self, job: object):
         """Run ``job`` in some upcoming batch; block for its result.

@@ -4,7 +4,10 @@ The server's amortisation lever: ``PreparedBatch`` memoises its level
 schedules and compiled fast-path plans internally, so holding one
 prepared batch per *structure* means the first query for a circuit pays
 parse + featurise + schedule compilation and every structurally identical
-resubmission — whatever its node names — reuses all of it.
+resubmission — whatever its node names — reuses all of it.  The serve
+entries also hold the predictions their passes produced, so a hit for an
+iteration count already answered returns those stored predictions
+without running the model; evicting an entry drops them with it.
 Hit/miss/eviction counters feed the ``/stats`` endpoint, which is
 how the cache's behaviour is observed from outside.
 """

@@ -147,7 +147,10 @@ class QueryResponse(Message):
     topological order).  ``structural_hash`` is the compilation-cache
     key; ``cache_hit`` says the compiled circuit was reused, and
     ``coalesced`` how many concurrent requests were answered by the same
-    fused propagation pass (1 = this request alone).
+    fused propagation pass (1 = this request alone).  A request whose
+    structure and iteration count the cache entry has already answered
+    gets the stored predictions back without a pass, with
+    ``coalesced=1``.
     """
 
     TYPE_NAME: ClassVar[str] = "repro.serve.query.response"
@@ -212,7 +215,12 @@ class ErrorReply(Message):
 
 @dataclass(frozen=True)
 class StatsReply(Message):
-    """Server counters: the cache-hit observability surface."""
+    """Server counters: the cache-hit observability surface.
+
+    ``memo_hits`` counts requests answered from a cache entry's stored
+    predictions; every other answered request went through the batcher
+    (``batched_requests``).
+    """
 
     TYPE_NAME: ClassVar[str] = "repro.serve.stats"
 
@@ -225,6 +233,7 @@ class StatsReply(Message):
     cache_evictions: int = 0
     cache_entries: int = 0
     cache_capacity: int = 0
+    memo_hits: int = 0
     batches: int = 0
     batched_requests: int = 0
     max_batch_observed: int = 0

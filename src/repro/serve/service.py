@@ -10,25 +10,33 @@ Request flow (handler thread):
    the canonical node ordering),
 3. fetch-or-build the compiled circuit from the strash-keyed LRU
    (:class:`~repro.serve.cache.CompilationCache`),
-4. submit to the micro-batcher and block for predictions.
+4. if the entry already holds predictions for the request's iteration
+   count, return those stored predictions on this thread — no batcher,
+   no coalescing window, no propagation pass;
+5. otherwise submit to the micro-batcher and block for predictions.
 
 Batch cycle (worker thread): jobs are grouped by (structural hash,
 iteration override) and each **unique** circuit runs one fused
 propagation pass — K concurrent submissions of the same structure are
 answered by a single pass, which keeps every response bitwise identical
-to the serial single-request path.  ``batch_mode="merged"`` additionally
-fuses *distinct* circuits of a cycle into one disjoint-union pass via
-the singles' cached schedules (:func:`repro.graphdata.merge_prepared`);
-that mode trades strict bitwise reproducibility (BLAS kernels may round
-differently on different row counts — differences are ~1 ulp) for fewer
-passes under heterogeneous load, so it is opt-in.
+to the serial single-request path.  Each computed group's predictions
+are stored on its cache entry, so later queries for that structure and
+iteration count get the same array back (step 4); the stored
+predictions live and die with the LRU entry.  ``batch_mode="merged"``
+additionally fuses *distinct* circuits of a cycle into one
+disjoint-union pass via the singles' cached schedules
+(:func:`repro.graphdata.merge_prepared`); that mode trades strict
+bitwise reproducibility (BLAS kernels may round differently on
+different row counts — differences are ~1 ulp) for fewer passes under
+heterogeneous load, so it is opt-in, and the parts it stores keep that
+~1-ulp contract.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -45,7 +53,7 @@ from ..synth import (
     strip_constant_outputs,
     structural_hash,
 )
-from .batcher import MicroBatcher
+from .batcher import BatcherClosed, MicroBatcher
 from .cache import CompilationCache
 from .protocol import QueryRequest, QueryResponse, StatsReply
 
@@ -66,15 +74,22 @@ class CircuitRejected(ValueError):
 
 @dataclass
 class CompiledCircuit:
-    """One cache entry: the canonical AIG and its prepared batch.
+    """One cache entry: the canonical AIG, its prepared batch and the
+    predictions its passes produced.
 
     ``prepared`` memoises level schedules and compiled fast-path plans
-    internally, so repeat queries skip all compilation.
+    internally, so repeat queries skip all compilation.  ``predictions``
+    maps the iteration override a pass ran with (``None``: the model's
+    own count) to that pass's read-only output, so repeat queries skip
+    the model too.  Only the batcher thread writes it and handler threads
+    only read it, each through one dict operation, which the interpreter
+    lock makes atomic.
     """
 
     key: str
     aig: AIG
     prepared: PreparedBatch
+    predictions: Dict[Optional[int], np.ndarray] = field(default_factory=dict)
 
     @property
     def num_nodes(self) -> int:
@@ -142,7 +157,7 @@ class InferenceService:
         self._counter_lock = threading.Lock()
         self._requests = 0
         self._errors = 0
-        self._closed = False
+        self._memo_hits = 0
 
     # -- request path (handler threads) ---------------------------------
     def compile_circuit(self, text: str, fmt: str) -> Tuple[CompiledCircuit, bool]:
@@ -164,15 +179,26 @@ class InferenceService:
         with self._counter_lock:
             self._requests += 1
         try:
-            if request.num_iterations is not None and not self._supports_iterations:
-                raise CircuitRejected(
-                    f"model {self.model_label!r} is not recurrent; "
-                    "num_iterations cannot be overridden"
-                )
+            iters = request.num_iterations
+            if iters is not None:
+                if not self._supports_iterations:
+                    raise CircuitRejected(
+                        f"model {self.model_label!r} is not recurrent; "
+                        "num_iterations cannot be overridden"
+                    )
+                if iters == self.model.num_iterations:
+                    # the model's own count: same batch group, same memo slot
+                    iters = None
             entry, cache_hit = self.compile_circuit(request.circuit, request.fmt)
-            predictions, coalesced = self.batcher.submit(
-                _Job(entry, request.num_iterations)
-            )
+            predictions = entry.predictions.get(iters)
+            if predictions is None:
+                predictions, coalesced = self.batcher.submit(_Job(entry, iters))
+            else:
+                if self.batcher.closed:
+                    raise BatcherClosed("micro-batcher is closed")
+                coalesced = 1
+                with self._counter_lock:
+                    self._memo_hits += 1
         except Exception:
             with self._counter_lock:
                 self._errors += 1
@@ -217,8 +243,7 @@ class InferenceService:
                         for idx in indices:
                             results[idx] = exc
                         continue
-                    for idx in indices:
-                        results[idx] = (preds, len(indices))
+                    _remember(jobs, indices, iters, preds, len(indices), results)
         return results
 
     def _run_merged(
@@ -246,20 +271,22 @@ class InferenceService:
                 continue
             offsets = np.cumsum([0] + [e.num_nodes for e in entries])
             for (_, indices), lo, hi in zip(members, offsets[:-1], offsets[1:]):
-                part = np.ascontiguousarray(preds[lo:hi])
-                for idx in indices:
-                    results[idx] = (part, coalesced)
+                # a copy: a stored view would keep the merged array alive
+                part = preds[lo:hi].copy()
+                _remember(jobs, indices, iters, part, coalesced, results)
 
     # -- observability / lifecycle ---------------------------------------
     def stats(self) -> StatsReply:
         cache = self.cache.counters()
         with self._counter_lock:
             requests, errors = self._requests, self._errors
+            memo_hits = self._memo_hits
         return StatsReply(
             model=self.model_label,
             uptime_s=time.monotonic() - self._started,
             requests=requests,
             errors=errors,
+            memo_hits=memo_hits,
             batches=self.batcher.batches,
             batched_requests=self.batcher.jobs,
             max_batch_observed=self.batcher.max_batch_observed,
@@ -272,9 +299,24 @@ class InferenceService:
         )
 
     def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self.batcher.close()
+        self.batcher.close()
+
+
+def _remember(
+    jobs: List[_Job],
+    indices: List[int],
+    iters: Optional[int],
+    preds: np.ndarray,
+    coalesced: int,
+    results: List[object],
+) -> None:
+    """Store one computed group's predictions on its entry and answer its
+    jobs.  A slot an earlier cycle filled keeps its array, and the jobs
+    get that array, so every answer for a slot is the one hits return."""
+    preds.flags.writeable = False
+    for idx in indices:
+        stored = jobs[idx].entry.predictions.setdefault(iters, preds)
+        results[idx] = (stored, coalesced)
 
 
 def service_from_checkpoint(path, **kwargs) -> InferenceService:

@@ -9,7 +9,13 @@ from .callbacks import (
     step_decay,
 )
 from .metrics import ErrorAccumulator, average_prediction_error
-from .trainer import TrainConfig, TrainHistory, Trainer, evaluate_model
+from .trainer import (
+    NonFiniteTrainingError,
+    TrainConfig,
+    TrainHistory,
+    Trainer,
+    evaluate_model,
+)
 
 __all__ = [
     "Callback",
@@ -20,6 +26,7 @@ __all__ = [
     "step_decay",
     "ErrorAccumulator",
     "average_prediction_error",
+    "NonFiniteTrainingError",
     "TrainConfig",
     "TrainHistory",
     "Trainer",

@@ -14,6 +14,7 @@ per-epoch shuffle depends only on ``(seed, epoch)``.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
@@ -35,9 +36,34 @@ from ..nn.tensor import no_grad
 from .callbacks import Callback
 from .metrics import ErrorAccumulator
 
-__all__ = ["TrainConfig", "TrainHistory", "Trainer", "evaluate_model"]
+__all__ = [
+    "NonFiniteTrainingError",
+    "TrainConfig",
+    "TrainHistory",
+    "Trainer",
+    "evaluate_model",
+]
 
 TrainData = Union[CircuitDataset, ShardedCircuitDataset, DataLoader]
+
+
+class NonFiniteTrainingError(FloatingPointError):
+    """A training step produced a NaN or infinite loss or gradient norm.
+
+    Raised before the optimizer step, so the parameters are still those
+    the step started from.  ``epoch`` and ``step`` (0-based, the batch
+    index within the epoch) locate the batch.
+    """
+
+    def __init__(self, epoch: int, step: int, loss: float, grad_norm: float):
+        super().__init__(
+            f"non-finite training step at epoch {epoch}, step {step}: "
+            f"loss={loss}, gradient norm={grad_norm}"
+        )
+        self.epoch = epoch
+        self.step = step
+        self.loss = loss
+        self.grad_norm = grad_norm
 
 
 @dataclass
@@ -163,7 +189,7 @@ class Trainer:
         for epoch in range(start_epoch, cfg.epochs):
             for cb in callbacks:
                 cb.on_epoch_start(self, epoch)
-            epoch_loss = self._run_epoch(loader.epoch(epoch))
+            epoch_loss = self._run_epoch(loader.epoch(epoch), epoch)
             self.history.train_loss.append(epoch_loss)
             eval_error = None
             if eval_loader is not None:
@@ -187,18 +213,23 @@ class Trainer:
             cb.on_fit_end(self)
         return self.history
 
-    def _run_epoch(self, batches: Iterable[PreparedBatch]) -> float:
+    def _run_epoch(self, batches: Iterable[PreparedBatch], epoch: int) -> float:
         total, count = 0.0, 0
         try:
-            for batch in batches:
+            for step, batch in enumerate(batches):
                 self.optimizer.zero_grad()
                 pred = self.model(batch)
                 loss = l1_loss(pred, batch.labels)
                 loss.backward()
-                if self.config.grad_clip:
-                    clip_grad_norm(self.model.parameters(), self.config.grad_clip)
+                value = loss.item()
+                # an infinite max_norm measures the norm without clipping
+                norm = clip_grad_norm(
+                    self.model.parameters(), self.config.grad_clip or math.inf
+                )
+                if not (math.isfinite(value) and math.isfinite(norm)):
+                    raise NonFiniteTrainingError(epoch, step, value, norm)
                 self.optimizer.step()
-                total += loss.item() * batch.num_nodes
+                total += value * batch.num_nodes
                 count += batch.num_nodes
         finally:
             close = getattr(batches, "close", None)

@@ -32,7 +32,9 @@ SAMPLES = [
     ),
     ErrorReply(error="parse_error", detail="line 3: bad literal", line=3),
     ErrorReply(error="internal_error", detail="boom"),
-    StatsReply(model="m", requests=10, cache_hits=7, batch_mode="merged"),
+    StatsReply(
+        model="m", requests=10, cache_hits=7, memo_hits=5, batch_mode="merged"
+    ),
     HealthReply(),
 ]
 
@@ -74,6 +76,12 @@ class TestForwardCompat:
         payload["version"] = PROTOCOL_VERSION + 1
         with pytest.raises(ProtocolError, match="newer than this server"):
             parse_message(payload)
+
+    def test_stats_without_memo_hits_parse_as_zero(self):
+        payload = StatsReply(model="m", requests=3).to_payload()
+        del payload["memo_hits"]
+        assert parse_message(payload) == StatsReply(model="m", requests=3)
+        assert parse_message(payload).memo_hits == 0
 
     def test_missing_version_defaults_to_current(self):
         payload = HealthReply().to_payload()

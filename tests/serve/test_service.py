@@ -1,10 +1,17 @@
 """InferenceService: strash-keyed reuse, batching determinism, errors."""
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro.aig import bench
+from repro.datagen.generators import comparator, parity
+from repro.graphdata.dataset import PreparedBatch
+from repro.graphdata.features import inference_graph
+from repro.nn.tensor import no_grad
+from repro.serve.batcher import BatcherClosed
 from repro.serve.protocol import QueryRequest
 from repro.serve.service import (
     CircuitRejected,
@@ -135,6 +142,9 @@ class TestBatchingDeterminism:
         try:
             texts = [adder_aag, comparator_aag] * 3
             responses = concurrent_queries(svc, texts)
+            # a repeat gets the stored merged part, exactly as first answered
+            repeats = [svc.query(QueryRequest(circuit=t)) for t in texts[:2]]
+            memo_hits = svc.stats().memo_hits
         finally:
             svc.close()
         for text, resp in zip(texts, responses):
@@ -145,6 +155,9 @@ class TestBatchingDeterminism:
                 )
             )
             assert diff < 1e-6
+        for resp, again in zip(responses, repeats):
+            assert again.predictions == resp.predictions
+        assert memo_hits == 2
 
     def test_unknown_batch_mode_rejected(self, model):
         with pytest.raises(ValueError, match="batch_mode"):
@@ -220,7 +233,194 @@ class TestStats:
         assert stats.cache_hits == 1
         assert stats.cache_misses == 1
         assert stats.cache_entries == 1
-        assert stats.batches == 2
+        # the repeat is answered from the entry's stored predictions
+        assert stats.batches == 1
+        assert stats.memo_hits == 1
         assert stats.batch_mode == "exact"
         assert stats.model == "test"
         assert stats.uptime_s >= 0.0
+
+
+def direct_forward(model, text, fmt, num_iterations):
+    """Key and predictions of a plain single-circuit forward of ``text``."""
+    key, canonical = canonicalize(parse_circuit(text, fmt))
+    with no_grad():
+        out = model.forward(
+            PreparedBatch(inference_graph(canonical)),
+            num_iterations=num_iterations,
+        )
+    return key, tuple(float(p) for p in np.asarray(out.data, dtype=np.float32))
+
+
+class TestPredictionMemo:
+    @pytest.mark.parametrize("iters", [None, 3])
+    def test_hit_is_bitwise_a_fresh_services_answer(
+        self, model, service, adder_aag, iters
+    ):
+        first = service.query(QueryRequest(circuit=adder_aag, num_iterations=iters))
+        hit = service.query(QueryRequest(circuit=adder_aag, num_iterations=iters))
+        fresh = InferenceService(model, max_wait_ms=0.0)
+        try:
+            ref = fresh.query(QueryRequest(circuit=adder_aag, num_iterations=iters))
+        finally:
+            fresh.close()
+        assert hit.predictions == ref.predictions == first.predictions
+        assert hit.cache_hit and hit.coalesced == 1
+        stats = service.stats()
+        assert (stats.memo_hits, stats.batches, stats.batched_requests) == (1, 1, 1)
+        entry = service.cache.peek(hit.structural_hash)
+        assert list(entry.predictions) == [iters]
+        assert not entry.predictions[iters].flags.writeable
+
+    def test_iteration_counts_take_separate_slots(self, service, adder_aag):
+        default = service.query(QueryRequest(circuit=adder_aag))
+        deep = service.query(QueryRequest(circuit=adder_aag, num_iterations=3))
+        assert deep.predictions != default.predictions
+        assert service.stats().memo_hits == 0
+        again = service.query(QueryRequest(circuit=adder_aag, num_iterations=3))
+        assert again.predictions == deep.predictions
+        assert service.stats().memo_hits == 1
+
+    def test_eviction_drops_the_stored_predictions(
+        self, model, adder_aag, comparator_aag
+    ):
+        svc = InferenceService(model, cache_size=1, max_wait_ms=0.0)
+        try:
+            first = svc.query(QueryRequest(circuit=adder_aag))
+            svc.query(QueryRequest(circuit=comparator_aag))  # evicts the adder
+            rebuilt = svc.query(QueryRequest(circuit=adder_aag))
+            stats = svc.stats()
+        finally:
+            svc.close()
+        assert not rebuilt.cache_hit
+        assert rebuilt.predictions == first.predictions
+        assert (stats.memo_hits, stats.batches) == (0, 3)
+
+    def test_closed_service_refuses_a_memoized_structure(
+        self, model, adder_aag
+    ):
+        svc = InferenceService(model, max_wait_ms=0.0)
+        svc.query(QueryRequest(circuit=adder_aag))
+        svc.close()
+        with pytest.raises(BatcherClosed):
+            svc.query(QueryRequest(circuit=adder_aag))
+        stats = svc.stats()
+        assert (stats.errors, stats.memo_hits) == (1, 0)
+
+    def test_explicit_default_iterations_share_a_batch_group(
+        self, model, adder_aag
+    ):
+        """``num_iterations`` equal to the model's own count is the plain
+        query: one group in the cycle, one memo slot."""
+        svc = InferenceService(model, max_wait_ms=5000.0, max_batch_size=2)
+        results = [None, None]
+        barrier = threading.Barrier(2)
+
+        def q(i, iters):
+            barrier.wait()
+            results[i] = svc.query(
+                QueryRequest(circuit=adder_aag, num_iterations=iters)
+            )
+
+        threads = [
+            threading.Thread(target=q, args=(0, None)),
+            threading.Thread(target=q, args=(1, model.num_iterations)),
+        ]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            stats = svc.stats()
+            entry = svc.cache.peek(results[0].structural_hash)
+        finally:
+            svc.close()
+        assert stats.batches == 1
+        assert [r.coalesced for r in results] == [2, 2]
+        assert results[0].predictions == results[1].predictions
+        assert list(entry.predictions) == [None]
+
+
+class TestMemoStress:
+    def test_concurrent_queries_with_evictions_match_serial(
+        self, model, adder_bench
+    ):
+        """Eight threads over three structures through a two-entry cache:
+        evictions and rebuilds race the memo's reads and writes.  The
+        adder is queried most, as a popular structure would be, so it
+        stays cached long enough to be answered from the memo."""
+        comparator_bench = bench.dumps(comparator(3))
+        parity_bench = bench.dumps(parity(5))
+        texts = [
+            (adder_bench, "bench"),
+            (rename_bench(adder_bench), "bench"),
+            (rename_bench(adder_bench, "w_"), "bench"),
+            (comparator_bench, "bench"),
+            (rename_bench(comparator_bench), "bench"),
+            (parity_bench, "bench"),
+            (rename_bench(parity_bench), "bench"),
+        ]
+        weights = np.array([2, 2, 2, 2, 2, 3, 3]) / 16
+        overrides = (None, model.num_iterations, 3)
+        reference = {
+            (i, iters): direct_forward(model, text, fmt, iters)
+            for i, (text, fmt) in enumerate(texts)
+            for iters in overrides
+        }
+        assert len({key for key, _ in reference.values()}) == 3
+
+        num_threads, per_thread = 8, 20
+        rng = np.random.default_rng(7)
+        plans = [
+            [
+                (
+                    int(rng.choice(len(texts), p=weights)),
+                    overrides[int(rng.integers(len(overrides)))],
+                )
+                for _ in range(per_thread)
+            ]
+            for _ in range(num_threads)
+        ]
+        answers = [[] for _ in range(num_threads)]
+        errors = []
+        svc = InferenceService(model, cache_size=2, max_wait_ms=0.5)
+
+        def worker(t):
+            try:
+                for i, iters in plans[t]:
+                    text, fmt = texts[i]
+                    resp = svc.query(
+                        QueryRequest(circuit=text, fmt=fmt, num_iterations=iters)
+                    )
+                    answers[t].append((i, iters, resp))
+            except Exception as exc:  # noqa: BLE001 - collected for asserts
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(t,)) for t in range(num_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            svc.close()
+        assert errors == []
+        for t in range(num_threads):
+            assert len(answers[t]) == per_thread
+            for i, iters, resp in answers[t]:
+                key, preds = reference[i, iters]
+                assert resp.structural_hash == key
+                assert resp.predictions == preds
+        stats = svc.stats()
+        assert stats.errors == 0
+        assert stats.requests == num_threads * per_thread
+        assert stats.requests == stats.memo_hits + stats.batched_requests
+        assert stats.memo_hits > 0
+        assert stats.cache_evictions > 0

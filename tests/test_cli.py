@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import re
 
 import pytest
 
@@ -689,12 +690,15 @@ class TestServeQueryCLI:
         assert payload["num_nodes"] == len(payload["predictions"])
 
     def test_query_stats(self, running_server, adder_bench, capsys):
-        assert main(["query", str(adder_bench),
-                     "--url", running_server]) == 0
+        for _ in range(2):
+            assert main(["query", str(adder_bench),
+                         "--url", running_server]) == 0
         capsys.readouterr()
         assert main(["query", "--stats", "--url", running_server]) == 0
         out = capsys.readouterr().out
         assert "requests" in out and "cache:" in out
+        # the repeat was answered from the stored predictions
+        assert re.search(r"^cache: 1 hits .*, 1 memo hits$", out, re.M)
 
     def test_query_parse_error_exits_1(
         self, running_server, tmp_path, capsys

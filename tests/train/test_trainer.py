@@ -7,6 +7,7 @@ from repro.models import DeepGate
 from repro.train import (
     Callback,
     ErrorAccumulator,
+    NonFiniteTrainingError,
     TrainConfig,
     Trainer,
     average_prediction_error,
@@ -164,10 +165,10 @@ class TestTrainer:
 
         original = trainer._run_epoch
 
-        def spy(batches):
+        def spy(batches, epoch):
             batches = list(batches)
             orders.append([b.num_nodes for b in batches])
-            return original(iter(batches))
+            return original(iter(batches), epoch)
 
         trainer._run_epoch = spy
         trainer.fit(ds)
@@ -183,10 +184,10 @@ class TestTrainer:
         )
         original = trainer._run_epoch
 
-        def spy(batches):
+        def spy(batches, epoch):
             batches = list(batches)
             orders.append([b.num_nodes for b in batches])
-            return original(iter(batches))
+            return original(iter(batches), epoch)
 
         trainer._run_epoch = spy
         trainer.fit(ds)
@@ -204,3 +205,60 @@ class TestTrainer:
             sharded
         )
         assert len(history.train_loss) == 2
+
+
+class TestNonFiniteTraining:
+    @pytest.mark.parametrize("poisoned, step", [(0, 0), (2, 1)])
+    def test_nan_label_raises_before_the_optimizer_step(self, poisoned, step):
+        """A NaN label in epoch 1 stops training with a named error that
+        locates the batch, and no parameter is left non-finite."""
+        ds = tiny_dataset(4)
+        model = DeepGate(dim=4, num_iterations=1, rng=np.random.default_rng(10))
+        trainer = Trainer(
+            model,
+            TrainConfig(epochs=3, batch_size=2, lr=1e-3, shuffle=False, prefetch=0),
+        )
+        stepped = []
+        real_step = trainer.optimizer.step
+
+        def step_and_snapshot():
+            real_step()
+            stepped.append([p.data.copy() for p in model.parameters()])
+
+        trainer.optimizer.step = step_and_snapshot
+
+        class Poison(Callback):
+            def on_epoch_start(self, trainer, epoch):
+                if epoch == 1:
+                    ds.graphs[poisoned].labels[0] = np.nan
+
+        with pytest.raises(NonFiniteTrainingError) as info:
+            trainer.fit(ds, callbacks=[Poison()])
+        err = info.value
+        assert (err.epoch, err.step) == (1, step)
+        assert np.isnan(err.loss) and np.isnan(err.grad_norm)
+        assert "epoch 1, step %d" % step in str(err)
+        # the poisoned step never reached the optimizer
+        assert len(stepped) == 2 + step
+        for param, last in zip(model.parameters(), stepped[-1]):
+            assert np.isfinite(param.data).all()
+            assert np.array_equal(param.data, last)
+        assert trainer.history.train_loss and np.isfinite(
+            trainer.history.train_loss
+        ).all()
+
+    def test_unclipped_training_is_checked_too(self):
+        ds = tiny_dataset(2)
+        ds.graphs[1].labels[0] = np.nan
+        model = DeepGate(dim=4, num_iterations=1, rng=np.random.default_rng(11))
+        trainer = Trainer(
+            model,
+            TrainConfig(
+                epochs=1, batch_size=1, grad_clip=0.0, shuffle=False, prefetch=0
+            ),
+        )
+        with pytest.raises(NonFiniteTrainingError) as info:
+            trainer.fit(ds)
+        assert (info.value.epoch, info.value.step) == (0, 1)
+        for param in model.parameters():
+            assert np.isfinite(param.data).all()
