@@ -115,6 +115,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             kwargs[key] = int(value)
         except ValueError:
             raise SystemExit(f"bad --param {override!r}; value must be an integer")
+        if kwargs[key] < 1:
+            raise SystemExit(f"bad --param {override!r}; sizes must be >= 1")
     try:
         netlist = factory(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -271,6 +273,8 @@ def _dist_progress(event) -> None:
 
 def _workers(args: argparse.Namespace) -> int:
     """``--workers``, or the ``REPRO_WORKERS``/CPU-count default for 0."""
+    if args.workers < 0:
+        raise SystemExit(f"--workers must be >= 0, got {args.workers}")
     return args.workers or default_workers()
 
 
@@ -331,134 +335,6 @@ def cmd_dataset_info(args: argparse.Namespace) -> int:
             f"  {suite:10s} {stats['circuits']:5d} circuits  "
             f"nodes [{lo_n}-{hi_n}]  levels [{lo_l}-{hi_l}]"
         )
-    return 0
-
-
-def cmd_bench_run(args: argparse.Namespace) -> int:
-    from .bench import (
-        HUGE_SUITE,
-        all_suite_names,
-        merge_bench,
-        run_benchmarks,
-        write_bench_file,
-    )
-
-    known = all_suite_names() + [HUGE_SUITE]
-    for suite in args.suite or []:
-        if suite not in known:
-            raise SystemExit(
-                f"unknown bench suite {suite!r}; choose from {known}"
-            )
-    huge_kwargs = {
-        "num_gates": args.huge_gates,
-        "window_budget": args.window_budget,
-        "full_check": args.full_check,
-        "full_budget_mb": args.full_budget_mb,
-    }
-    if args.dump_outputs:
-        dump_dir = Path(args.dump_outputs)
-        dump_dir.mkdir(parents=True, exist_ok=True)
-        huge_kwargs["dump_path"] = dump_dir / "huge.npz"
-    payload = run_benchmarks(
-        suites=args.suite,
-        name=args.name,
-        dim=args.dim,
-        iterations=args.iterations,
-        repeats=args.repeats,
-        epochs=args.epochs,
-        variant="reference" if args.reference else "compiled",
-        huge=huge_kwargs,
-    )
-    out = args.output or f"BENCH_{args.name}.json"
-    if args.merge and Path(out).exists():
-        import json as _json
-
-        previous = _json.loads(Path(out).read_text())
-        payload = merge_bench(previous, payload)
-    path = write_bench_file(payload, out)
-    for suite, metrics in payload["suites"].items():
-        print(
-            f"{suite:18s} N={metrics['nodes']:6d} L={metrics['levels']:4d}  "
-            f"fwd {metrics['forward_s']:.4f}s  bwd {metrics['backward_s']:.4f}s  "
-            f"epoch {metrics['train_epoch_s']:.4f}s  "
-            f"({metrics['nodes_per_s']:.0f} nodes/s)"
-        )
-        if suite == HUGE_SUITE:
-            stats = metrics.get("window_stats", {})
-            print(
-                f"{'':18s} rss {metrics['peak_rss_kb']} KB "
-                f"(delta {metrics['peak_rss_delta_kb']} KB)  "
-                f"budget {metrics['window_budget']}  "
-                f"windows {stats.get('windows', 0)}"
-            )
-            probe = metrics.get("full_path_probe")
-            if probe:
-                print(
-                    f"{'':18s} full-path probe: {probe['status']} "
-                    f"under {probe['budget_mb']:.0f} MB "
-                    f"(rss {probe.get('peak_rss_kb', '?')} KB) "
-                    f"{probe.get('error', '')}".rstrip()
-                )
-    print(f"wrote {path} (variant: {payload['variant']})")
-    if args.max_rss_kb:
-        worst = max(
-            (
-                (int(m["peak_rss_kb"]), suite)
-                for suite, m in payload["suites"].items()
-                if "peak_rss_kb" in m
-            ),
-            default=None,
-        )
-        if worst and worst[0] > args.max_rss_kb:
-            print(
-                f"peak RSS {worst[0]} KB (suite {worst[1]}) exceeds "
-                f"--max-rss-kb {args.max_rss_kb}",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
-def cmd_bench_compare(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .bench import compare_bench, render_compare
-
-    payloads = []
-    for path in (args.old, args.new):
-        try:
-            payloads.append(_json.loads(Path(path).read_text()))
-        except FileNotFoundError:
-            raise SystemExit(f"no such bench file: {path}")
-        except _json.JSONDecodeError as exc:
-            raise SystemExit(f"malformed bench file {path}: {exc}")
-    diff = compare_bench(*payloads)
-    if args.format == "json":
-        print(_json.dumps(diff, indent=2, sort_keys=True))
-    else:
-        print(render_compare(diff))
-    headline = diff.get("deep_train_speedup")
-    if args.min_speedup and (headline is None or headline < args.min_speedup):
-        print(
-            f"deep-circuit training speedup "
-            f"{'n/a' if headline is None else f'{headline:.2f}x'} "
-            f"below required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    if args.max_rss_regression:
-        from .bench import max_rss_regression
-
-        worst = max_rss_regression(diff)
-        if worst is not None and worst["ratio"] > args.max_rss_regression:
-            print(
-                f"peak-RSS regression {worst['ratio']:.2f}x on suite "
-                f"{worst['suite']} ({worst['old']:.0f} -> {worst['new']:.0f} "
-                f"KB) exceeds --max-rss-regression "
-                f"{args.max_rss_regression:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
     return 0
 
 
@@ -675,6 +551,7 @@ def cmd_experiment_verify(args: argparse.Namespace) -> int:
         verify_golden,
     )
 
+    workers = _workers(args)
     root = Path(args.goldens_dir) if args.goldens_dir else default_goldens_dir()
     if args.fixtures:
         paths = []
@@ -695,7 +572,6 @@ def cmd_experiment_verify(args: argparse.Namespace) -> int:
         print(f"no golden fixtures under {root}", file=sys.stderr)
         return 1
 
-    workers = _workers(args)
     failed = 0
     for path in paths:
         try:
@@ -1011,88 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = dataset_sub.add_parser("info", help="summarise a dataset directory")
     p.add_argument("dir")
     p.set_defaults(func=cmd_dataset_info)
-
-    p = sub.add_parser(
-        "bench", help="propagation micro-benchmarks (BENCH_*.json)"
-    )
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-
-    q = bench_sub.add_parser(
-        "run", help="time forward/backward/training over circuit suites"
-    )
-    q.add_argument(
-        "--suite", action="append",
-        help="suite to run (small/deep/wide/default_<aggregator>; "
-             "repeatable; default all)",
-    )
-    q.add_argument("--name", default="bench",
-                   help="benchmark name (default output BENCH_<name>.json)")
-    q.add_argument("-o", "--output", default=None,
-                   help="output path (default BENCH_<name>.json)")
-    q.add_argument("--dim", type=int, default=64)
-    q.add_argument("--iterations", type=int, default=4,
-                   help="propagation rounds per forward pass")
-    q.add_argument("--repeats", type=int, default=3,
-                   help="timed repeats per metric (best-of reported)")
-    q.add_argument("--epochs", type=int, default=2,
-                   help="training epochs timed (best-of reported)")
-    q.add_argument(
-        "--merge", action="store_true",
-        help="if the output file exists, pool with it (per-metric best "
-             "of both runs) instead of overwriting — interleave repeated "
-             "runs on a noisy machine to converge on the quiet floor",
-    )
-    q.add_argument("--reference", action="store_true",
-                   help="run the uncompiled reference propagation path")
-    q.add_argument(
-        "--huge-gates", type=int, default=100_000,
-        help="gate count for the opt-in 'huge' suite (--suite huge)",
-    )
-    q.add_argument(
-        "--window-budget", type=int, default=8192,
-        help="written-nodes-per-window budget for the 'huge' suite's "
-             "streaming propagation",
-    )
-    q.add_argument(
-        "--full-check", action="store_true",
-        help="'huge' suite: also probe the non-windowed path in a "
-             "subprocess under a --full-budget-mb address-space cap",
-    )
-    q.add_argument(
-        "--full-budget-mb", type=float, default=512.0,
-        help="memory allowance for the --full-check probe (MB)",
-    )
-    q.add_argument(
-        "--dump-outputs", default=None, metavar="DIR",
-        help="'huge' suite: write untrained forward predictions to "
-             "DIR/huge.npz as a deterministic npz (byte-comparable "
-             "across window budgets)",
-    )
-    q.add_argument(
-        "--max-rss-kb", type=int, default=0,
-        help="exit non-zero if any suite's peak RSS exceeds this many "
-             "KB (0 disables the gate)",
-    )
-    q.set_defaults(func=cmd_bench_run)
-
-    q = bench_sub.add_parser(
-        "compare", help="diff two BENCH_*.json files (speedup = old/new)"
-    )
-    q.add_argument("old")
-    q.add_argument("new")
-    q.add_argument("--format", default="text", choices=["text", "json"])
-    q.add_argument(
-        "--min-speedup", type=float, default=0.0,
-        help="exit non-zero if deep-circuit training speedup falls below "
-             "this factor (0 disables the gate)",
-    )
-    q.add_argument(
-        "--max-rss-regression", type=float, default=0.0,
-        help="exit non-zero if any suite's peak_rss_delta_kb grew by "
-             "more than this factor (new/old, old floored at 1024 KB; "
-             "0 disables the gate)",
-    )
-    q.set_defaults(func=cmd_bench_compare)
 
     p = sub.add_parser(
         "experiment",

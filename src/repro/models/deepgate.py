@@ -21,8 +21,8 @@ skip connections.  The knobs:
                  keeps the reference level-by-level ``scatter_rows`` loop —
                  equal up to float32 round-off (the fused kernels change
                  the summation order; the equivalence suite checks
-                 ``rtol=1e-5, atol=1e-6``), used for equivalence tests and
-                 as the ``repro bench --reference`` baseline.
+                 ``rtol=1e-5, atol=1e-6``); it is the numerical oracle the
+                 equivalence tests hold the compiled path to.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Golden-result fixtures: committed metrics with a drift gate.
 
-The bench harness regression-tracks *speed* through committed
-``benchmarks/BENCH_*.json`` files; this module gives *accuracy* the same
-treatment.  A **golden fixture** freezes the canonical metrics of one
-registered experiment at one exact spec::
+The repository benchmark (``perfbench/``) gates *speed* against the
+bounds in ``BENCHMARK.json``; this module gates *accuracy*.  A **golden
+fixture** freezes the canonical metrics of one registered experiment at
+one exact spec::
 
     goldens/<experiment>/<spec_hash[:16]>.json
         golden_format_version   schema version (validated on load)
@@ -17,8 +17,7 @@ registered experiment at one exact spec::
 any metric drifts beyond its committed absolute tolerance — or when a
 committed metric has vanished from the result, which cannot be
 certified.  Fixtures are plain JSON and meant to be committed, so CI
-gates accuracy trajectories exactly like ``repro bench compare`` gates
-speed.
+gates accuracy trajectories on every change.
 
 Schema validation is strict and total: a corrupted, truncated,
 wrong-version or hand-edited fixture (whose spec no longer reproduces

@@ -151,6 +151,21 @@ class TestCompiledEquivalence:
         fast = make_model(rng=np.random.default_rng(0), compiled=True, **kwargs)
         return ref, fast
 
+    def _check_gradients(self, batch, ref, fast):
+        # a smooth loss: L1's sign kink would amplify float32 round-off
+        # differences into spurious gradient mismatches
+        weights = np.linspace(-1.0, 1.0, batch.num_nodes).astype(np.float32)
+        for model in (ref, fast):
+            (model(batch) * Tensor(weights)).sum().backward()
+        for (name, p_ref), (_, p_fast) in zip(
+            ref.named_parameters(), fast.named_parameters()
+        ):
+            assert p_ref.grad is not None and p_fast.grad is not None, name
+            np.testing.assert_allclose(
+                p_ref.grad, p_fast.grad, rtol=2e-4, atol=2e-5,
+                err_msg=f"gradient mismatch for {name}",
+            )
+
     @pytest.mark.parametrize(
         "config", CONFIGS, ids=[str(sorted(c.items())) for c in CONFIGS]
     )
@@ -165,21 +180,18 @@ class TestCompiledEquivalence:
         "config", CONFIGS, ids=[str(sorted(c.items())) for c in CONFIGS]
     )
     def test_gradients_match(self, config):
-        batch = make_batch(width=5)
-        ref, fast = self._pair(**config)
-        # a smooth loss: L1's sign kink would amplify float32 round-off
-        # differences into spurious gradient mismatches
-        weights = np.linspace(-1.0, 1.0, batch.num_nodes).astype(np.float32)
-        for model in (ref, fast):
-            (model(batch) * Tensor(weights)).sum().backward()
-        for (name, p_ref), (_, p_fast) in zip(
-            ref.named_parameters(), fast.named_parameters()
-        ):
-            assert p_ref.grad is not None and p_fast.grad is not None, name
+        self._check_gradients(make_batch(width=5), *self._pair(**config))
+
+    def test_deep_chain_matches(self):
+        # a deep carry chain (48-bit ripple adder: 1,046 nodes over 193
+        # levels), where an error that compounds level by level shows
+        batch = make_batch(width=48)
+        ref, fast = self._pair(dim=64, num_iterations=4)
+        with no_grad():
             np.testing.assert_allclose(
-                p_ref.grad, p_fast.grad, rtol=2e-4, atol=2e-5,
-                err_msg=f"gradient mismatch for {name}",
+                ref(batch).data, fast(batch).data, rtol=1e-5, atol=1e-6
             )
+        self._check_gradients(batch, ref, fast)
 
     def test_compiled_is_default(self):
         assert make_model().compiled

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from repro.cli import _CIRCUIT_SUFFIXES, _workers, main
+from repro.datagen.generators import GENERATOR_CATALOG
 
 
 @pytest.fixture
@@ -49,6 +50,16 @@ class TestGenerate:
         ):
             main(["generate", "majority_voter", "--param", "width=4",
                   "-o", str(tmp_path / "x.bench")])
+
+    @pytest.mark.parametrize("family", sorted(GENERATOR_CATALOG))
+    def test_size_below_one_is_clean_error(self, tmp_path, family):
+        # every catalog parameter is a size; 0 used to write a broken file
+        # or die with an IndexError traceback
+        (param,) = GENERATOR_CATALOG[family][1]
+        out = tmp_path / "x.bench"
+        with pytest.raises(SystemExit, match=f"'{param}=0'; sizes must be >= 1"):
+            main(["generate", family, "--param", f"{param}=0", "-o", str(out)])
+        assert not out.exists()
 
     def test_verilog_output(self, tmp_path):
         path = tmp_path / "cmp.v"
@@ -251,8 +262,8 @@ class TestExperimentCLI:
 
 
 class TestWorkersResolver:
-    """``--workers 0`` resolves through the shared default; any other
-    count is taken as given."""
+    """``--workers 0`` resolves through the shared default; a positive
+    count is taken as given and a negative one is a clean error."""
 
     def test_zero_uses_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
@@ -261,6 +272,20 @@ class TestWorkersResolver:
     def test_explicit_count_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
         assert _workers(argparse.Namespace(workers=2)) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["dataset", "build", "--out", "{tmp}/data"],
+        ["experiment", "run", "table1", "--runs-dir", "{tmp}/runs"],
+        ["experiment", "capture", "table1", "--runs-dir", "{tmp}/runs",
+         "--goldens-dir", "{tmp}/goldens"],
+        ["experiment", "verify", "--runs-dir", "{tmp}/runs",
+         "--goldens-dir", "{tmp}/goldens"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_negative_count_is_clean_error(self, tmp_path, argv):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        with pytest.raises(SystemExit, match="--workers must be >= 0, got -2"):
+            main(argv + ["--workers", "-2"])
+        assert not any(tmp_path.iterdir())
 
 
 class TestDistCLI:
@@ -499,116 +524,6 @@ class TestGoldenCLI:
     def test_bad_tolerance_flag_is_clean_error(self, tmp_path):
         with pytest.raises(SystemExit, match="metric=limit"):
             self._capture(tmp_path, "--tolerance", "oops")
-
-
-class TestBenchCLI:
-    def _run(self, tmp_path, name, extra=()):
-        out = tmp_path / f"BENCH_{name}.json"
-        args = ["bench", "run", "--suite", "small", "--name", name,
-                "-o", str(out), "--dim", "8", "--iterations", "1",
-                "--repeats", "1", "--epochs", "1", *extra]
-        assert main(args) == 0
-        return out
-
-    def test_run_emits_bench_json(self, capsys, tmp_path):
-        import json
-
-        out = self._run(tmp_path, "fast")
-        printed = capsys.readouterr().out
-        assert "small" in printed and "wrote" in printed
-        payload = json.loads(out.read_text())
-        assert payload["variant"] == "compiled"
-        metrics = payload["suites"]["small"]
-        for key in ("forward_s", "backward_s", "train_epoch_s",
-                    "nodes_per_s", "tracemalloc_peak_mb", "peak_rss_kb"):
-            assert key in metrics
-
-    def test_reference_variant_recorded(self, capsys, tmp_path):
-        import json
-
-        out = self._run(tmp_path, "ref", extra=("--reference",))
-        assert json.loads(out.read_text())["variant"] == "reference"
-
-    def test_unknown_suite_rejected(self, tmp_path):
-        with pytest.raises(SystemExit, match="unknown bench suite"):
-            main(["bench", "run", "--suite", "gigantic",
-                  "-o", str(tmp_path / "x.json")])
-
-    def test_compare(self, capsys, tmp_path):
-        import json
-
-        a = self._run(tmp_path, "one")
-        b = self._run(tmp_path, "two")
-        capsys.readouterr()
-        assert main(["bench", "compare", str(a), str(b)]) == 0
-        out = capsys.readouterr().out
-        assert "train_epoch_s" in out and "speedup" in out
-        assert main(["bench", "compare", str(a), str(b),
-                     "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["rows"]
-
-    def test_aggregator_suite_runs(self, capsys, tmp_path):
-        import json
-
-        out = tmp_path / "BENCH_agg.json"
-        assert main(["bench", "run", "--suite", "default_conv_sum",
-                     "--name", "agg", "-o", str(out), "--dim", "8",
-                     "--iterations", "1", "--repeats", "1",
-                     "--epochs", "1"]) == 0
-        metrics = json.loads(out.read_text())["suites"]["default_conv_sum"]
-        assert metrics["aggregator"] == "conv_sum"
-        assert metrics["batches"] > 1
-
-    def test_compare_reports_missing_suites(self, capsys, tmp_path):
-        import json
-
-        def bench_file(path, suites):
-            payload = {
-                "name": path.stem, "variant": "compiled",
-                "suites": {
-                    s: {"train_epoch_s": 1.0, "forward_s": 1.0,
-                        "backward_s": 1.0, "tracemalloc_peak_mb": 1.0}
-                    for s in suites
-                },
-            }
-            path.write_text(json.dumps(payload))
-            return path
-
-        a = bench_file(tmp_path / "a.json", ["small", "renamed_away"])
-        b = bench_file(tmp_path / "b.json", ["small", "brand_new"])
-        assert main(["bench", "compare", str(a), str(b)]) == 0
-        out = capsys.readouterr().out
-        # a suite present in only one file must be called out, not
-        # silently dropped from the comparison
-        assert "missing suites" in out
-        assert "renamed_away" in out and "brand_new" in out
-        assert main(["bench", "compare", str(a), str(b),
-                     "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["missing_suites"] == {
-            "old_only": ["renamed_away"], "new_only": ["brand_new"],
-        }
-
-    def test_compare_min_speedup_gate(self, capsys, tmp_path):
-        # identical files give ~1x; an absurd bar must fail the gate,
-        # and the gate only watches the deep suite (absent here -> fail)
-        a = self._run(tmp_path, "one")
-        assert main(["bench", "compare", str(a), str(a),
-                     "--min-speedup", "1000"]) == 1
-
-    def test_compare_missing_file_is_clean_error(self, tmp_path):
-        with pytest.raises(SystemExit, match="no such bench file"):
-            main(["bench", "compare", str(tmp_path / "nope.json"),
-                  str(tmp_path / "nope2.json")])
-
-    def test_run_has_no_backend_option(self, capsys, tmp_path):
-        # every GEMM is np.matmul; there is no kernel backend to pick
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "run", "--backend", "numpy",
-                  "-o", str(tmp_path / "x.json")])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
 class TestServeQueryCLI:
