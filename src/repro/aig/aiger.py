@@ -44,9 +44,11 @@ def _statements(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
 def _parse_lines(lines: Iterable[str], name: str) -> AIG:
     """Streaming parser core: consumes lines one at a time.
 
-    Each statement is validated as it arrives and only the decoded AND
-    table is retained, so peak memory is one line of text plus the
-    ``(A, 2)`` output array — not a second copy of the file.
+    Each statement is validated as it arrives (an output literal once
+    the AND lines are read), so every structural error names its line.
+    Only the decoded AND table is retained, so peak memory is one line
+    of text plus the ``(A, 2)`` output array — not a second copy of the
+    file.
     """
     it = _statements(lines)
     header_item = next(it, None)
@@ -94,12 +96,14 @@ def _parse_lines(lines: Iterable[str], name: str) -> AIG:
                 line=lineno,
             )
     outputs = []
+    output_lines = []
     for k in range(o):
         lineno, ln = next_body()
         lits = _ints(ln, lineno)
         if len(lits) != 1:
             raise AigerError(f"bad output line {ln!r}", line=lineno)
         outputs.append(lits[0])
+        output_lines.append(lineno)
     ands = np.empty((a, 2), dtype=np.int64)
     for k in range(a):
         lineno, ln = next_body()
@@ -107,13 +111,27 @@ def _parse_lines(lines: Iterable[str], name: str) -> AIG:
         if len(lits) != 3:
             raise AigerError(f"bad AND line {ln!r}", line=lineno)
         lhs, rhs0, rhs1 = lits
-        if lhs != 2 * (i + 1 + k):
+        var = i + 1 + k
+        if lhs != 2 * var:
             raise AigerError(
-                f"AND {k} has literal {lhs}; expected canonical {2 * (i + 1 + k)}",
+                f"AND {k} has literal {lhs}; expected canonical {2 * var}",
                 line=lineno,
             )
+        for lit in (rhs0, rhs1):
+            if lit < 0 or lit >> 1 >= var:
+                raise AigerError(
+                    f"AND var {var}: fan-in literal {lit} is not an earlier "
+                    "variable (AIG must be topologically ordered)",
+                    line=lineno,
+                )
         ands[k, 0] = rhs0
         ands[k, 1] = rhs1
+    # an output may name an AND a later line defines, so outputs are
+    # checked once every AND line has been read
+    for lit, lineno in zip(outputs, output_lines):
+        if lit < 0 or lit >> 1 > i + a:
+            raise AigerError(f"output literal {lit} out of range", line=lineno)
+    # the checks above are the AIG's own; its constructor is the backstop
     try:
         return AIG(i, ands, outputs, name)
     except ValueError as exc:

@@ -104,20 +104,29 @@ class AIG:
         self.ands = np.asarray(ands, dtype=np.int64).reshape(-1, 2)
         self.outputs = list(int(o) for o in outputs)
         self._levels: Optional[np.ndarray] = None
+        #: set by :meth:`repro.synth.StrashBuilder.build` alone: the AIG is
+        #: a strash fixed point, so :func:`repro.synth.strash` returns it
+        self._strashed = False
         self._validate()
 
     # -- construction helpers -------------------------------------------
     def _validate(self) -> None:
+        """Reject a fan-in that is negative or not an earlier variable,
+        naming the first offender in row order (an AND's first fan-in
+        before its second), and an out-of-range output literal."""
+        ands = self.ands
+        if ands.size:
+            first_and_var = 1 + self.num_pis
+            var = np.arange(first_and_var, first_and_var + len(ands))
+            bad = (ands < 0) | ((ands >> 1) >= var[:, None])
+            if bad.any():
+                i, k = divmod(int(bad.argmax()), 2)
+                raise ValueError(
+                    f"AND var {first_and_var + i}: fan-in literal "
+                    f"{ands[i, k]} is not an earlier variable (AIG must be "
+                    "topologically ordered)"
+                )
         n_vars = self.num_vars
-        first_and_var = 1 + self.num_pis
-        for i, (a, b) in enumerate(self.ands):
-            var = first_and_var + i
-            for lit in (a, b):
-                if lit < 0 or lit_var(int(lit)) >= var:
-                    raise ValueError(
-                        f"AND var {var}: fan-in literal {lit} is not an "
-                        "earlier variable (AIG must be topologically ordered)"
-                    )
         for o in self.outputs:
             if o < 0 or lit_var(o) >= n_vars:
                 raise ValueError(f"output literal {o} out of range")
@@ -308,12 +317,11 @@ class GateGraph:
     # -- structure --------------------------------------------------------
     def levels(self) -> np.ndarray:
         """Per-node logic level; PIs at level 0, every edge adds one."""
-        lv = np.zeros(self.num_nodes, dtype=np.int64)
-        fanins = self.fanin_lists()
-        for v in range(self.num_nodes):
-            if fanins[v]:
-                lv[v] = 1 + max(lv[u] for u in fanins[v])
-        return lv
+        lv = [0] * self.num_nodes
+        for v, fanins in enumerate(self.fanin_lists()):
+            if fanins:
+                lv[v] = 1 + max([lv[u] for u in fanins])
+        return np.asarray(lv, dtype=np.int64)
 
     def depth(self) -> int:
         return int(self.levels().max()) if self.num_nodes else 0
@@ -321,15 +329,15 @@ class GateGraph:
     def fanin_lists(self) -> List[List[int]]:
         """Predecessor list per node."""
         fanins: List[List[int]] = [[] for _ in range(self.num_nodes)]
-        for u, v in self.edges:
-            fanins[int(v)].append(int(u))
+        for u, v in self.edges.tolist():
+            fanins[v].append(u)
         return fanins
 
     def fanout_lists(self) -> List[List[int]]:
         """Successor list per node."""
         fanouts: List[List[int]] = [[] for _ in range(self.num_nodes)]
-        for u, v in self.edges:
-            fanouts[int(u)].append(int(v))
+        for u, v in self.edges.tolist():
+            fanouts[u].append(v)
         return fanouts
 
     def validate(self) -> None:

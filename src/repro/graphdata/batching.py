@@ -303,15 +303,17 @@ def _fold_skip(
 
 def _rank_major(
     g: LevelGroup, edge_attr_dim: Optional[int]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """A group's nodes and folded edges in rank-major order.
+) -> Tuple[np.ndarray, np.ndarray, SegmentLayout, Optional[np.ndarray]]:
+    """A group's nodes and folded edges in rank-major order, and the
+    segment layout of its edges.
 
     Nodes run by in-degree, descending and stable; edges run rank by
     rank — every node's first in-edge, then the second in-edge of every
     node that has one, and so on, each rank in node order.  Every node of
     a level group has an in-edge, so rank ``r`` feeds the node prefix
     ``0..c_r-1`` and each per-target reduction over the group is a chain
-    of slice ops (see :class:`~repro.nn.kernels.SegmentLayout`).
+    of slice ops (see :class:`~repro.nn.kernels.SegmentLayout`); the
+    layout takes the rank sizes the edge ordering computed.
     """
     src, seg, edge_attr = _fold_skip(g, edge_attr_dim)
     n = len(g.nodes)
@@ -319,20 +321,21 @@ def _rank_major(
     pos = np.empty(n, np.int64)
     pos[node_order] = np.arange(n)
     seg = pos[seg]
-    edge_order, _ = segment_rank_order(seg)
+    edge_order, rank_sizes = segment_rank_order(seg)
     if edge_attr is not None:
         edge_attr = edge_attr[edge_order]
-    return g.nodes[node_order], src[edge_order], seg[edge_order], edge_attr
+    layout = SegmentLayout(seg[edge_order], n, rank_sizes)
+    return g.nodes[node_order], src[edge_order], layout, edge_attr
 
 
 def _gather_plan(
-    src: np.ndarray, prov: np.ndarray, num_nodes: int
+    src: np.ndarray, from_input: np.ndarray, num_nodes: int
 ) -> List[GatherSplit]:
-    """Split a group's sources by provenance (``prov < 0``: pass input)."""
+    """Split a group's sources into those read from the pass input
+    (``from_input``) and those written earlier in the pass."""
     plan: List[GatherSplit] = []
     if not src.size:
         return plan
-    from_input = prov < 0
     for pass_input, mask in ((True, from_input), (False, ~from_input)):
         if mask.all():
             positions, chosen = None, src
@@ -356,14 +359,21 @@ class CompiledGroup:
     ``edge_attr`` the matching zero/PE attribute block), nodes and edges
     are laid out rank-major (see :func:`_rank_major`), the gate-type
     feature rows are pre-gathered, and the segment rank plan is built.
+    The source-gradient routing plan, which only a backward reads, is
+    built on first access (:attr:`gather_plan`).
     """
 
     nodes: np.ndarray
     src: np.ndarray
     seg: np.ndarray
     seg_layout: SegmentLayout
-    gather_plan: List[GatherSplit]
     x_rows: np.ndarray
+    #: per source, whether the group reads it from the pass input (no
+    #: earlier group had written the row); dropped once
+    #: :attr:`gather_plan` is built from it
+    from_input: Optional[np.ndarray]
+    #: the pass-wide node count: the routing plan's layouts span it
+    num_rows: int
     edge_attr: Optional[np.ndarray] = None
     #: row offsets of this group within its schedule's (or window's)
     #: block layout (see :class:`PassBlock`): nodes occupy
@@ -371,6 +381,18 @@ class CompiledGroup:
     #: axis, edges likewise on the edge axis
     node_offset: int = 0
     edge_offset: int = 0
+    _gather_plan: Optional[List[GatherSplit]] = field(default=None, repr=False)
+
+    @property
+    def gather_plan(self) -> List[GatherSplit]:
+        """The group's source-gradient routing, one :class:`GatherSplit`
+        per destination, built on first access and kept."""
+        if self._gather_plan is None:
+            self._gather_plan = _gather_plan(
+                self.src, self.from_input, self.num_rows
+            )
+            self.from_input = None
+        return self._gather_plan
 
 
 @dataclass
@@ -527,16 +549,17 @@ def _compile_groups(
     node_offset = 0
     edge_offset = 0
     for gi, g in enumerate(schedule):
-        nodes, src, seg, edge_attr = _rank_major(g, edge_attr_dim)
+        nodes, src, layout, edge_attr = _rank_major(g, edge_attr_dim)
         prov = writer[src]
         groups.append(
             CompiledGroup(
                 nodes=nodes,
                 src=src,
-                seg=seg,
-                seg_layout=SegmentLayout(seg, len(nodes)),
-                gather_plan=_gather_plan(src, prov, num_nodes),
+                seg=layout.segment_ids,
+                seg_layout=layout,
                 x_rows=np.ascontiguousarray(x[nodes]),
+                from_input=prov < 0,
+                num_rows=num_nodes,
                 edge_attr=edge_attr,
                 node_offset=node_offset,
                 edge_offset=edge_offset,
@@ -561,8 +584,10 @@ class CompiledSchedule:
     the pass input and rows written earlier in the pass.  The plan lets
     the runner gather from a single working matrix, materialise the
     state exactly once per pass, and route source gradients with at most
-    two scatters per group.  :meth:`block` and :meth:`walk_plan` cache
-    the backward's packed layout and the forward walk's per-group plan.
+    two scatters per group; each group builds it on first access from
+    its provenance mask, so a schedule that only runs inference never
+    builds one.  :meth:`block` and :meth:`walk_plan` cache the
+    backward's packed layout and the forward walk's per-group plan.
     """
 
     def __init__(

@@ -102,12 +102,24 @@ class SegmentLayout:
                     ``(R, num_segments)`` grid.  A single segment of three
                     or more ranks is left out: NumPy reduces a lone
                     contiguous row pairwise, not in rank order.
+
+    ``rank_sizes`` is for a caller that laid the ids out rank-major
+    itself and holds the element count of each rank (a compiled level
+    group's :func:`segment_rank_order` sizes): the layout then takes the
+    rank-major form without sorting the ids again.  The caller vouches
+    for the order; only whether rank 0 covers every segment is checked,
+    and if it does not, the ids are laid out as usual.
     """
 
     __slots__ = ("segment_ids", "num_segments", "ranks", "rank_major",
                  "grid", "_counts")
 
-    def __init__(self, segment_ids: np.ndarray, num_segments: int):
+    def __init__(
+        self,
+        segment_ids: np.ndarray,
+        num_segments: int,
+        rank_sizes: Optional[np.ndarray] = None,
+    ):
         ids = np.asarray(segment_ids, dtype=np.int64).reshape(-1)
         if ids.size:
             lo, hi = int(ids.min()), int(ids.max())
@@ -124,12 +136,14 @@ class SegmentLayout:
         self.grid = False
         if not ids.size:
             return
-        perm, sizes = segment_rank_order(ids)
+        known = rank_sizes is not None and rank_sizes[0] == self.num_segments
+        perm, sizes = (None, rank_sizes) if known else segment_rank_order(ids)
         ends = np.cumsum(sizes)
         bounds = zip([0] + ends[:-1].tolist(), ends.tolist())
-        # already in rank order, rank 0 covering every segment, and each
-        # rank's (ascending) ids ending at c_r - 1, i.e. exactly 0..c_r-1
-        self.rank_major = bool(
+        # laid out rank-major by the caller, or already in rank order with
+        # rank 0 covering every segment and each rank's (ascending) ids
+        # ending at c_r - 1, i.e. exactly 0..c_r-1
+        self.rank_major = known or bool(
             sizes[0] == self.num_segments
             and (perm == np.arange(ids.size)).all()
             and (ids[ends - 1] == sizes - 1).all()

@@ -146,11 +146,13 @@ class QueryResponse(Message):
     of the canonical AIG's gate graph (PIs, then AND/NOT gates in
     topological order).  ``structural_hash`` is the compilation-cache
     key; ``cache_hit`` says the compiled circuit was reused, and
-    ``coalesced`` how many concurrent requests were answered by the same
-    fused propagation pass (1 = this request alone).  A request whose
-    structure and iteration count the cache entry has already answered
-    gets the stored predictions back without a pass, with
-    ``coalesced=1``.
+    ``coalesced`` how many requests the propagation pass that computed
+    the predictions answered: the request that submitted it, every
+    request that waited on it while it was queued or running, and (in
+    ``merged`` batch mode) the requests of the circuits fused into it;
+    1 = this request alone.  A request whose structure and iteration
+    count the cache entry has already answered gets the stored
+    predictions back without a pass, with ``coalesced=1``.
     """
 
     TYPE_NAME: ClassVar[str] = "repro.serve.query.response"
@@ -217,9 +219,11 @@ class ErrorReply(Message):
 class StatsReply(Message):
     """Server counters: the cache-hit observability surface.
 
-    ``memo_hits`` counts requests answered from a cache entry's stored
-    predictions; every other answered request went through the batcher
-    (``batched_requests``).
+    ``memo_hits`` counts requests answered without submitting a pass of
+    their own: from a cache entry's stored predictions, or by waiting on
+    the pass another request submitted for the same structure and
+    iteration count.  Every other answered request went through the
+    batcher (``batched_requests``), one pass each.
     """
 
     TYPE_NAME: ClassVar[str] = "repro.serve.stats"

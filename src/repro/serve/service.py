@@ -13,20 +13,23 @@ Request flow (handler thread):
 4. if the entry already holds predictions for the request's iteration
    count, return those stored predictions on this thread — no batcher,
    no coalescing window, no propagation pass;
-5. otherwise submit to the micro-batcher and block for predictions.
+5. otherwise, if a pass for the structure and iteration count is already
+   queued or running, wait for that pass and return its predictions;
+   else submit one pass to the micro-batcher and block for it.  Either
+   way one pass per in-flight (structure, iteration count) answers every
+   request that arrives before it finishes.  A failed pass fails the
+   requests waiting on it, and the next request submits a new one.
 
-Batch cycle (worker thread): jobs are grouped by (structural hash,
-iteration override) and each **unique** circuit runs one fused
-propagation pass — K concurrent submissions of the same structure are
-answered by a single pass, which keeps every response bitwise identical
-to the serial single-request path.  Each computed group's predictions
-are stored on its cache entry, so later queries for that structure and
-iteration count get the same array back (step 4); the stored
-predictions live and die with the LRU entry.  ``batch_mode="merged"``
-additionally fuses *distinct* circuits of a cycle into one
-disjoint-union pass via the singles' cached schedules
-(:func:`repro.graphdata.merge_prepared`); that mode trades strict
-bitwise reproducibility (BLAS kernels may round differently on
+Batch cycle (worker thread): every job is a distinct (structural hash,
+iteration override) — step 5 makes it so — and runs one propagation
+pass, which keeps every response bitwise identical to the serial
+single-request path.  Each pass's predictions are stored on its cache
+entry, so later queries for that structure and iteration count get the
+same array back (step 4); the stored predictions live and die with the
+LRU entry.  ``batch_mode="merged"`` additionally fuses *distinct*
+circuits of a cycle into one disjoint-union pass via the singles' cached
+schedules (:func:`repro.graphdata.merge_prepared`); that mode trades
+strict bitwise reproducibility (BLAS kernels may round differently on
 different row counts — differences are ~1 ulp) for fewer passes under
 heterogeneous load, so it is opt-in, and the parts it stores keep that
 ~1-ulp contract.
@@ -81,9 +84,8 @@ class CompiledCircuit:
     internally, so repeat queries skip all compilation.  ``predictions``
     maps the iteration override a pass ran with (``None``: the model's
     own count) to that pass's read-only output, so repeat queries skip
-    the model too.  Only the batcher thread writes it and handler threads
-    only read it, each through one dict operation, which the interpreter
-    lock makes atomic.
+    the model too.  The batcher thread writes it and handler threads
+    read it, both under the service's pass lock.
     """
 
     key: str
@@ -119,10 +121,36 @@ def canonicalize(aig: AIG) -> Tuple[str, AIG]:
     return key, canonical
 
 
-@dataclass
 class _Job:
-    entry: CompiledCircuit
-    num_iterations: Optional[int]
+    """One pass queued or running for a (structure, iteration override).
+
+    The request that found no pass submits this object to the batcher as
+    its job and blocks there; every later request for the same pair
+    waits on ``done`` instead.  ``requests`` counts the owner and its
+    waiters; the service's pass lock guards it and the settling.
+    """
+
+    __slots__ = ("entry", "iters", "requests", "done", "result", "error")
+
+    def __init__(self, entry: CompiledCircuit, iters: Optional[int]):
+        self.entry = entry
+        self.iters = iters
+        self.requests = 1
+        self.done = threading.Event()
+        self.result: Optional[Tuple[np.ndarray, int]] = None
+        self.error: Optional[BaseException] = None
+
+    def settle(self, result=None, error=None) -> None:
+        """Answer the waiters, once (call under the pass lock)."""
+        if not self.done.is_set():
+            self.result, self.error = result, error
+            self.done.set()
+
+    def wait(self) -> Tuple[np.ndarray, int]:
+        self.done.wait()
+        if self.error is not None:
+            raise self.error
+        return self.result  # type: ignore[return-value]
 
 
 class InferenceService:
@@ -158,6 +186,12 @@ class InferenceService:
         self._requests = 0
         self._errors = 0
         self._memo_hits = 0
+        # the pass queued or running per (structure, override); the lock
+        # also covers storing predictions, so a request either sees them
+        # or finds the pass that will store them
+        self._pass_lock = threading.Lock()
+        self._passes: Dict[Tuple[str, Optional[int]], _Job] = {}
+        self._closed = False
 
     # -- request path (handler threads) ---------------------------------
     def compile_circuit(self, text: str, fmt: str) -> Tuple[CompiledCircuit, bool]:
@@ -187,18 +221,10 @@ class InferenceService:
                         "num_iterations cannot be overridden"
                     )
                 if iters == self.model.num_iterations:
-                    # the model's own count: same batch group, same memo slot
+                    # the model's own count: same pass, same memo slot
                     iters = None
             entry, cache_hit = self.compile_circuit(request.circuit, request.fmt)
-            predictions = entry.predictions.get(iters)
-            if predictions is None:
-                predictions, coalesced = self.batcher.submit(_Job(entry, iters))
-            else:
-                if self.batcher.closed:
-                    raise BatcherClosed("micro-batcher is closed")
-                coalesced = 1
-                with self._counter_lock:
-                    self._memo_hits += 1
+            predictions, coalesced = self._predictions(entry, iters)
         except Exception:
             with self._counter_lock:
                 self._errors += 1
@@ -216,6 +242,51 @@ class InferenceService:
             elapsed_ms=elapsed_ms,
         )
 
+    def _predictions(
+        self, entry: CompiledCircuit, iters: Optional[int]
+    ) -> Tuple[np.ndarray, int]:
+        """``entry``'s predictions for ``iters`` and the number of requests
+        the pass that computed them answered (1 for stored predictions).
+
+        Stored predictions answer on this thread.  Otherwise the request
+        waits on the pass already queued or running for the pair, or
+        submits one.  Every request answered without submitting a pass
+        of its own counts as a memo hit.
+        """
+        key = (entry.key, iters)
+        with self._pass_lock:
+            if self._closed:
+                raise BatcherClosed("micro-batcher is closed")
+            predictions = entry.predictions.get(iters)
+            job = None if predictions is not None else self._passes.get(key)
+            owner = predictions is None and job is None
+            if owner:
+                job = self._passes[key] = _Job(entry, iters)
+            elif job is not None:
+                job.requests += 1
+        if owner:
+            try:
+                return self.batcher.submit(job)
+            except BaseException as exc:
+                with self._pass_lock:
+                    self._retire(job, error=exc)
+                raise
+        predictions, coalesced = (predictions, 1) if job is None else job.wait()
+        if self._closed:
+            raise BatcherClosed("micro-batcher is closed")
+        with self._counter_lock:
+            self._memo_hits += 1
+        return predictions, coalesced
+
+    def _retire(self, job: _Job, result=None, error=None) -> None:
+        """Unregister ``job``, so the next request for its pair finds the
+        stored predictions or submits a new pass, and answer its waiters
+        (call under the pass lock)."""
+        key = (job.entry.key, job.iters)
+        if self._passes.get(key) is job:
+            del self._passes[key]
+        job.settle(result, error)
+
     # -- batch cycle (worker thread) -------------------------------------
     def _predict(self, prepared: PreparedBatch, num_iterations: Optional[int]):
         if num_iterations is not None:
@@ -225,55 +296,61 @@ class InferenceService:
         return np.asarray(out.data, dtype=np.float32)
 
     def _run_cycle(self, jobs: List[_Job]) -> List[object]:
-        # group by (structure, iteration override): each unique group runs
-        # ONE pass and every job in it shares the result bitwise
-        groups: Dict[Tuple[str, Optional[int]], List[int]] = {}
-        for idx, job in enumerate(jobs):
-            groups.setdefault((job.entry.key, job.num_iterations), []).append(idx)
-        results: List[object] = [None] * len(jobs)
+        # each job is a distinct (structure, override): one pass apiece
         with no_grad():
-            if self.batch_mode == "merged" and len(groups) > 1:
-                self._run_merged(jobs, groups, results)
-            else:
-                for (key, iters), indices in groups.items():
-                    entry = jobs[indices[0]].entry
-                    try:
-                        preds = self._predict(entry.prepared, iters)
-                    except Exception as exc:  # noqa: BLE001 - fail this group only
-                        for idx in indices:
-                            results[idx] = exc
-                        continue
-                    _remember(jobs, indices, iters, preds, len(indices), results)
+            if self.batch_mode == "merged" and len(jobs) > 1:
+                return self._run_merged(jobs)
+            results: List[object] = []
+            for job in jobs:
+                try:
+                    preds = self._predict(job.entry.prepared, job.iters)
+                except Exception as exc:  # noqa: BLE001 - fail this pass only
+                    results.append(exc)
+                    continue
+                results.extend(self._store([job], [preds]))
         return results
 
-    def _run_merged(
-        self,
-        jobs: List[_Job],
-        groups: Dict[Tuple[str, Optional[int]], List[int]],
-        results: List[object],
-    ) -> None:
+    def _run_merged(self, jobs: List[_Job]) -> List[object]:
         """Fuse a cycle's distinct circuits into one pass per iteration
         override (predictions match the per-circuit path to ~1 ulp, not
         bitwise — that is why this mode is opt-in)."""
-        by_iters: Dict[Optional[int], List[Tuple[str, List[int]]]] = {}
-        for (key, iters), indices in groups.items():
-            by_iters.setdefault(iters, []).append((key, indices))
-        for iters, members in by_iters.items():
-            entries = [jobs[indices[0]].entry for _, indices in members]
-            coalesced = sum(len(indices) for _, indices in members)
+        by_iters: Dict[Optional[int], List[int]] = {}
+        for idx, job in enumerate(jobs):
+            by_iters.setdefault(job.iters, []).append(idx)
+        results: List[object] = [None] * len(jobs)
+        for iters, indices in by_iters.items():
+            members = [jobs[idx] for idx in indices]
             try:
-                merged = merge_prepared([e.prepared for e in entries])
+                merged = merge_prepared([job.entry.prepared for job in members])
                 preds = self._predict(merged, iters)
             except Exception as exc:  # noqa: BLE001 - fail this pass's jobs
-                for _, indices in members:
-                    for idx in indices:
-                        results[idx] = exc
+                for idx in indices:
+                    results[idx] = exc
                 continue
-            offsets = np.cumsum([0] + [e.num_nodes for e in entries])
-            for (_, indices), lo, hi in zip(members, offsets[:-1], offsets[1:]):
-                # a copy: a stored view would keep the merged array alive
-                part = preds[lo:hi].copy()
-                _remember(jobs, indices, iters, part, coalesced, results)
+            offsets = np.cumsum([0] + [job.entry.num_nodes for job in members])
+            # copies: a stored view would keep the merged array alive
+            parts = [preds[lo:hi].copy() for lo, hi in zip(offsets[:-1], offsets[1:])]
+            for idx, result in zip(indices, self._store(members, parts)):
+                results[idx] = result
+        return results
+
+    def _store(
+        self, jobs: List[_Job], parts: List[np.ndarray]
+    ) -> List[Tuple[np.ndarray, int]]:
+        """Store each job's predictions on its entry, retire the jobs and
+        answer their waiters; returns the submitters' answers.  One model
+        pass computed all of ``parts``, so ``coalesced`` counts every
+        request they answered.  Every answer for a slot is the read-only
+        array memo hits return later."""
+        answers = []
+        with self._pass_lock:
+            coalesced = sum(job.requests for job in jobs)
+            for job, part in zip(jobs, parts):
+                part.flags.writeable = False
+                job.entry.predictions[job.iters] = part
+                answers.append((part, coalesced))
+                self._retire(job, answers[-1])
+        return answers
 
     # -- observability / lifecycle ---------------------------------------
     def stats(self) -> StatsReply:
@@ -299,24 +376,14 @@ class InferenceService:
         )
 
     def close(self) -> None:
+        """Stop answering: requests waiting on a pass fail at once with
+        :class:`BatcherClosed`, as memo hits do from now on; the batcher
+        then finishes the passes it holds for their submitters."""
+        with self._pass_lock:
+            self._closed = True
+            for job in self._passes.values():
+                job.settle(error=BatcherClosed("micro-batcher is closed"))
         self.batcher.close()
-
-
-def _remember(
-    jobs: List[_Job],
-    indices: List[int],
-    iters: Optional[int],
-    preds: np.ndarray,
-    coalesced: int,
-    results: List[object],
-) -> None:
-    """Store one computed group's predictions on its entry and answer its
-    jobs.  A slot an earlier cycle filled keeps its array, and the jobs
-    get that array, so every answer for a slot is the one hits return."""
-    preds.flags.writeable = False
-    for idx in indices:
-        stored = jobs[idx].entry.predictions.setdefault(iters, preds)
-        results[idx] = (stored, coalesced)
 
 
 def service_from_checkpoint(path, **kwargs) -> InferenceService:

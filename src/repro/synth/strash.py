@@ -20,7 +20,6 @@ from ..aig.graph import (
     AIG,
     CONST0_LIT,
     CONST1_LIT,
-    lit_is_negated,
     lit_make,
     lit_negate,
     lit_var,
@@ -64,59 +63,50 @@ class StrashBuilder:
 
     # -- core -------------------------------------------------------------
     def add_and(self, a: int, b: int) -> int:
-        """Return a literal computing ``a & b``, reusing structure."""
+        """Return a literal computing ``a & b``, reusing structure.
+
+        Every strash runs this once per AND, so it works on plain ints
+        with the rules inlined: ``lit >> 1`` is a literal's variable and
+        ``lit ^ 1`` its complement.
+        """
         if a > b:
             a, b = b, a
         # constants and trivial identities
         if a == CONST0_LIT:
             return CONST0_LIT
-        if a == CONST1_LIT:
+        if a == CONST1_LIT or a == b:
             return b
-        if a == b:
-            return a
-        if a == lit_negate(b):
+        if a == b ^ 1:
             return CONST0_LIT
-        # one-level containment / contradiction rules
-        simplified = self._one_level_rule(a, b)
-        if simplified is not None:
-            return simplified
+        # one-level rules when b is a non-complemented AND: containment
+        # a & (a & c) = (a & c) and contradiction a & (!a & c) = 0.  An
+        # AND's fan-ins and their complements are below its own literal,
+        # so they can never equal the larger operand b: expanding a
+        # instead never applies
+        first_and = 1 + self.num_pis
+        ands = self._ands
+        if not b & 1 and b >> 1 >= first_and:
+            f0, f1 = ands[(b >> 1) - first_and]
+            if a == f0 or a == f1:
+                return b
+            if a ^ 1 == f0 or a ^ 1 == f1:
+                return CONST0_LIT
         key = (a, b)
         var = self._table.get(key)
         if var is None:
-            var = 1 + self.num_pis + len(self._ands)
-            for lit in (a, b):
-                if lit_var(lit) >= var:
-                    raise ValueError(f"fan-in literal {lit} not yet defined")
-            self._ands.append(key)
+            var = first_and + len(ands)
+            if b >> 1 >= var:
+                lit = a if a >> 1 >= var else b
+                raise ValueError(f"fan-in literal {lit} not yet defined")
+            ands.append(key)
             self._table[key] = var
-            self._levels.append(
-                1 + max(self._levels[lit_var(a)], self._levels[lit_var(b)])
-            )
-        return lit_make(var)
+            levels = self._levels
+            levels.append(1 + max(levels[a >> 1], levels[b >> 1]))
+        return var << 1
 
     def level_of(self, lit: int) -> int:
         """Logic level of the variable behind ``lit`` (PIs/consts at 0)."""
         return self._levels[lit_var(lit)]
-
-    def _fanins_of(self, lit: int) -> Optional[Tuple[int, int]]:
-        """Fan-in literals if ``lit`` is a non-complemented AND, else None."""
-        var = lit_var(lit)
-        if lit_is_negated(lit) or var <= self.num_pis or var == 0:
-            return None
-        return self._ands[var - 1 - self.num_pis]
-
-    def _one_level_rule(self, a: int, b: int) -> Optional[int]:
-        """ABC-style one-level rules on ``a & b`` (a, b ordered)."""
-        for x, y in ((a, b), (b, a)):
-            fan = self._fanins_of(y)
-            if fan is None:
-                continue
-            f0, f1 = fan
-            if x == f0 or x == f1:  # a & (a & b) = (a & b)
-                return y
-            if x == lit_negate(f0) or x == lit_negate(f1):  # a & (!a & b) = 0
-                return CONST0_LIT
-        return None
 
     # -- convenience logic ops (used by transform and generators) ---------
     def add_not(self, a: int) -> int:
@@ -193,32 +183,41 @@ class StrashBuilder:
         return len(self._ands)
 
     def build(self, name: Optional[str] = None) -> AIG:
+        """The AIG built so far, marked as a strash fixed point.
+
+        Every AND went through :meth:`add_and`, so rebuilding the result
+        through a fresh builder re-creates each AND at its own index:
+        its fan-ins map to themselves, it is already ordered and
+        simplified, and no earlier AND shares its key.  :func:`strash`
+        therefore returns a marked AIG as is.
+        """
         ands = np.asarray(self._ands, dtype=np.int64).reshape(-1, 2)
-        return AIG(self.num_pis, ands, self._outputs, name or self.name)
+        aig = AIG(self.num_pis, ands, self._outputs, name or self.name)
+        aig._strashed = True
+        return aig
 
 
 def strash(aig: AIG) -> AIG:
     """Rebuild ``aig`` through a :class:`StrashBuilder`.
 
     Merges structurally identical nodes, propagates constants and applies
-    the one-level rules.  The result is functionally equivalent.
+    the one-level rules.  The result is functionally equivalent.  An AIG
+    a :class:`StrashBuilder` built (a strash output, or a
+    ``netlist_to_aig`` or ``balance`` one) is returned as is: the rebuild
+    would reproduce it exactly (see :meth:`StrashBuilder.build`).
     """
+    if aig._strashed:
+        return aig
     b = StrashBuilder(aig.num_pis, aig.name)
-    old_to_new = np.zeros(aig.num_vars, dtype=np.int64)
-    old_to_new[0] = CONST0_LIT
-    for i in range(aig.num_pis):
-        old_to_new[1 + i] = b.pi_lit(i)
-
-    def map_lit(lit: int) -> int:
-        mapped = int(old_to_new[lit_var(lit)])
-        return lit_negate(mapped) if lit_is_negated(lit) else mapped
-
-    base = 1 + aig.num_pis
-    for i in range(aig.num_ands):
-        a, bb = (int(x) for x in aig.ands[i])
-        old_to_new[base + i] = b.add_and(map_lit(a), map_lit(bb))
+    add_and = b.add_and
+    # old variable -> new literal; constant 0 and the PIs map to themselves
+    lit_of = list(range(0, 2 * (1 + aig.num_pis), 2))
+    for a0, a1 in aig.ands.tolist():
+        lit_of.append(
+            add_and(lit_of[a0 >> 1] ^ (a0 & 1), lit_of[a1 >> 1] ^ (a1 & 1))
+        )
     for o in aig.outputs:
-        b.add_output(map_lit(o))
+        b.add_output(lit_of[o >> 1] ^ (o & 1))
     return b.build()
 
 

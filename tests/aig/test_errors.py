@@ -40,6 +40,27 @@ class TestLineNumbers:
             aiger.loads("aag 1 1 0 1 0\n2\nnonsense\n")
         assert info.value.line == 3
 
+    # structural faults surface with their line too, not only from the
+    # AIG constructor: (text, line, message)
+    STRUCTURAL = [
+        ("aag 3 1 0 1 2\n2\n6\n4 6 2\n6 2 2\n", 4,
+         "AND var 2: fan-in literal 6 is not an earlier variable"),
+        ("aag 3 1 0 1 2\n2\n6\n4 2 2\n6 -4 2\n", 5,
+         "AND var 3: fan-in literal -4 is not an earlier variable"),
+        ("aag 3 1 0 2 2\n2\n6\n8\n4 2 3\n6 4 2\n", 4,
+         "output literal 8 out of range"),
+    ]
+
+    @pytest.mark.parametrize(
+        "text,line,message", STRUCTURAL,
+        ids=["later_fanin", "negative_fanin", "output_out_of_range"],
+    )
+    def test_aiger_structural_fault_line(self, text, line, message):
+        with pytest.raises(aiger.AigerError) as info:
+            aiger.loads(text)
+        assert info.value.line == line
+        assert str(info.value).startswith(f"line {line}: {message}")
+
     def test_bench_bad_operator_line(self):
         with pytest.raises(NetlistError) as info:
             bench.loads("INPUT(a)\nb = FROB(a)\nOUTPUT(b)\n")

@@ -81,6 +81,13 @@ class TestErrorMapping:
         assert err.kind == "parse_error"
         assert err.line == 1
 
+    def test_non_topological_aiger_is_400_with_line(self, client):
+        with pytest.raises(ServeClientError) as info:
+            client.query("aag 3 1 0 1 2\n2\n6\n4 6 2\n6 2 2\n")
+        err = info.value
+        assert (err.status, err.kind, err.line) == (400, "parse_error", 4)
+        assert "[parse_error/400] line 4: AND var 2" in str(err)
+
     def test_malformed_bench_is_400_with_line(self, client):
         with pytest.raises(ServeClientError) as info:
             client.query("INPUT(a)\nb = FROB(a)\n", fmt="bench")

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +29,82 @@ def service(model):
     svc = InferenceService(model, model_label="test", max_wait_ms=0.0)
     yield svc
     svc.close()
+
+
+class GatedModel:
+    """A model whose every pass blocks until ``release`` is set, then
+    raises ``fail`` if one is given, else runs the wrapped model — so
+    concurrent requests can pile up on one pass in flight."""
+
+    def __init__(self, model):
+        self.model = model
+        self.num_iterations = model.num_iterations
+        self.release = threading.Event()
+        self.fail = None
+        self.passes = 0
+
+    def forward(self, prepared, num_iterations=None):
+        self.passes += 1
+        assert self.release.wait(timeout=30)
+        if self.fail is not None:
+            raise self.fail
+        return self.model.forward(prepared, num_iterations=num_iterations)
+
+
+class PassCounter:
+    """A model that counts its passes per (prepared batch, iteration
+    count); it keeps each batch alive so no id is reused."""
+
+    def __init__(self, model):
+        self.model = model
+        self.num_iterations = model.num_iterations
+        self.passes = {}
+        self._batches = []
+
+    def forward(self, prepared, num_iterations=None):
+        key = (id(prepared), num_iterations)
+        self.passes[key] = self.passes.get(key, 0) + 1
+        self._batches.append(prepared)
+        return self.model.forward(prepared, num_iterations=num_iterations)
+
+
+def wait_until(condition, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out waiting"
+        time.sleep(0.001)
+
+
+def requests_on_passes(svc):
+    """How many requests the queued or running passes will answer."""
+    with svc._pass_lock:
+        return sum(job.requests for job in svc._passes.values())
+
+
+def start_queries(svc, requests):
+    """One thread per request; returns (threads, outcomes), each outcome
+    the response or the raised exception, in request order."""
+    outcomes = [None] * len(requests)
+
+    def worker(i, request):
+        try:
+            outcomes[i] = svc.query(request)
+        except Exception as exc:  # noqa: BLE001 - collected for asserts
+            outcomes[i] = exc
+
+    threads = [
+        threading.Thread(target=worker, args=(i, r))
+        for i, r in enumerate(requests)
+    ]
+    for t in threads:
+        t.start()
+    return threads, outcomes
+
+
+def join_all(threads):
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
 
 
 def concurrent_queries(svc, texts, fmt="aiger"):
@@ -123,7 +200,7 @@ class TestBatchingDeterminism:
         for text, resp in zip(texts, responses):
             ref = ref_a if text is adder_aag else ref_c
             assert resp.predictions == ref.predictions  # bitwise: floats equal
-        # the wide window coalesced at least some companions
+        # requests for one structure shared its pass
         assert max(r.coalesced for r in responses) >= 2
 
     def test_merged_mode_close_to_serial(
@@ -144,7 +221,7 @@ class TestBatchingDeterminism:
             responses = concurrent_queries(svc, texts)
             # a repeat gets the stored merged part, exactly as first answered
             repeats = [svc.query(QueryRequest(circuit=t)) for t in texts[:2]]
-            memo_hits = svc.stats().memo_hits
+            stats = svc.stats()
         finally:
             svc.close()
         for text, resp in zip(texts, responses):
@@ -157,7 +234,9 @@ class TestBatchingDeterminism:
             assert diff < 1e-6
         for resp, again in zip(responses, repeats):
             assert again.predictions == resp.predictions
-        assert memo_hits == 2
+        # one pass per structure: the other four concurrent requests and
+        # both repeats are answered without one of their own
+        assert (stats.batched_requests, stats.memo_hits) == (2, 6)
 
     def test_unknown_batch_mode_rejected(self, model):
         with pytest.raises(ValueError, match="batch_mode"):
@@ -311,35 +390,124 @@ class TestPredictionMemo:
         self, model, adder_aag
     ):
         """``num_iterations`` equal to the model's own count is the plain
-        query: one group in the cycle, one memo slot."""
-        svc = InferenceService(model, max_wait_ms=5000.0, max_batch_size=2)
-        results = [None, None]
-        barrier = threading.Barrier(2)
-
-        def q(i, iters):
-            barrier.wait()
-            results[i] = svc.query(
-                QueryRequest(circuit=adder_aag, num_iterations=iters)
-            )
-
-        threads = [
-            threading.Thread(target=q, args=(0, None)),
-            threading.Thread(target=q, args=(1, model.num_iterations)),
-        ]
+        query: the second request waits on the first one's pass, and the
+        entry gets one memo slot."""
+        gated = GatedModel(model)
+        svc = InferenceService(gated, max_wait_ms=0.0)
+        threads, results = start_queries(svc, [
+            QueryRequest(circuit=adder_aag),
+            QueryRequest(circuit=adder_aag, num_iterations=model.num_iterations),
+        ])
         try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-                assert not t.is_alive()
+            wait_until(lambda: requests_on_passes(svc) == 2)
+            gated.release.set()
+            join_all(threads)
             stats = svc.stats()
             entry = svc.cache.peek(results[0].structural_hash)
         finally:
+            gated.release.set()
             svc.close()
-        assert stats.batches == 1
+        assert (gated.passes, stats.batches, stats.batched_requests) == (1, 1, 1)
+        assert stats.memo_hits == 1
         assert [r.coalesced for r in results] == [2, 2]
         assert results[0].predictions == results[1].predictions
         assert list(entry.predictions) == [None]
+
+
+class TestSingleFlight:
+    """A request for a structure whose pass is queued or running waits
+    for that pass instead of submitting its own."""
+
+    N = 6
+
+    def test_one_pass_answers_every_concurrent_request(
+        self, model, adder_bench
+    ):
+        texts = [adder_bench] + [
+            rename_bench(adder_bench, f"r{i}_") for i in range(self.N - 1)
+        ]
+        gated = GatedModel(model)
+        svc = InferenceService(gated, max_wait_ms=0.0)
+        threads, responses = start_queries(
+            svc, [QueryRequest(circuit=t, fmt="bench") for t in texts]
+        )
+        try:
+            wait_until(lambda: requests_on_passes(svc) == self.N)
+            gated.release.set()
+            join_all(threads)
+            stats = svc.stats()
+            entry = svc.cache.peek(responses[0].structural_hash)
+        finally:
+            gated.release.set()
+            svc.close()
+        key, preds = direct_forward(model, adder_bench, "bench", None)
+        for resp in responses:
+            assert resp.structural_hash == key
+            assert resp.predictions == preds
+            assert resp.coalesced == self.N
+        assert gated.passes == 1
+        assert (stats.batches, stats.batched_requests) == (1, 1)
+        assert stats.memo_hits == self.N - 1
+        assert stats.requests == self.N == stats.memo_hits + stats.batched_requests
+        assert (stats.errors, stats.cache_misses) == (0, 1)
+        assert list(entry.predictions) == [None]
+        assert svc._passes == {}
+
+    def test_failed_pass_fails_its_waiters_and_the_next_query_retries(
+        self, model, adder_aag
+    ):
+        gated = GatedModel(model)
+        gated.fail = RuntimeError("pass failed")
+        svc = InferenceService(gated, max_wait_ms=0.0)
+        threads, outcomes = start_queries(
+            svc, [QueryRequest(circuit=adder_aag)] * self.N
+        )
+        try:
+            wait_until(lambda: requests_on_passes(svc) == self.N)
+            gated.release.set()
+            join_all(threads)
+            assert gated.passes == 1
+            assert all(isinstance(o, RuntimeError) for o in outcomes)
+            assert svc._passes == {}
+            gated.fail = None
+            retry = svc.query(QueryRequest(circuit=adder_aag))
+            stats = svc.stats()
+        finally:
+            gated.release.set()
+            svc.close()
+        assert gated.passes == 2
+        assert retry.predictions == direct_forward(model, adder_aag, "aiger", None)[1]
+        assert retry.coalesced == 1
+        assert (stats.requests, stats.errors) == (self.N + 1, self.N)
+        assert (stats.batched_requests, stats.memo_hits) == (2, 0)
+
+    def test_close_fails_the_waiters(self, model, adder_aag):
+        gated = GatedModel(model)
+        svc = InferenceService(gated, max_wait_ms=0.0)
+        threads, outcomes = start_queries(
+            svc, [QueryRequest(circuit=adder_aag)] * self.N
+        )
+        closer = threading.Thread(target=svc.close)
+        try:
+            wait_until(lambda: requests_on_passes(svc) == self.N)
+            closer.start()
+            # the waiters fail while the pass is still running
+            wait_until(
+                lambda: sum(isinstance(o, BatcherClosed) for o in outcomes)
+                == self.N - 1
+            )
+            assert gated.passes == 1
+        finally:
+            gated.release.set()
+            join_all(threads)
+            closer.join(timeout=30)
+        answered = [o for o in outcomes if not isinstance(o, Exception)]
+        assert len(answered) == 1  # the submitter: the batcher finishes it
+        assert answered[0].coalesced == self.N
+        with pytest.raises(BatcherClosed):
+            svc.query(QueryRequest(circuit=adder_aag))
+        stats = svc.stats()
+        assert (stats.errors, stats.batched_requests) == (self.N, 1)
 
 
 class TestMemoStress:
@@ -384,7 +552,8 @@ class TestMemoStress:
         ]
         answers = [[] for _ in range(num_threads)]
         errors = []
-        svc = InferenceService(model, cache_size=2, max_wait_ms=0.5)
+        counted = PassCounter(model)
+        svc = InferenceService(counted, cache_size=2, max_wait_ms=0.5)
 
         def worker(t):
             try:
@@ -424,3 +593,7 @@ class TestMemoStress:
         assert stats.requests == stats.memo_hits + stats.batched_requests
         assert stats.memo_hits > 0
         assert stats.cache_evictions > 0
+        # single flight: no cache entry ran two passes for one iteration
+        # count, however the requests for it raced
+        assert max(counted.passes.values()) == 1
+        assert sum(counted.passes.values()) == stats.batched_requests
