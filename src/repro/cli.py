@@ -694,18 +694,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc)) from exc
     try:
         service = service_from_checkpoint(
-            path,
-            cache_size=args.cache_size,
-            max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms,
-            max_queue=args.max_queue,
-            batch_mode=args.batch_mode,
+            path, cache_size=args.cache_size, max_queue=args.max_queue
         )
     except ValueError as exc:
         raise SystemExit(f"cannot serve {path}: {exc}") from exc
-    server = ServeServer(
-        service, host=args.host, port=args.port, verbose=args.verbose
-    )
+    try:
+        server = ServeServer(
+            service, host=args.host, port=args.port, verbose=args.verbose
+        )
+    except (OSError, OverflowError) as exc:
+        service.close()
+        raise SystemExit(
+            f"cannot listen on {args.host}:{args.port}: {exc}"
+        ) from exc
     print(f"loaded {path}")
     print(describe(server), flush=True)
 
@@ -745,11 +746,8 @@ def cmd_query(args: argparse.Namespace) -> int:
                     f"misses, {reply.cache_entries}/{reply.cache_capacity} "
                     f"entries, {reply.cache_evictions} evictions, "
                     f"{reply.memo_hits} memo hits\n"
-                    f"batcher[{reply.batch_mode}]: {reply.batches} cycles, "
-                    f"{reply.batched_requests} jobs, largest "
-                    f"{reply.max_batch_observed} "
-                    f"(max {reply.max_batch_size}, "
-                    f"wait {reply.max_wait_ms}ms)"
+                    f"batcher: {reply.batched_requests} passes, "
+                    f"{reply.rejected} rejected (queue {reply.max_queue})"
                 )
             return 0
         if not args.circuit:
@@ -1056,19 +1054,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-size", type=int, default=128,
                    help="compiled circuits (with their stored predictions) "
                         "held in the strash-keyed LRU")
-    p.add_argument("--max-batch-size", type=int, default=16,
-                   help="requests coalesced into one micro-batch cycle")
-    p.add_argument("--max-wait-ms", type=float, default=2.0,
-                   help="coalescing window after the first queued request")
     p.add_argument(
         "--max-queue", type=int, default=128,
-        help="jobs in flight before requests are shed with 503 + "
+        help="passes in flight before requests are shed with 503 + "
              "Retry-After",
-    )
-    p.add_argument(
-        "--batch-mode", default="exact", choices=["exact", "merged"],
-        help="exact: one pass per unique circuit (bitwise-reproducible); "
-             "merged: fuse distinct circuits into one pass (~1 ulp)",
     )
     p.add_argument("--verbose", action="store_true",
                    help="log one line per request (http.server access log)")

@@ -5,14 +5,11 @@ from .batching import (
     LevelGroup,
     LevelSchedule,
     merge,
-    merge_schedules,
 )
 from .dataset import (
     CircuitDataset,
-    MergedPreparedBatch,
     PreparedBatch,
     ShardedCircuitDataset,
-    merge_prepared,
     prepare,
 )
 from .loader import DataLoader, as_loader, epoch_seed
@@ -36,12 +33,9 @@ __all__ = [
     "LevelGroup",
     "LevelSchedule",
     "merge",
-    "merge_schedules",
     "CircuitDataset",
-    "MergedPreparedBatch",
     "PreparedBatch",
     "ShardedCircuitDataset",
-    "merge_prepared",
     "prepare",
     "read_shard",
     "write_shard",

@@ -25,7 +25,6 @@ from .positional import positional_encoding
 
 __all__ = [
     "merge",
-    "merge_schedules",
     "LevelGroup",
     "LevelSchedule",
     "GatherSplit",
@@ -201,63 +200,6 @@ class LevelSchedule:
         return cls(
             [LevelGroup(nodes=nodes, src=both[:, 0], seg=seg)], graph.num_nodes
         )
-
-
-def merge_schedules(
-    schedules: Sequence[LevelSchedule],
-    graphs: Sequence[CircuitGraph],
-    descending: bool = False,
-) -> LevelSchedule:
-    """Merge per-circuit level schedules into the batched graph's schedule.
-
-    Produces exactly what ``LevelSchedule.forward`` / ``.reverse`` would
-    compute on ``merge(graphs)``, without touching the merged edge list:
-    the level groups of each single-circuit schedule are concatenated
-    per level with node-id and segment offsets applied.  This holds
-    because the batched construction sorts stably by level and circuit
-    offsets ascend, so within a level the batched arrays are the
-    circuits' arrays in order.  ``repro serve`` uses it to batch cached
-    single-circuit prepares without recompiling.  Not applicable to
-    ``undirected`` schedules, whose single group interleaves forward and
-    flipped edges rather than circuits.
-    """
-    schedules = list(schedules)
-    graphs = list(graphs)
-    if len(schedules) != len(graphs):
-        raise ValueError("need one graph per schedule")
-    if not schedules:
-        raise ValueError("cannot merge an empty list of schedules")
-    offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
-    by_level: dict = {}
-    for ci, (sched, graph) in enumerate(zip(schedules, graphs)):
-        if sched.num_nodes != graph.num_nodes:
-            raise ValueError("schedule/graph node count mismatch")
-        for group in sched:
-            lv = int(graph.levels[group.nodes[0]])
-            by_level.setdefault(lv, []).append((ci, group))
-    groups: List[LevelGroup] = []
-    for lv in sorted(by_level, reverse=descending):
-        parts = by_level[lv]
-        node_base = np.cumsum([0] + [len(g.nodes) for _, g in parts])
-        merged = LevelGroup(
-            nodes=np.concatenate([g.nodes + offsets[ci] for ci, g in parts]),
-            src=np.concatenate([g.src + offsets[ci] for ci, g in parts]),
-            seg=np.concatenate(
-                [g.seg + base for (_, g), base in zip(parts, node_base)]
-            ),
-        )
-        if any(g.has_skip for _, g in parts):
-            merged.skip_src = np.concatenate(
-                [g.skip_src + offsets[ci] for ci, g in parts]
-            )
-            merged.skip_seg = np.concatenate(
-                [g.skip_seg + base for (_, g), base in zip(parts, node_base)]
-            )
-            merged.skip_attr = np.concatenate(
-                [g.skip_attr for _, g in parts if g.has_skip]
-            )
-        groups.append(merged)
-    return LevelSchedule(groups, int(offsets[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -24,18 +24,15 @@ from .batching import (
     LevelSchedule,
     WindowedSchedule,
     merge,
-    merge_schedules,
 )
 from .features import CircuitGraph
 from .shards import iter_shard, load_manifest, read_shard
 
 __all__ = [
     "PreparedBatch",
-    "MergedPreparedBatch",
     "CircuitDataset",
     "ShardedCircuitDataset",
     "prepare",
-    "merge_prepared",
 ]
 
 
@@ -153,55 +150,6 @@ def prepare(graphs: Sequence[CircuitGraph]) -> PreparedBatch:
     graphs = list(graphs)
     merged = graphs[0] if len(graphs) == 1 else merge(graphs)
     return PreparedBatch(merged)
-
-
-class MergedPreparedBatch(PreparedBatch):
-    """A batch built from already-prepared single circuits.
-
-    Instead of recomputing level schedules on the merged graph, the
-    singles' cached forward/reverse schedules are concatenated per level
-    with node offsets (:func:`repro.graphdata.batching.merge_schedules`)
-    — the serving batcher's way of fusing cached circuits into one pass
-    without paying schedule construction again.  ``offsets`` records
-    each circuit's node range so per-circuit predictions can be sliced
-    back out of the fused result.
-    """
-
-    def __init__(self, singles: Sequence[PreparedBatch]):
-        singles = list(singles)
-        if not singles:
-            raise ValueError("cannot merge an empty list of batches")
-        super().__init__(merge([b.graph for b in singles]))
-        self._singles = singles
-        self.offsets = np.cumsum([0] + [b.num_nodes for b in singles])
-
-    def forward_schedule(
-        self, include_skip: bool = False, pe_levels: int = 8
-    ) -> LevelSchedule:
-        key = (include_skip, pe_levels)
-        if key not in self._forward:
-            self._forward[key] = merge_schedules(
-                [b.forward_schedule(include_skip, pe_levels) for b in self._singles],
-                [b.graph for b in self._singles],
-            )
-        return self._forward[key]
-
-    def reverse_schedule(self) -> LevelSchedule:
-        if self._reverse is None:
-            self._reverse = merge_schedules(
-                [b.reverse_schedule() for b in self._singles],
-                [b.graph for b in self._singles],
-                descending=True,
-            )
-        return self._reverse
-
-
-def merge_prepared(batches: Sequence[PreparedBatch]) -> PreparedBatch:
-    """Fuse prepared batches, reusing their cached schedules when merging."""
-    batches = list(batches)
-    if len(batches) == 1:
-        return batches[0]
-    return MergedPreparedBatch(batches)
 
 
 class CircuitDataset:

@@ -63,10 +63,10 @@ per-target reduction in the aggregator kernels is a short chain of
 slice ops.
 
 A note on *batch interleaving*: level groups are keyed by level value,
-so when a batch merges several circuits (``graphdata.merge`` /
-``merge_schedules``), nodes of different circuits at the same level
-share one group — the pass depth is the *maximum* circuit depth, not
-the sum.  Circuits never share edges, so this interleaving is exact,
+so when a batch merges several circuits (``graphdata.merge``), nodes of
+different circuits at the same level share one group — the pass depth
+is the *maximum* circuit depth, not the sum.  Circuits never share
+edges, so this interleaving is exact,
 and it is already optimal: within one circuit every level-``L`` AND
 node has a fanin at level ``L-1``, so a circuit's own chain cannot be
 shortened.  (``tests/graphdata`` pins this with a merged-vs-single

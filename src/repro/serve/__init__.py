@@ -1,5 +1,5 @@
 """Persistent inference serving: HTTP server, strash-keyed compilation
-cache, and async micro-batching over a trained checkpoint."""
+cache, and one model thread over a trained checkpoint."""
 
 from .batcher import BatcherClosed, BatcherSaturated, MicroBatcher
 from .cache import CacheStats, CompilationCache
@@ -19,7 +19,6 @@ from .protocol import (
 )
 from .server import ServeServer, describe
 from .service import (
-    BATCH_MODES,
     CircuitRejected,
     CompiledCircuit,
     InferenceService,
@@ -27,7 +26,6 @@ from .service import (
 )
 
 __all__ = [
-    "BATCH_MODES",
     "BatcherClosed",
     "BatcherSaturated",
     "CIRCUIT_FORMATS",

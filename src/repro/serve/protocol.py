@@ -147,10 +147,9 @@ class QueryResponse(Message):
     topological order).  ``structural_hash`` is the compilation-cache
     key; ``cache_hit`` says the compiled circuit was reused, and
     ``coalesced`` how many requests the propagation pass that computed
-    the predictions answered: the request that submitted it, every
-    request that waited on it while it was queued or running, and (in
-    ``merged`` batch mode) the requests of the circuits fused into it;
-    1 = this request alone.  A request whose structure and iteration
+    the predictions answered: the request that submitted it and every
+    request that waited on it while it was queued or running; 1 = this
+    request alone.  A request whose structure and iteration
     count the cache entry has already answered gets the stored
     predictions back without a pass, with ``coalesced=1``.
     """
@@ -223,7 +222,8 @@ class StatsReply(Message):
     their own: from a cache entry's stored predictions, or by waiting on
     the pass another request submitted for the same structure and
     iteration count.  Every other answered request went through the
-    batcher (``batched_requests``), one pass each.
+    batcher (``batched_requests``), one pass each; ``batches`` counts
+    the same passes and keeps its name for clients that read it.
     """
 
     TYPE_NAME: ClassVar[str] = "repro.serve.stats"
@@ -240,12 +240,8 @@ class StatsReply(Message):
     memo_hits: int = 0
     batches: int = 0
     batched_requests: int = 0
-    max_batch_observed: int = 0
-    max_batch_size: int = 0
-    max_wait_ms: float = 0.0
     max_queue: int = 0
     rejected: int = 0
-    batch_mode: str = "exact"
 
 
 @dataclass(frozen=True)

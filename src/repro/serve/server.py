@@ -37,8 +37,8 @@ __all__ = ["ServeServer"]
 
 _MAX_BODY_BYTES = 64 * 1024 * 1024
 
-#: Retry-After seconds sent with saturation 503s — one micro-batch
-#: window is usually enough for the queue to drain below the bound
+#: Retry-After seconds sent with saturation 503s — a second is many
+#: passes, so by then the queue has usually drained below the bound
 RETRY_AFTER_S = 1
 
 
@@ -67,6 +67,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if retry_after is not None:
             self.send_header("Retry-After", str(retry_after))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -86,6 +88,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- endpoints ------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+        if "Content-Length" in self.headers or "Transfer-Encoding" in self.headers:
+            # a GET body is never read, so the reply ends the connection
+            self.close_connection = True
         if self.path == "/healthz":
             self._send(200, HealthReply())
         elif self.path == "/stats":
@@ -95,6 +100,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         if self.path != "/query":
+            # a reply sent before the body is read ends the connection,
+            # or the unread body would be parsed as the next request
+            self.close_connection = True
             self._send_error_reply(404, "not_found", f"no such path {self.path!r}")
             return
         try:
@@ -102,6 +110,7 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError:
             length = -1
         if length <= 0 or length > _MAX_BODY_BYTES:
+            self.close_connection = True
             self._send_error_reply(
                 400, "protocol_error", "Content-Length required (and bounded)"
             )
@@ -188,6 +197,5 @@ def describe(server: ServeServer) -> str:
     svc = server.service
     return (
         f"serving {svc.model_label} on http://{server.host}:{server.port} "
-        f"(cache {svc.cache.capacity}, batch<= {svc.batcher.max_batch_size}, "
-        f"wait {svc.batcher.max_wait_ms}ms, mode {svc.batch_mode})"
+        f"(cache {svc.cache.capacity}, queue<= {svc.batcher.max_queue})"
     )

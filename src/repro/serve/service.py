@@ -1,4 +1,4 @@
-"""The inference service: parse → canonicalise → cache → batch → predict.
+"""The inference service: parse → canonicalise → cache → predict.
 
 Request flow (handler thread):
 
@@ -12,7 +12,7 @@ Request flow (handler thread):
    (:class:`~repro.serve.cache.CompilationCache`),
 4. if the entry already holds predictions for the request's iteration
    count, return those stored predictions on this thread — no batcher,
-   no coalescing window, no propagation pass;
+   no propagation pass;
 5. otherwise, if a pass for the structure and iteration count is already
    queued or running, wait for that pass and return its predictions;
    else submit one pass to the micro-batcher and block for it.  Either
@@ -20,19 +20,14 @@ Request flow (handler thread):
    request that arrives before it finishes.  A failed pass fails the
    requests waiting on it, and the next request submits a new one.
 
-Batch cycle (worker thread): every job is a distinct (structural hash,
-iteration override) — step 5 makes it so — and runs one propagation
-pass, which keeps every response bitwise identical to the serial
+Pass (worker thread): every job is a distinct (structural hash,
+iteration override) — step 5 makes it so — and the batcher's one model
+thread runs it as one propagation pass over the entry's own prepared
+batch, which keeps every response bitwise identical to the serial
 single-request path.  Each pass's predictions are stored on its cache
 entry, so later queries for that structure and iteration count get the
 same array back (step 4); the stored predictions live and die with the
-LRU entry.  ``batch_mode="merged"`` additionally fuses *distinct*
-circuits of a cycle into one disjoint-union pass via the singles' cached
-schedules (:func:`repro.graphdata.merge_prepared`); that mode trades
-strict bitwise reproducibility (BLAS kernels may round differently on
-different row counts — differences are ~1 ulp) for fewer passes under
-heterogeneous load, so it is opt-in, and the parts it stores keep that
-~1-ulp contract.
+LRU entry.
 """
 
 from __future__ import annotations
@@ -40,13 +35,13 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..aig import aiger, bench, verilog
 from ..aig.graph import AIG
-from ..graphdata.dataset import PreparedBatch, merge_prepared
+from ..graphdata.dataset import PreparedBatch
 from ..graphdata.features import inference_graph
 from ..nn.tensor import no_grad
 from ..synth import (
@@ -64,11 +59,8 @@ __all__ = [
     "CircuitRejected",
     "CompiledCircuit",
     "InferenceService",
-    "BATCH_MODES",
     "service_from_checkpoint",
 ]
-
-BATCH_MODES = ("exact", "merged")
 
 
 class CircuitRejected(ValueError):
@@ -161,26 +153,13 @@ class InferenceService:
         model,
         model_label: str = "model",
         cache_size: int = 128,
-        max_batch_size: int = 16,
-        max_wait_ms: float = 2.0,
         max_queue: int = 128,
-        batch_mode: str = "exact",
     ):
-        if batch_mode not in BATCH_MODES:
-            raise ValueError(
-                f"unknown batch_mode {batch_mode!r}; expected one of {BATCH_MODES}"
-            )
         self.model = model
         self.model_label = model_label
-        self.batch_mode = batch_mode
         self._supports_iterations = hasattr(model, "num_iterations")
         self.cache: CompilationCache = CompilationCache(cache_size)
-        self.batcher = MicroBatcher(
-            self._run_cycle,
-            max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
-            max_queue=max_queue,
-        )
+        self.batcher = MicroBatcher(self._run_pass, max_queue=max_queue)
         self._started = time.monotonic()
         self._counter_lock = threading.Lock()
         self._requests = 0
@@ -287,70 +266,26 @@ class InferenceService:
             del self._passes[key]
         job.settle(result, error)
 
-    # -- batch cycle (worker thread) -------------------------------------
-    def _predict(self, prepared: PreparedBatch, num_iterations: Optional[int]):
-        if num_iterations is not None:
-            out = self.model.forward(prepared, num_iterations=num_iterations)
-        else:
-            out = self.model.forward(prepared)
-        return np.asarray(out.data, dtype=np.float32)
-
-    def _run_cycle(self, jobs: List[_Job]) -> List[object]:
-        # each job is a distinct (structure, override): one pass apiece
+    # -- pass (worker thread) --------------------------------------------
+    def _run_pass(self, job: _Job) -> Tuple[np.ndarray, int]:
+        """Run ``job``'s pass, store its predictions on the entry, retire
+        the job and answer its waiters; returns the submitter's answer.
+        ``coalesced`` counts every request the pass answered, and every
+        answer is the read-only array memo hits return later.  A raising
+        pass fails its submitter, who retires the job."""
+        prepared = job.entry.prepared
         with no_grad():
-            if self.batch_mode == "merged" and len(jobs) > 1:
-                return self._run_merged(jobs)
-            results: List[object] = []
-            for job in jobs:
-                try:
-                    preds = self._predict(job.entry.prepared, job.iters)
-                except Exception as exc:  # noqa: BLE001 - fail this pass only
-                    results.append(exc)
-                    continue
-                results.extend(self._store([job], [preds]))
-        return results
-
-    def _run_merged(self, jobs: List[_Job]) -> List[object]:
-        """Fuse a cycle's distinct circuits into one pass per iteration
-        override (predictions match the per-circuit path to ~1 ulp, not
-        bitwise — that is why this mode is opt-in)."""
-        by_iters: Dict[Optional[int], List[int]] = {}
-        for idx, job in enumerate(jobs):
-            by_iters.setdefault(job.iters, []).append(idx)
-        results: List[object] = [None] * len(jobs)
-        for iters, indices in by_iters.items():
-            members = [jobs[idx] for idx in indices]
-            try:
-                merged = merge_prepared([job.entry.prepared for job in members])
-                preds = self._predict(merged, iters)
-            except Exception as exc:  # noqa: BLE001 - fail this pass's jobs
-                for idx in indices:
-                    results[idx] = exc
-                continue
-            offsets = np.cumsum([0] + [job.entry.num_nodes for job in members])
-            # copies: a stored view would keep the merged array alive
-            parts = [preds[lo:hi].copy() for lo, hi in zip(offsets[:-1], offsets[1:])]
-            for idx, result in zip(indices, self._store(members, parts)):
-                results[idx] = result
-        return results
-
-    def _store(
-        self, jobs: List[_Job], parts: List[np.ndarray]
-    ) -> List[Tuple[np.ndarray, int]]:
-        """Store each job's predictions on its entry, retire the jobs and
-        answer their waiters; returns the submitters' answers.  One model
-        pass computed all of ``parts``, so ``coalesced`` counts every
-        request they answered.  Every answer for a slot is the read-only
-        array memo hits return later."""
-        answers = []
+            if job.iters is None:
+                out = self.model.forward(prepared)
+            else:
+                out = self.model.forward(prepared, num_iterations=job.iters)
+        preds = np.asarray(out.data, dtype=np.float32)
+        preds.flags.writeable = False
         with self._pass_lock:
-            coalesced = sum(job.requests for job in jobs)
-            for job, part in zip(jobs, parts):
-                part.flags.writeable = False
-                job.entry.predictions[job.iters] = part
-                answers.append((part, coalesced))
-                self._retire(job, answers[-1])
-        return answers
+            job.entry.predictions[job.iters] = preds
+            answer = (preds, job.requests)
+            self._retire(job, answer)
+        return answer
 
     # -- observability / lifecycle ---------------------------------------
     def stats(self) -> StatsReply:
@@ -364,14 +299,10 @@ class InferenceService:
             requests=requests,
             errors=errors,
             memo_hits=memo_hits,
-            batches=self.batcher.batches,
+            batches=self.batcher.jobs,
             batched_requests=self.batcher.jobs,
-            max_batch_observed=self.batcher.max_batch_observed,
-            max_batch_size=self.batcher.max_batch_size,
-            max_wait_ms=self.batcher.max_wait_ms,
             max_queue=self.batcher.max_queue,
             rejected=self.batcher.rejected,
-            batch_mode=self.batch_mode,
             **cache,
         )
 

@@ -310,89 +310,6 @@ class TestPositionalEncoding:
             positional_encoding(np.array([1]), num_levels=0)
 
 
-class TestMergeSchedules:
-    """merge_schedules must reproduce direct scheduling of merge(graphs).
-
-    This is what lets ``repro serve`` batch cached single-circuit
-    prepares without recompiling the merged graph.
-    """
-
-    def _graphs(self):
-        return [
-            graph_of(ripple_adder(3)),
-            graph_of(parity(5)),
-            graph_of(ripple_adder(2)),
-        ]
-
-    @staticmethod
-    def _assert_same_schedule(got, want):
-        assert got.num_nodes == want.num_nodes
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g.nodes, w.nodes)
-            np.testing.assert_array_equal(g.src, w.src)
-            np.testing.assert_array_equal(g.seg, w.seg)
-            assert g.has_skip == w.has_skip
-            np.testing.assert_array_equal(g.skip_src, w.skip_src)
-            np.testing.assert_array_equal(g.skip_seg, w.skip_seg)
-            np.testing.assert_array_equal(g.skip_attr, w.skip_attr)
-
-    def test_forward_matches_direct_construction(self):
-        from repro.graphdata import merge_schedules
-
-        graphs = self._graphs()
-        merged = merge(graphs)
-        got = merge_schedules(
-            [LevelSchedule.forward(g) for g in graphs], graphs
-        )
-        self._assert_same_schedule(got, LevelSchedule.forward(merged))
-
-    def test_forward_with_skip_matches(self):
-        from repro.graphdata import merge_schedules
-
-        graphs = self._graphs()
-        merged = merge(graphs)
-        got = merge_schedules(
-            [LevelSchedule.forward(g, include_skip=True) for g in graphs],
-            graphs,
-        )
-        self._assert_same_schedule(
-            got, LevelSchedule.forward(merged, include_skip=True)
-        )
-
-    def test_reverse_matches_direct_construction(self):
-        from repro.graphdata import merge_schedules
-
-        graphs = self._graphs()
-        merged = merge(graphs)
-        got = merge_schedules(
-            [LevelSchedule.reverse(g) for g in graphs],
-            graphs,
-            descending=True,
-        )
-        self._assert_same_schedule(got, LevelSchedule.reverse(merged))
-
-    def test_single_graph_is_identity(self):
-        from repro.graphdata import merge_schedules
-
-        g = graph_of(parity(4))
-        sched = LevelSchedule.forward(g)
-        self._assert_same_schedule(merge_schedules([sched], [g]), sched)
-
-    def test_length_mismatch_rejected(self):
-        from repro.graphdata import merge_schedules
-
-        g = graph_of(parity(4))
-        with pytest.raises(ValueError, match="one graph per schedule"):
-            merge_schedules([LevelSchedule.forward(g)], [g, g])
-
-    def test_empty_rejected(self):
-        from repro.graphdata import merge_schedules
-
-        with pytest.raises(ValueError, match="empty"):
-            merge_schedules([], [])
-
-
 class TestPassBlock:
     """The compiled schedule's packed per-pass block layout."""
 

@@ -20,7 +20,7 @@ from repro.serve.protocol import parse_message
 @pytest.fixture
 def saturated_server(model):
     """A live server whose batcher rejects everything as saturated."""
-    service = InferenceService(model, max_wait_ms=0.0, max_queue=1)
+    service = InferenceService(model, max_queue=1)
     srv = ServeServer(service, host="127.0.0.1", port=0)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
@@ -167,7 +167,7 @@ class TestClientBackoff:
 
 class TestStatsExposure:
     def test_stats_carry_queue_bound_and_rejections(self, model):
-        service = InferenceService(model, max_wait_ms=0.0, max_queue=7)
+        service = InferenceService(model, max_queue=7)
         srv = ServeServer(service, host="127.0.0.1", port=0)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()

@@ -1,4 +1,4 @@
-"""Coalescing, ordering, failure isolation and shutdown of the batcher."""
+"""One job per turn, ordering, failure isolation and shutdown of the batcher."""
 
 import threading
 import time
@@ -32,66 +32,66 @@ def submit_all(batcher, jobs):
     return results, errors
 
 
-class TestCoalescing:
-    def test_concurrent_jobs_coalesce_into_one_cycle(self):
-        cycles = []
-        batcher = MicroBatcher(
-            lambda jobs: cycles.append(list(jobs)) or [j * 2 for j in jobs],
-            max_batch_size=16,
-            max_wait_ms=200.0,
-        )
+class TestOneJobPerTurn:
+    def test_concurrent_jobs_run_one_at_a_time_on_the_worker(self):
+        running = []
+        overlap = []
+        threads = set()
+
+        def run(job):
+            running.append(job)
+            overlap.append(len(running))
+            threads.add(threading.current_thread().name)
+            time.sleep(0.001)
+            running.remove(job)
+            return job * 2
+
+        batcher = MicroBatcher(run)
         try:
             results, errors = submit_all(batcher, [1, 2, 3, 4])
         finally:
             batcher.close()
         assert errors == [None] * 4
         assert results == [2, 4, 6, 8]
-        assert len(cycles) == 1
-        assert sorted(cycles[0]) == [1, 2, 3, 4]
-        assert batcher.batches == 1
+        assert max(overlap) == 1
+        assert threads == {"repro-serve-batcher"}
         assert batcher.jobs == 4
-        assert batcher.max_batch_observed == 4
 
-    def test_max_batch_size_bounds_a_cycle(self):
-        cycles = []
-        batcher = MicroBatcher(
-            lambda jobs: cycles.append(len(jobs)) or list(jobs),
-            max_batch_size=2,
-            max_wait_ms=200.0,
-        )
-        try:
-            _, errors = submit_all(batcher, list(range(6)))
-        finally:
-            batcher.close()
-        assert errors == [None] * 6
-        assert max(cycles) <= 2
-        assert sum(cycles) == 6
+    def test_queued_jobs_run_in_arrival_order(self):
+        release = threading.Event()
+        order = []
 
-    def test_lone_request_is_not_held_past_the_window(self):
-        batcher = MicroBatcher(lambda jobs: list(jobs), max_wait_ms=5.0)
-        try:
-            start = time.monotonic()
-            assert batcher.submit("x") == "x"
-            assert time.monotonic() - start < 2.0
-        finally:
-            batcher.close()
+        def run(job):
+            release.wait(timeout=30)
+            order.append(job)
+            return job
 
-    def test_zero_wait_means_serial_cycles(self):
-        batcher = MicroBatcher(lambda jobs: list(jobs), max_wait_ms=0.0)
+        batcher = MicroBatcher(run)
+        threads = []
         try:
             for i in range(4):
-                assert batcher.submit(i) == i
+                threads.append(
+                    threading.Thread(target=batcher.submit, args=(i,))
+                )
+                threads[-1].start()
+                # job i is queued (or running) before job i + 1 is sent
+                deadline = time.monotonic() + 30
+                while batcher._pending < i + 1:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+            release.set()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
         finally:
+            release.set()
             batcher.close()
-        assert batcher.batches == 4
+        assert order == [0, 1, 2, 3]
+        assert batcher.jobs == 4
 
     def test_knob_validation(self):
-        with pytest.raises(ValueError, match="max_batch_size"):
-            MicroBatcher(lambda jobs: jobs, max_batch_size=0)
-        with pytest.raises(ValueError, match="max_wait_ms"):
-            MicroBatcher(lambda jobs: jobs, max_wait_ms=-1.0)
         with pytest.raises(ValueError, match="max_queue"):
-            MicroBatcher(lambda jobs: jobs, max_queue=0)
+            MicroBatcher(lambda job: job, max_queue=0)
 
 
 class TestSaturation:
@@ -101,14 +101,12 @@ class TestSaturation:
         wedged = threading.Event()
         release = threading.Event()
 
-        def run(jobs):
+        def run(job):
             wedged.set()
             release.wait(timeout=30)
-            return list(jobs)
+            return job
 
-        batcher = MicroBatcher(
-            run, max_wait_ms=0.0, max_batch_size=1, max_queue=2
-        )
+        batcher = MicroBatcher(run, max_queue=2)
         try:
             outcomes = {}
 
@@ -142,9 +140,7 @@ class TestSaturation:
             batcher.close()
 
     def test_capacity_frees_up_after_completion(self):
-        batcher = MicroBatcher(
-            lambda jobs: list(jobs), max_wait_ms=0.0, max_queue=1
-        )
+        batcher = MicroBatcher(lambda job: job, max_queue=1)
         try:
             for i in range(5):
                 assert batcher.submit(i) == i
@@ -154,76 +150,59 @@ class TestSaturation:
 
 
 class TestFailures:
-    def test_exception_result_fails_only_that_job(self):
-        def run(jobs):
-            return [
-                ValueError(f"bad {j}") if j == "bad" else j for j in jobs
-            ]
+    def test_raising_job_fails_only_its_submitter(self):
+        def run(job):
+            if job == "bad":
+                raise ValueError(f"bad {job}")
+            return job
 
-        batcher = MicroBatcher(run, max_wait_ms=200.0)
+        batcher = MicroBatcher(run)
         try:
             results, errors = submit_all(batcher, ["ok", "bad", "ok2"])
         finally:
             batcher.close()
         assert results[0] == "ok" and results[2] == "ok2"
+        assert errors[0] is None and errors[2] is None
         assert isinstance(errors[1], ValueError)
 
-    def test_run_batch_raising_fails_the_cycle(self):
-        def run(jobs):
-            raise RuntimeError("cycle exploded")
-
-        batcher = MicroBatcher(run, max_wait_ms=200.0)
-        try:
-            _, errors = submit_all(batcher, [1, 2])
-        finally:
-            batcher.close()
-        assert all(isinstance(e, RuntimeError) for e in errors)
-
-    def test_length_mismatch_is_an_error(self):
-        batcher = MicroBatcher(lambda jobs: [], max_wait_ms=0.0)
-        try:
-            with pytest.raises(RuntimeError, match="results for"):
-                batcher.submit("x")
-        finally:
-            batcher.close()
-
-    def test_worker_survives_a_failed_cycle(self):
+    def test_worker_survives_a_raising_job(self):
         state = {"fail": True}
 
-        def run(jobs):
+        def run(job):
             if state.pop("fail", False):
-                raise RuntimeError("first cycle fails")
-            return list(jobs)
+                raise RuntimeError("first job fails")
+            return job
 
-        batcher = MicroBatcher(run, max_wait_ms=0.0)
+        batcher = MicroBatcher(run)
         try:
-            with pytest.raises(RuntimeError):
+            with pytest.raises(RuntimeError, match="first job fails"):
                 batcher.submit("a")
             assert batcher.submit("b") == "b"
         finally:
             batcher.close()
+        assert batcher.jobs == 2
 
 
 class TestShutdown:
     def test_submit_after_close_raises(self):
-        batcher = MicroBatcher(lambda jobs: list(jobs))
+        batcher = MicroBatcher(lambda job: job)
         batcher.close()
         with pytest.raises(BatcherClosed):
             batcher.submit("x")
 
     def test_close_is_idempotent(self):
-        batcher = MicroBatcher(lambda jobs: list(jobs))
+        batcher = MicroBatcher(lambda job: job)
         batcher.close()
         batcher.close()
 
     def test_close_drains_queued_work(self):
         release = threading.Event()
 
-        def run(jobs):
+        def run(job):
             release.wait(timeout=5)
-            return list(jobs)
+            return job
 
-        batcher = MicroBatcher(run, max_wait_ms=0.0)
+        batcher = MicroBatcher(run)
         results, errors = [], []
 
         def worker():
@@ -242,19 +221,19 @@ class TestShutdown:
         assert errors == []
 
     def test_wedged_worker_fails_queued_futures(self):
-        """If run_batch never returns, close() must not leave later
+        """If a job's run never returns, close() must not leave later
         submitters blocked forever on futures nobody will resolve."""
         wedged = threading.Event()
         release = threading.Event()
 
-        def run(jobs):
+        def run(job):
             wedged.set()
             # simulate a hung model pass (released during cleanup so the
             # daemon thread does not outlive the test)
             release.wait(timeout=30)
-            return list(jobs)
+            return job
 
-        batcher = MicroBatcher(run, max_wait_ms=0.0, max_batch_size=1)
+        batcher = MicroBatcher(run)
         outcomes = {}
 
         def worker(name):
@@ -266,7 +245,7 @@ class TestShutdown:
         first = threading.Thread(target=worker, args=("wedged-job",))
         first.start()
         assert wedged.wait(timeout=5)
-        # these land in the queue behind the wedged cycle
+        # these land in the queue behind the wedged job
         queued = [
             threading.Thread(target=worker, args=(f"queued-{i}",))
             for i in range(3)

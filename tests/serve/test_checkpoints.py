@@ -78,7 +78,7 @@ class TestServiceFromCheckpoint:
     def test_loaded_model_predicts_identically(
         self, tmp_path, model, adder_aag
     ):
-        live = InferenceService(model, max_wait_ms=0.0)
+        live = InferenceService(model)
         try:
             ref = live.query(QueryRequest(circuit=adder_aag))
         finally:
@@ -86,7 +86,7 @@ class TestServiceFromCheckpoint:
 
         path = tmp_path / "ck.npz"
         save_model_checkpoint(model, path)
-        svc = service_from_checkpoint(path, max_wait_ms=0.0)
+        svc = service_from_checkpoint(path)
         try:
             resp = svc.query(QueryRequest(circuit=adder_aag))
         finally:
@@ -106,11 +106,11 @@ class TestServiceFromCheckpoint:
         path = tmp_path / "ck.npz"
         save_model_checkpoint(model, path)
         svc = service_from_checkpoint(
-            path, cache_size=5, batch_mode="merged", model_label="custom"
+            path, cache_size=5, max_queue=7, model_label="custom"
         )
         try:
             assert svc.cache.capacity == 5
-            assert svc.batch_mode == "merged"
+            assert svc.batcher.max_queue == 7
             assert svc.model_label == "custom"
         finally:
             svc.close()

@@ -33,7 +33,8 @@ SAMPLES = [
     ErrorReply(error="parse_error", detail="line 3: bad literal", line=3),
     ErrorReply(error="internal_error", detail="boom"),
     StatsReply(
-        model="m", requests=10, cache_hits=7, memo_hits=5, batch_mode="merged"
+        model="m", requests=10, cache_hits=7, memo_hits=5, batches=2,
+        batched_requests=2, rejected=1,
     ),
     HealthReply(),
 ]
@@ -61,11 +62,29 @@ class TestRoundTrip:
         assert len(MESSAGE_TYPES) == 5
 
 
+#: a ``StatsReply`` payload from a server that still had the coalescing
+#: window, ``--max-batch-size`` and the ``merged`` batch mode
+OLD_STATS_FIELDS = {
+    "max_batch_observed": 3,
+    "max_batch_size": 16,
+    "max_wait_ms": 2.0,
+    "batch_mode": "merged",
+}
+
+
 class TestForwardCompat:
-    def test_unknown_payload_fields_ignored(self):
-        payload = QueryRequest(circuit="x").to_payload()
-        payload["wholly_new_field"] = {"nested": True}
-        assert parse_message(payload) == QueryRequest(circuit="x")
+    @pytest.mark.parametrize(
+        "msg, extra",
+        [
+            (QueryRequest(circuit="x"), {"wholly_new_field": {"nested": True}}),
+            (StatsReply(model="m", requests=4, batches=2), OLD_STATS_FIELDS),
+        ],
+        ids=["new_field", "old_stats_fields"],
+    )
+    def test_unknown_payload_fields_ignored(self, msg, extra):
+        payload = msg.to_payload()
+        payload.update(extra)
+        assert parse_message(payload) == msg
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ProtocolError, match="unknown message type"):

@@ -1,6 +1,8 @@
 """HTTP end-to-end: status mapping, stats observability, clean shutdown."""
 
+import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -12,15 +14,16 @@ from repro.serve import (
     ServeClient,
     ServeClientError,
     ServeServer,
+    describe,
 )
-from repro.serve.protocol import HealthReply, parse_message
+from repro.serve.protocol import HealthReply, QueryRequest, parse_message
 
 from .conftest import rename_bench
 
 
 @pytest.fixture(scope="module")
 def server(model):
-    service = InferenceService(model, model_label="e2e", max_wait_ms=1.0)
+    service = InferenceService(model, model_label="e2e")
     srv = ServeServer(service, host="127.0.0.1", port=0)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
@@ -157,6 +160,76 @@ class TestErrorMapping:
         assert after.errors == before.errors + 1
 
 
+def raw_exchange(server, data: bytes) -> bytes:
+    """Send ``data`` on one connection and read until the server closes it."""
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        sock.sendall(data)
+        received = []
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            except socket.timeout:
+                pytest.fail("the server left the connection open")
+            if not chunk:
+                break
+            received.append(chunk)
+    return b"".join(received)
+
+
+SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+class TestUnreadBody:
+    """A reply sent before the request body is read ends the connection,
+    so the body is never parsed as a request of its own."""
+
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"POST /query HTTP/1.1\r\nContent-Length: 999999999\r\n", 400),
+            (b"POST /query HTTP/1.1\r\nContent-Length: many\r\n", 400),
+            (b"POST /nope HTTP/1.1\r\nContent-Length: %d\r\n" % len(SMUGGLED),
+             404),
+            (b"GET /stats HTTP/1.1\r\nContent-Length: %d\r\n" % len(SMUGGLED),
+             200),
+        ],
+        ids=["oversized_length", "bad_length", "unknown_path", "get_with_body"],
+    )
+    def test_one_reply_then_eof(self, server, head, status):
+        data = raw_exchange(server, head + b"Host: x\r\n\r\n" + SMUGGLED)
+        assert data.count(b"HTTP/1.1 ") == 1, data
+        assert data.startswith(b"HTTP/1.1 %d " % status)
+        assert b"\r\nConnection: close\r\n" in data
+
+    @pytest.mark.parametrize("valid", [True, False], ids=["query", "bad_json"])
+    def test_reply_after_the_body_keeps_the_connection(
+        self, server, adder_aag, valid
+    ):
+        body = QueryRequest(circuit=adder_aag).to_json() if valid else "{nope"
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            conn.request("POST", "/query", body=body.encode())
+            first = conn.getresponse()
+            first.read()
+            conn.request("GET", "/healthz")
+            second = conn.getresponse()
+            health = parse_message(second.read().decode())
+        finally:
+            conn.close()
+        assert first.status == (200 if valid else 400)
+        assert first.getheader("Connection") is None
+        assert (second.status, health) == (200, HealthReply())
+
+
+def test_banner_names_the_url_cache_and_queue(server):
+    assert describe(server) == (
+        f"serving e2e on http://{server.host}:{server.port} "
+        "(cache 128, queue<= 128)"
+    )
+
+
 class TestClient:
     def test_connection_refused_is_transport_error(self):
         dead = ServeClient("http://127.0.0.1:9", timeout=2.0)
@@ -181,7 +254,7 @@ class TestClient:
 class TestShutdown:
     def test_closed_batcher_maps_to_503(self, model, adder_aag):
         """A query racing shutdown gets 503 (retryable), not a 500."""
-        service = InferenceService(model, max_wait_ms=0.0)
+        service = InferenceService(model)
         srv = ServeServer(service, port=0)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
@@ -200,7 +273,7 @@ class TestShutdown:
             srv.close()
 
     def test_close_stops_the_service(self, model):
-        service = InferenceService(model, max_wait_ms=0.0)
+        service = InferenceService(model)
         srv = ServeServer(service, port=0)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()

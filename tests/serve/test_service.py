@@ -26,7 +26,7 @@ from .conftest import rename_bench
 
 @pytest.fixture
 def service(model):
-    svc = InferenceService(model, model_label="test", max_wait_ms=0.0)
+    svc = InferenceService(model, model_label="test")
     yield svc
     svc.close()
 
@@ -107,31 +107,6 @@ def join_all(threads):
         assert not t.is_alive()
 
 
-def concurrent_queries(svc, texts, fmt="aiger"):
-    """Fire one query per text concurrently; responses in input order."""
-    results = [None] * len(texts)
-    errors = [None] * len(texts)
-    barrier = threading.Barrier(len(texts))
-
-    def worker(i, text):
-        barrier.wait()
-        try:
-            results[i] = svc.query(QueryRequest(circuit=text, fmt=fmt))
-        except Exception as exc:  # noqa: BLE001 - collected for asserts
-            errors[i] = exc
-
-    threads = [
-        threading.Thread(target=worker, args=(i, t))
-        for i, t in enumerate(texts)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert errors == [None] * len(texts), errors
-    return results
-
-
 class TestCanonicalisation:
     def test_renamed_bench_circuits_share_a_key(self, adder_bench):
         key1, _ = canonicalize(parse_circuit(adder_bench, "bench"))
@@ -184,63 +159,35 @@ class TestBatchingDeterminism:
     def test_concurrent_bitwise_identical_to_serial(
         self, model, adder_aag, comparator_aag
     ):
-        serial = InferenceService(model, max_wait_ms=0.0)
+        serial = InferenceService(model)
         try:
             ref_a = serial.query(QueryRequest(circuit=adder_aag))
             ref_c = serial.query(QueryRequest(circuit=comparator_aag))
         finally:
             serial.close()
 
-        svc = InferenceService(model, max_wait_ms=100.0, max_batch_size=32)
+        # hold the first pass until every request is on a pass: one
+        # running, one queued behind it
+        gated = GatedModel(model)
+        svc = InferenceService(gated)
+        texts = [adder_aag, comparator_aag] * 4
+        threads, responses = start_queries(
+            svc, [QueryRequest(circuit=t) for t in texts]
+        )
         try:
-            texts = [adder_aag, comparator_aag] * 4
-            responses = concurrent_queries(svc, texts)
+            wait_until(lambda: requests_on_passes(svc) == len(texts))
+            gated.release.set()
+            join_all(threads)
         finally:
+            gated.release.set()
             svc.close()
+        assert not any(isinstance(r, Exception) for r in responses), responses
         for text, resp in zip(texts, responses):
             ref = ref_a if text is adder_aag else ref_c
             assert resp.predictions == ref.predictions  # bitwise: floats equal
         # requests for one structure shared its pass
         assert max(r.coalesced for r in responses) >= 2
-
-    def test_merged_mode_close_to_serial(
-        self, model, adder_aag, comparator_aag
-    ):
-        serial = InferenceService(model, max_wait_ms=0.0)
-        try:
-            ref_a = serial.query(QueryRequest(circuit=adder_aag))
-            ref_c = serial.query(QueryRequest(circuit=comparator_aag))
-        finally:
-            serial.close()
-
-        svc = InferenceService(
-            model, max_wait_ms=100.0, max_batch_size=32, batch_mode="merged"
-        )
-        try:
-            texts = [adder_aag, comparator_aag] * 3
-            responses = concurrent_queries(svc, texts)
-            # a repeat gets the stored merged part, exactly as first answered
-            repeats = [svc.query(QueryRequest(circuit=t)) for t in texts[:2]]
-            stats = svc.stats()
-        finally:
-            svc.close()
-        for text, resp in zip(texts, responses):
-            ref = ref_a if text is adder_aag else ref_c
-            diff = np.max(
-                np.abs(
-                    np.asarray(resp.predictions) - np.asarray(ref.predictions)
-                )
-            )
-            assert diff < 1e-6
-        for resp, again in zip(responses, repeats):
-            assert again.predictions == resp.predictions
-        # one pass per structure: the other four concurrent requests and
-        # both repeats are answered without one of their own
-        assert (stats.batched_requests, stats.memo_hits) == (2, 6)
-
-    def test_unknown_batch_mode_rejected(self, model):
-        with pytest.raises(ValueError, match="batch_mode"):
-            InferenceService(model, batch_mode="magic")
+        assert gated.passes == 2
 
 
 class TestIterationOverride:
@@ -252,44 +199,36 @@ class TestIterationOverride:
         assert deep.predictions != default.predictions
 
     def test_override_groups_separately_from_default(self, model, adder_aag):
-        """Same circuit at different T must not share one fused pass."""
-        svc = InferenceService(model, max_wait_ms=100.0, max_batch_size=8)
+        """Same circuit at different T must not share one pass."""
+        serial = InferenceService(model)
         try:
-            serial = InferenceService(model, max_wait_ms=0.0)
-            try:
-                ref = serial.query(
-                    QueryRequest(circuit=adder_aag, num_iterations=5)
-                )
-            finally:
-                serial.close()
-
-            results = [None, None]
-            barrier = threading.Barrier(2)
-
-            def q(i, iters):
-                barrier.wait()
-                results[i] = svc.query(
-                    QueryRequest(circuit=adder_aag, num_iterations=iters)
-                )
-
-            threads = [
-                threading.Thread(target=q, args=(0, 5)),
-                threading.Thread(target=q, args=(1, 2)),
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert results[0].predictions == ref.predictions
-            assert results[1].predictions != ref.predictions
+            ref = serial.query(QueryRequest(circuit=adder_aag, num_iterations=5))
         finally:
+            serial.close()
+
+        gated = GatedModel(model)
+        svc = InferenceService(gated)
+        threads, results = start_queries(svc, [
+            QueryRequest(circuit=adder_aag, num_iterations=5),
+            QueryRequest(circuit=adder_aag, num_iterations=2),
+        ])
+        try:
+            # both requests are on a pass before either pass runs
+            wait_until(lambda: requests_on_passes(svc) == 2)
+            gated.release.set()
+            join_all(threads)
+        finally:
+            gated.release.set()
             svc.close()
+        assert results[0].predictions == ref.predictions
+        assert results[1].predictions != ref.predictions
+        assert gated.passes == 2
 
     def test_non_recurrent_model_rejects_override(self, adder_aag):
         from repro.models.baselines import GCN
 
         gcn = GCN(3, 8, 2, "conv_sum", np.random.default_rng(0))
-        svc = InferenceService(gcn, model_label="gcn", max_wait_ms=0.0)
+        svc = InferenceService(gcn, model_label="gcn")
         try:
             svc.query(QueryRequest(circuit=adder_aag))  # plain query fine
             with pytest.raises(CircuitRejected, match="not recurrent"):
@@ -313,9 +252,8 @@ class TestStats:
         assert stats.cache_misses == 1
         assert stats.cache_entries == 1
         # the repeat is answered from the entry's stored predictions
-        assert stats.batches == 1
+        assert stats.batches == stats.batched_requests == 1
         assert stats.memo_hits == 1
-        assert stats.batch_mode == "exact"
         assert stats.model == "test"
         assert stats.uptime_s >= 0.0
 
@@ -338,7 +276,7 @@ class TestPredictionMemo:
     ):
         first = service.query(QueryRequest(circuit=adder_aag, num_iterations=iters))
         hit = service.query(QueryRequest(circuit=adder_aag, num_iterations=iters))
-        fresh = InferenceService(model, max_wait_ms=0.0)
+        fresh = InferenceService(model)
         try:
             ref = fresh.query(QueryRequest(circuit=adder_aag, num_iterations=iters))
         finally:
@@ -363,7 +301,7 @@ class TestPredictionMemo:
     def test_eviction_drops_the_stored_predictions(
         self, model, adder_aag, comparator_aag
     ):
-        svc = InferenceService(model, cache_size=1, max_wait_ms=0.0)
+        svc = InferenceService(model, cache_size=1)
         try:
             first = svc.query(QueryRequest(circuit=adder_aag))
             svc.query(QueryRequest(circuit=comparator_aag))  # evicts the adder
@@ -378,7 +316,7 @@ class TestPredictionMemo:
     def test_closed_service_refuses_a_memoized_structure(
         self, model, adder_aag
     ):
-        svc = InferenceService(model, max_wait_ms=0.0)
+        svc = InferenceService(model)
         svc.query(QueryRequest(circuit=adder_aag))
         svc.close()
         with pytest.raises(BatcherClosed):
@@ -393,7 +331,7 @@ class TestPredictionMemo:
         query: the second request waits on the first one's pass, and the
         entry gets one memo slot."""
         gated = GatedModel(model)
-        svc = InferenceService(gated, max_wait_ms=0.0)
+        svc = InferenceService(gated)
         threads, results = start_queries(svc, [
             QueryRequest(circuit=adder_aag),
             QueryRequest(circuit=adder_aag, num_iterations=model.num_iterations),
@@ -427,7 +365,7 @@ class TestSingleFlight:
             rename_bench(adder_bench, f"r{i}_") for i in range(self.N - 1)
         ]
         gated = GatedModel(model)
-        svc = InferenceService(gated, max_wait_ms=0.0)
+        svc = InferenceService(gated)
         threads, responses = start_queries(
             svc, [QueryRequest(circuit=t, fmt="bench") for t in texts]
         )
@@ -458,7 +396,7 @@ class TestSingleFlight:
     ):
         gated = GatedModel(model)
         gated.fail = RuntimeError("pass failed")
-        svc = InferenceService(gated, max_wait_ms=0.0)
+        svc = InferenceService(gated)
         threads, outcomes = start_queries(
             svc, [QueryRequest(circuit=adder_aag)] * self.N
         )
@@ -483,7 +421,7 @@ class TestSingleFlight:
 
     def test_close_fails_the_waiters(self, model, adder_aag):
         gated = GatedModel(model)
-        svc = InferenceService(gated, max_wait_ms=0.0)
+        svc = InferenceService(gated)
         threads, outcomes = start_queries(
             svc, [QueryRequest(circuit=adder_aag)] * self.N
         )
@@ -553,7 +491,7 @@ class TestMemoStress:
         answers = [[] for _ in range(num_threads)]
         errors = []
         counted = PassCounter(model)
-        svc = InferenceService(counted, cache_size=2, max_wait_ms=0.5)
+        svc = InferenceService(counted, cache_size=2)
 
         def worker(t):
             try:

@@ -530,21 +530,26 @@ class TestServeQueryCLI:
     """Argument handling and a live serve round trip."""
 
     @pytest.fixture
-    def running_server(self, tmp_path):
-        import threading
-
+    def checkpoint(self, tmp_path):
         import numpy as np
 
         from repro.models import DeepGate
         from repro.nn.serialization import save_model_checkpoint
-        from repro.serve import ServeServer, service_from_checkpoint
 
         ck = tmp_path / "ck.npz"
         save_model_checkpoint(
             DeepGate(dim=8, num_iterations=2, rng=np.random.default_rng(0)),
             ck,
         )
-        srv = ServeServer(service_from_checkpoint(ck, max_wait_ms=0.0), port=0)
+        return ck
+
+    @pytest.fixture
+    def running_server(self, checkpoint):
+        import threading
+
+        from repro.serve import ServeServer, service_from_checkpoint
+
+        srv = ServeServer(service_from_checkpoint(checkpoint), port=0)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
         try:
@@ -558,12 +563,52 @@ class TestServeQueryCLI:
         with pytest.raises(SystemExit):
             main(["serve"])
 
-    def test_serve_has_no_backend_option(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--backend", "numpy"],
+            ["--max-wait-ms", "1"],
+            ["--max-batch-size", "4"],
+            ["--batch-mode", "merged"],
+        ],
+        ids=lambda option: option[0],
+    )
+    def test_serve_has_no_backend_option(self, capsys, tmp_path, option):
         with pytest.raises(SystemExit) as exc:
-            main(["serve", "--backend", "numpy",
+            main(["serve", *option,
                   "--checkpoint", str(tmp_path / "ck.npz")])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {option[0]}" in err
+
+    @pytest.mark.parametrize("busy", [True, False], ids=["busy", "out_of_range"])
+    def test_serve_unusable_port_is_clean_error(
+        self, checkpoint, monkeypatch, busy
+    ):
+        import socket
+
+        from repro.serve import InferenceService
+
+        closed = []
+        close = InferenceService.close
+        monkeypatch.setattr(
+            InferenceService, "close",
+            lambda svc: closed.append(svc) or close(svc),
+        )
+        with socket.socket() as holder:
+            if busy:
+                holder.bind(("127.0.0.1", 0))
+                holder.listen(1)
+                port, reason = holder.getsockname()[1], "in use"
+            else:
+                port, reason = 99999, "0-65535"
+            with pytest.raises(SystemExit) as exc:
+                main(["serve", "--checkpoint", str(checkpoint),
+                      "--port", str(port)])
+        message = str(exc.value.code)
+        assert message.startswith(f"cannot listen on 127.0.0.1:{port}: ")
+        assert reason in message and "\n" not in message
+        assert len(closed) == 1
 
     def test_serve_unresolvable_run_is_clean_error(self, tmp_path):
         with pytest.raises(SystemExit, match="train_backbone"):
@@ -614,6 +659,9 @@ class TestServeQueryCLI:
         assert "requests" in out and "cache:" in out
         # the repeat was answered from the stored predictions
         assert re.search(r"^cache: 1 hits .*, 1 memo hits$", out, re.M)
+        assert re.search(
+            r"^batcher: 1 passes, 0 rejected \(queue 128\)$", out, re.M
+        )
 
     def test_query_parse_error_exits_1(
         self, running_server, tmp_path, capsys
