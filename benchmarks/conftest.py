@@ -2,7 +2,7 @@
 
 Every table/figure benchmark runs its experiment exactly once inside
 ``benchmark.pedantic`` (training runs are far too expensive for repeated
-rounds); the substrate micro-benchmarks use normal repeated rounds.
+rounds).
 """
 
 import pytest

@@ -16,7 +16,6 @@ Subcommands cover the library's workflow end to end::
     python -m repro experiment compare runs/table2/<hash-a> runs/table2/<hash-b>
     python -m repro experiment capture sat_oracle --scale smoke
     python -m repro experiment verify
-    python -m repro experiment run table2 --scale smoke --dist --workers 4
     python -m repro worker experiment table2 --scale smoke
 
 Circuit formats are chosen by suffix: ``.bench`` (ISCAS), ``.v``
@@ -260,17 +259,6 @@ def _dist_config(args: argparse.Namespace):
         raise SystemExit(str(exc))
 
 
-def _dist_progress(event) -> None:
-    """One live line per distributed work-item event on stderr."""
-    detail = event.get("detail") or ""
-    print(
-        f"[dist] {event['status']}: {event['label']}"
-        + (f" ({detail})" if detail else ""),
-        file=sys.stderr,
-        flush=True,
-    )
-
-
 def _workers(args: argparse.Namespace) -> int:
     """``--workers``, or the ``REPRO_WORKERS``/CPU-count default for 0."""
     if args.workers < 0:
@@ -280,33 +268,27 @@ def _workers(args: argparse.Namespace) -> int:
 
 def cmd_dataset_build(args: argparse.Namespace) -> int:
     from .datagen.pipeline import build_shards, plan_shards
+    from .dist import PoisonedWorkError
 
     config = _pipeline_config_from_args(args)
     workers = _workers(args)
-    mode = "distributed workers" if args.dist else "workers"
+    cfg = _dist_config(args)
     print(
         f"building {sum(c for _, c in config.suites)} circuits "
-        f"({len(plan_shards(config))} shards, {workers} {mode}) "
+        f"({len(plan_shards(config))} shards, {workers} workers) "
         f"-> {args.out}"
     )
-    if args.dist:
-        from .dist import PoisonedWorkError, build_shards_distributed
-
-        try:
-            result = build_shards_distributed(
-                config,
-                args.out,
-                workers=workers,
-                cfg=_dist_config(args),
-                force=args.force,
-                progress=_dist_progress,
-            )
-        except PoisonedWorkError as exc:
-            raise SystemExit(str(exc))
-    else:
+    try:
         result = build_shards(
-            config, args.out, workers=workers, force=args.force
+            config,
+            args.out,
+            workers=workers,
+            force=args.force,
+            cfg=cfg,
+            progress=_unit_progress,
         )
+    except PoisonedWorkError as exc:
+        raise SystemExit(str(exc))
     status = "cache hit" if result.cache_hit else "built"
     print(
         f"{status}: {result.total_circuits} circuits in "
@@ -364,47 +346,41 @@ def _experiment_spec(args: argparse.Namespace):
 
 
 def _unit_progress(event) -> None:
-    """One live line per unit on stderr as the grid executes."""
-    tag = "cached" if event["status"] == "cached" else "done"
+    """One live line on stderr per unit (or shard) as work completes,
+    and per fleet worker process that died."""
+    where = "fleet"
+    if "index" in event:
+        where = f"unit {event['index'] + 1}/{event['total']}"
+    timing = f"{event['elapsed']:.2f}s" if "elapsed" in event else ""
+    detail = event.get("detail") or timing
     print(
-        f"[unit {event['index'] + 1}/{event['total']}] "
-        f"{event['label']}: {tag} ({event['elapsed']:.2f}s)",
+        f"[{where}] {event['label']}: {event['status']}"
+        + (f" ({detail})" if detail else ""),
         file=sys.stderr,
         flush=True,
     )
 
 
 def cmd_experiment_run(args: argparse.Namespace) -> int:
+    from .dist import PoisonedWorkError
     from .runtime import execute_parallel
 
     exp, spec = _experiment_spec(args)
     workers = _workers(args)
+    cfg = _dist_config(args)
     try:
-        if args.dist:
-            from .dist import PoisonedWorkError, execute_distributed
-
-            try:
-                record = execute_distributed(
-                    args.name,
-                    spec,
-                    runs_dir=args.runs_dir,
-                    workers=workers,
-                    cfg=_dist_config(args),
-                    force=args.force,
-                    progress=None if args.quiet else _dist_progress,
-                )
-            except PoisonedWorkError as exc:
-                raise SystemExit(str(exc))
-        else:
-            record = execute_parallel(
-                args.name,
-                spec,
-                runs_dir=args.runs_dir,
-                workers=workers,
-                force=args.force,
-                progress=None if args.quiet else _unit_progress,
-            )
-    except ValueError as exc:  # bad spec values surface at run time
+        record = execute_parallel(
+            args.name,
+            spec,
+            runs_dir=args.runs_dir,
+            workers=workers,
+            force=args.force,
+            progress=None if args.quiet else _unit_progress,
+            cfg=cfg,
+        )
+    # bad spec values surface at run time; a unit that keeps failing
+    # is quarantined and named
+    except (ValueError, PoisonedWorkError) as exc:
         raise SystemExit(str(exc))
     status = "cache hit" if record.cache_hit else "ran"
     if args.format == "json":
@@ -497,6 +473,7 @@ def cmd_experiment_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment_capture(args: argparse.Namespace) -> int:
+    from .dist import PoisonedWorkError
     from .runtime import execute_parallel
     from .runtime.golden import (
         DEFAULT_ABS_FLOOR,
@@ -516,14 +493,17 @@ def cmd_experiment_capture(args: argparse.Namespace) -> int:
         except ValueError:
             raise SystemExit(f"bad --tolerance limit {value!r}")
     workers = _workers(args)
-    record = execute_parallel(
-        args.name,
-        spec,
-        runs_dir=args.runs_dir,
-        workers=workers,
-        force=args.force,
-        progress=None if args.quiet else _unit_progress,
-    )
+    try:
+        record = execute_parallel(
+            args.name,
+            spec,
+            runs_dir=args.runs_dir,
+            workers=workers,
+            force=args.force,
+            progress=None if args.quiet else _unit_progress,
+        )
+    except (ValueError, PoisonedWorkError) as exc:
+        raise SystemExit(str(exc))
     rel = args.rel if args.rel is not None else DEFAULT_REL_TOLERANCE
     floor = args.floor if args.floor is not None else DEFAULT_ABS_FLOOR
     try:
@@ -541,6 +521,7 @@ def cmd_experiment_capture(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment_verify(args: argparse.Namespace) -> int:
+    from .dist import PoisonedWorkError
     from .runtime.golden import (
         GoldenError,
         default_goldens_dir,
@@ -583,7 +564,7 @@ def cmd_experiment_verify(args: argparse.Namespace) -> int:
                 force=args.force,
                 progress=None if args.quiet else _unit_progress,
             )
-        except (GoldenError, ValueError) as exc:
+        except (GoldenError, ValueError, PoisonedWorkError) as exc:
             print(f"ERROR: {exc}", file=sys.stderr)
             failed += 1
             continue
@@ -632,19 +613,16 @@ def cmd_experiment_report(args: argparse.Namespace) -> int:
 def _run_worker_until_signalled(source, args: argparse.Namespace) -> int:
     """Drive one standalone worker loop with a SIGTERM/SIGINT drain."""
     import signal
-    import threading
 
-    from .dist import run_worker
+    from .dist import drain_on_signals, run_worker
 
-    stop = threading.Event()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(sig, lambda *_: stop.set())
-    report = run_worker(
-        source,
-        _dist_config(args),
-        stop_event=stop,
-        progress=None if args.quiet else _dist_progress,
-    )
+    with drain_on_signals(signal.SIGINT, signal.SIGTERM) as stop:
+        report = run_worker(
+            source,
+            _dist_config(args),
+            stop_event=stop,
+            progress=None if args.quiet else _unit_progress,
+        )
     drained = " (drained on signal)" if report.drained else ""
     print(
         f"worker {report.owner}: {len(report.completed)} completed, "
@@ -874,11 +852,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--force", action="store_true",
                    help="rebuild even on a cache hit")
-    p.add_argument(
-        "--dist", action="store_true",
-        help="build on the fault-tolerant lease-based worker fleet "
-             "(extra `repro worker dataset` processes may join)",
-    )
     _add_dist_args(p)
     p.set_defaults(func=cmd_dataset_build)
 
@@ -927,11 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument("--quiet", action="store_true",
                    help="suppress per-unit progress lines")
-    q.add_argument(
-        "--dist", action="store_true",
-        help="run on the fault-tolerant lease-based worker fleet "
-             "(extra `repro worker experiment` processes may join)",
-    )
     _add_dist_args(q)
     q.set_defaults(func=cmd_experiment_run)
 
@@ -1093,7 +1061,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "worker",
-        help="join an in-flight --dist run as an extra lease-based worker",
+        help="join any in-flight `experiment run` or `dataset build` "
+             "as an extra lease-based worker",
     )
     worker_sub = p.add_subparsers(dest="worker_command", required=True)
 

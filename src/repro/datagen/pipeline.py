@@ -10,6 +10,10 @@ module turns dataset generation into a build system:
   RNG is derived from a :class:`numpy.random.SeedSequence` over exactly
   those values — so shards can be built in any order, by any number of
   worker processes, and still come out byte-identical;
+* shards are built as work items of the lease-based fleet
+  (:mod:`repro.dist`): ``workers >= 2`` spawns that many worker
+  processes, ``workers <= 1`` runs the worker loop in this process, and
+  standalone ``repro worker dataset`` processes may join either;
 * shards are written as deterministic ``.npz`` files next to a
   ``manifest.json`` carrying the config, a sha256 **config hash** for cache
   invalidation and a sha256 per shard for integrity checking;
@@ -17,10 +21,14 @@ module turns dataset generation into a build system:
   hit** and touches nothing on disk.
 
 Shard and manifest writes are atomic (temp file + rename), so readers
-never see a torn file; but two *builders* racing on the same directory
-are not coordinated — last writer wins.  Give concurrent first-time
-builds distinct directories (the experiment harness keys directories by
-scale and seed for this reason).
+never see a torn file.  Concurrent builds of the *same* config in one
+directory share the shards through leases and all return the manifest
+the first of them writes; a worker that joins after that finds nothing
+left to build.  Concurrent builds of *different* configs are not
+coordinated: each drops the other's shards as stale and the shard files
+of both carry the same names, so the last writer wins.  Give those
+distinct directories (the experiment harness keys directories by scale
+and seed for this reason).
 
 Typical use::
 
@@ -38,11 +46,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import multiprocessing
+import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -54,9 +62,11 @@ from ..graphdata.shards import (
     SHARD_FORMAT_VERSION,
     file_sha256,
     load_manifest,
-    write_shard,
 )
 from .suites import SUITE_NAMES, generate_suite_graphs
+
+if TYPE_CHECKING:  # the fleet imports this module's shard primitives
+    from ..dist import DistConfig
 
 __all__ = [
     "MANIFEST_NAME",
@@ -254,9 +264,8 @@ def shard_metadata(
 ) -> Dict[str, object]:
     """The manifest entry for one written shard.
 
-    One canonical constructor, shared by the pool builder and the
-    distributed workers, so manifests assembled from either path are
-    byte-identical for the same shards.
+    One canonical constructor, so a manifest assembled from the records
+    of any mix of workers is byte-identical for the same shards.
     """
     return {
         "filename": spec.filename,
@@ -267,23 +276,6 @@ def shard_metadata(
         "circuits": [g.name for g in graphs],
         "sha256": sha,
     }
-
-
-def _build_one(
-    args: Tuple[Dict[str, object], str, str, int, int]
-) -> Dict[str, object]:
-    """Worker entry point: build one shard, write it, return its metadata.
-
-    Takes plain picklable values so it works identically under fork and
-    spawn start methods.
-    """
-    config_dict, out_dir, suite, index, count = args
-    config = PipelineConfig.from_dict(config_dict)
-    spec = ShardSpec(suite=suite, index=index, count=count)
-    graphs = generate_shard(config, spec)
-    path = Path(out_dir) / spec.filename
-    sha = write_shard(path, graphs)
-    return shard_metadata(spec, graphs, sha)
 
 
 def manifest_is_current(
@@ -328,20 +320,29 @@ def build_shards(
     workers: int = 1,
     force: bool = False,
     verify_hashes: bool = True,
+    cfg: Optional[DistConfig] = None,
+    progress: Optional[Callable[[Dict[str, object]], None]] = None,
 ) -> BuildResult:
     """Build (or reuse) the sharded dataset for ``config`` in ``out_dir``.
 
     If the directory already holds a manifest with the same config hash and
     every shard file matches its recorded sha256, nothing is rebuilt and
-    ``cache_hit`` is True.  Otherwise all shards are (re)generated —
-    serially in-process for ``workers <= 1``, else on a
-    ``multiprocessing.Pool`` — and a fresh manifest is written.  Output is
-    byte-identical for any worker count.
+    ``cache_hit`` is True.  Otherwise every shard not yet committed by
+    this build is generated on the lease fleet (``workers`` processes,
+    inline for ``workers <= 1``, tuned by ``cfg`` or else the
+    environment's :class:`~repro.dist.DistConfig`) and a fresh manifest
+    is written.  Output is byte-identical for any worker count.  Raises
+    :class:`~repro.dist.PoisonedWorkError` when a shard exhausts its
+    retries.
 
     ``verify_hashes=False`` downgrades cache validation to an existence
     check — useful when a very large known-good dataset makes re-hashing
-    every shard at startup too costly.
+    every shard at startup too costly.  ``progress`` gets the fleet's
+    events (:func:`~repro.dist.run_distributed`).
     """
+    # imported here: repro.dist builds on this module's shard primitives
+    from ..dist import DatasetWorkSource, PoisonedWorkError, run_distributed
+
     out_dir = Path(out_dir)
     start = time.perf_counter()
     if not force and manifest_is_current(
@@ -357,30 +358,38 @@ def build_shards(
         )
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    # drop shards from a previous (now stale) build so the directory never
-    # mixes generations
-    stale = load_manifest(out_dir)
-    if stale is not None:
-        for shard in stale.get("shards", []):
+    source = DatasetWorkSource(config, out_dir)
+    previous = load_manifest(out_dir)
+    if force or previous is not None:
+        # a finished build leaves nothing to resume: drop its manifest
+        # first (a killed rebuild must not look complete), its shards so
+        # the directory never mixes generations, and any coordination
+        # state (attempt counts, quarantine markers) with them
+        (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
+        for shard in (previous or {}).get("shards", []):
             try:
                 (out_dir / shard["filename"]).unlink(missing_ok=True)
             except OSError:
                 pass
+        shutil.rmtree(source.coordination_dir(), ignore_errors=True)
 
-    specs = plan_shards(config)
-    tasks = [
-        (config.to_dict(), str(out_dir), s.suite, s.index, s.count)
-        for s in specs
-    ]
-    if workers <= 1 or len(tasks) <= 1:
-        metas = [_build_one(t) for t in tasks]
-    else:
-        with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
-            metas = pool.map(_build_one, tasks)
-    # manifest order == plan order regardless of completion order
-    order = {(s.suite, s.index): k for k, s in enumerate(specs)}
-    metas.sort(key=lambda m: order[(m["suite"], m["shard_index"])])
-    manifest = write_manifest(out_dir, config, metas)
+    summary = run_distributed(
+        source, workers=workers, cfg=cfg, progress=progress
+    )
+    if summary.poisoned:
+        raise PoisonedWorkError(source.name, summary.poisoned)
+    try:
+        # manifest order == plan order, whoever built each shard
+        manifest = write_manifest(out_dir, config, source.shard_metas())
+    except RuntimeError:
+        # a concurrent build of this config finished first: its
+        # manifest certifies the shards and its cleanup took the records
+        manifest = load_manifest(out_dir)
+        if not manifest or manifest.get("config_hash") != config.config_hash():
+            raise
+    # the manifest now certifies the build: the coordination state is
+    # spent.  Drop it so the directory is the same tree whatever built it
+    shutil.rmtree(source.coordination_dir(), ignore_errors=True)
     return BuildResult(
         manifest=manifest,
         out_dir=out_dir,

@@ -2,9 +2,12 @@
 
 One frozen dataclass carries every timing and retry parameter, so the
 dispatcher, standalone workers and the chaos tests agree on semantics by
-construction.  Each field has an environment override (``REPRO_LEASE_TTL``
-etc.) so extra hosts joining a run via ``repro worker`` can match the
-dispatcher's settings without repeating CLI flags.
+construction.  The three fields every process of one run must share —
+they decide when a lease is stale and when an item is quarantined — have
+environment overrides (``REPRO_LEASE_TTL``, ``REPRO_HEARTBEAT_INTERVAL``,
+``REPRO_MAX_ATTEMPTS``), so extra hosts joining a run via ``repro
+worker`` can match the dispatcher's settings without repeating CLI
+flags.  The rest only tune one worker's own pacing.
 """
 
 from __future__ import annotations
@@ -20,9 +23,6 @@ ENV_KNOBS = {
     "REPRO_LEASE_TTL": "lease_ttl",
     "REPRO_HEARTBEAT_INTERVAL": "heartbeat_interval",
     "REPRO_MAX_ATTEMPTS": "max_attempts",
-    "REPRO_BACKOFF_BASE": "backoff_base",
-    "REPRO_BACKOFF_CAP": "backoff_cap",
-    "REPRO_POLL_INTERVAL": "poll_interval",
 }
 
 
@@ -31,17 +31,19 @@ class DistConfig:
     """Lease lifecycle and retry policy for distributed execution.
 
     * ``lease_ttl`` — seconds without a heartbeat after which a lease is
-      *stale* and any worker may reclaim it (the crash-recovery clock);
+      *stale* and any worker may reclaim it (the crash-recovery clock;
+      an exited owner on this host is stale at once);
     * ``heartbeat_interval`` — how often a running worker renews its
       lease; must be well under the TTL so slow-but-alive workers are
       never mistaken for dead ones;
-    * ``max_attempts`` — executions of one unit before it is quarantined
-      as *poisoned* instead of retried forever;
+    * ``max_attempts`` — executions of one unit within one run before
+      it is quarantined as *poisoned* instead of retried forever;
     * ``backoff_base``/``backoff_cap`` — exponential per-unit retry
       delay: attempt ``n`` becomes eligible ``min(cap, base * 2**(n-1))``
       seconds after attempt ``n`` was claimed;
-    * ``poll_interval`` — how long an idle worker sleeps between scans
-      of the work list.
+    * ``poll_interval`` — the longest an idle worker waits between scans
+      of the work list, and the dispatcher between progress reports (a
+      drain request or a worker exit ends either wait at once).
     """
 
     lease_ttl: float = 15.0

@@ -1,7 +1,13 @@
-"""Fleet supervision and the high-level distributed entry points.
+"""Fleet supervision: the one engine behind every parallel run.
 
-:func:`run_distributed` spawns N worker processes over one
-:class:`~repro.dist.work.WorkSource` and babysits them:
+:func:`run_distributed` drives one :class:`~repro.dist.work.WorkSource`
+to resolution.  :func:`repro.runtime.parallel.execute_parallel` (units
+of a grid experiment) and :func:`repro.datagen.pipeline.build_shards`
+(shards of a dataset) are thin wrappers around it that own their cache
+rules.
+
+With ``workers >= 2`` the dispatcher spawns that many worker processes
+and babysits them:
 
 * a worker that exits cleanly has nothing left to claim — the fleet is
   simply done, or draining;
@@ -11,66 +17,40 @@
 * if every subprocess is gone and work remains, the dispatcher runs the
   worker loop **inline** as a floor — a run never stalls just because
   its fleet died, it just gets slower;
-* items that burned through their retry budget surface as
-  :class:`PoisonedWorkError` listing every quarantined key and its last
-  error, instead of hanging the run forever.
+* items that burned through their retry budget come back in
+  ``summary.poisoned``, which the wrappers raise as
+  :class:`PoisonedWorkError` naming every quarantined item and its last
+  error, instead of hanging the run forever.  The budget is per run.
 
-Because workers coordinate purely through lease files in the shared
-layout, supervision is optional: standalone ``repro worker`` processes
-(possibly on other hosts sharing the filesystem) join and leave the
-same run freely, and the dispatcher treats their progress exactly like
-its own fleet's.
+With ``workers <= 1`` no process is spawned: the same worker loop runs
+inline from the start.
 
-On top of the generic loop sit the two user-facing wrappers —
-:func:`execute_distributed` (mirrors
-:func:`repro.runtime.parallel.execute_parallel`, including the run
-cache and byte-identical ``result.json``) and
-:func:`build_shards_distributed` (mirrors
-:func:`repro.datagen.pipeline.build_shards`, including manifest
-equality for any worker count).
+The dispatcher sleeps on its workers' process sentinels, so an exit
+wakes it at once; otherwise it wakes every ``poll_interval`` to report
+the items it sees committed.  Because workers coordinate purely through
+lease files in the shared layout, supervision is optional: standalone
+``repro worker`` processes (possibly on other hosts sharing the
+filesystem) join and leave the same run freely, and the dispatcher
+reports their commits exactly like its own fleet's.
 """
 
 from __future__ import annotations
 
-import shutil
+import multiprocessing
 import signal
-import threading
-import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from multiprocessing.connection import wait
+from typing import Callable, Dict, List, Optional
 
-from ..datagen.pipeline import (
-    BuildResult,
-    PipelineConfig,
-    load_manifest,
-    manifest_is_current,
-    write_manifest,
-)
-from ..runtime.parallel import UNITS_DIR_NAME, _pool_context
-from ..runtime.registry import ExperimentSpec
-from ..runtime.runner import (
-    RunRecord,
-    default_runs_dir,
-    load_cached_record,
-    write_run_artifacts,
-)
 from .config import DistConfig
 from .leases import LeaseStore, new_owner_id
-from .work import (
-    DatasetWorkSource,
-    ExperimentWorkSource,
-    WorkSource,
-    rebuild_source,
-)
-from .worker import WorkerProgress, run_worker
+from .work import WorkSource, rebuild_source
+from .worker import drain_on_signals, run_worker
 
 __all__ = [
     "PoisonedWorkError",
     "DistSummary",
     "run_distributed",
-    "execute_distributed",
-    "build_shards_distributed",
 ]
 
 
@@ -85,7 +65,8 @@ class PoisonedWorkError(RuntimeError):
         ]
         for key, record in sorted(poisoned.items()):
             lines.append(
-                f"  - {key} (attempts={record.get('attempts', '?')}): "
+                f"  - {record.get('label', key)} [{key}] "
+                f"(attempts={record.get('attempts', '?')}): "
                 f"{record.get('last_error', '') or 'no recorded error'}"
             )
         super().__init__("\n".join(lines))
@@ -93,24 +74,30 @@ class PoisonedWorkError(RuntimeError):
 
 @dataclass
 class DistSummary:
-    """What the supervision loop observed for one distributed run."""
+    """What the supervision loop observed for one run."""
 
     workers: int
     worker_deaths: int = 0
     respawns: int = 0
     ran_inline: bool = False
     poisoned: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    elapsed: float = 0.0
 
-    @property
-    def degraded(self) -> bool:
-        return self.worker_deaths > self.respawns or self.ran_inline
+
+def _fork_context():
+    """Fork when the platform offers it (workers inherit the parent's
+    registry, so dynamically registered experiments resolve); the
+    platform default otherwise — there, only experiments importable via
+    ``repro.experiments`` are reachable from workers."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - no fork on this platform
+        return multiprocessing.get_context()
 
 
 def _worker_proc_main(
     source_kind: str, source_args: tuple, cfg: DistConfig, index: int
 ) -> None:
-    """Subprocess entry: one worker loop with a SIGTERM drain handler.
+    """Subprocess entry: one worker loop that SIGTERM drains.
 
     Receives the source as ``(kind, primitives)`` from
     :meth:`~repro.dist.work.WorkSource.subprocess_payload` and rebuilds
@@ -118,70 +105,109 @@ def _worker_proc_main(
     to pickle an Experiment object holding user callables.
     """
     source = rebuild_source(source_kind, source_args)
-    stop = threading.Event()
-    signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
-    run_worker(
-        source,
-        cfg,
-        owner=new_owner_id(f"worker{index}"),
-        stop_event=stop,
-    )
-
-
-def _resolved(source: WorkSource, store: LeaseStore) -> bool:
-    poisoned = store.poisoned()
-    return all(
-        item.is_done() or item.key in poisoned for item in source.items()
-    )
-
-
-def _source_poisoned(
-    source: WorkSource, store: LeaseStore
-) -> Dict[str, Dict[str, object]]:
-    """Quarantine records for *this source's* items only.
-
-    The coordination directory can hold poison markers keyed for other
-    work (e.g. an aborted dataset build of a different config, whose
-    keys embed a different config hash); those are dead state, not this
-    run's failures, and must not fail this run.
-    """
-    keys = {item.key for item in source.items()}
-    return {
-        key: record
-        for key, record in store.poisoned().items()
-        if key in keys
-    }
+    with drain_on_signals(signal.SIGTERM) as stop:
+        run_worker(
+            source, cfg, owner=new_owner_id(f"worker{index}"), stop_event=stop
+        )
 
 
 def run_distributed(
     source: WorkSource,
     workers: int = 2,
     cfg: Optional[DistConfig] = None,
-    progress: Optional[WorkerProgress] = None,
-    respawn_budget: Optional[int] = None,
+    progress: Optional[Callable[[Dict[str, object]], None]] = None,
 ) -> DistSummary:
-    """Drive ``source`` to resolution with a supervised worker fleet.
+    """Drive ``source`` to resolution: every item committed or quarantined.
 
-    Blocks until every item is committed or quarantined.  Dead workers
-    are respawned up to ``respawn_budget`` times (default: one refill
-    per slot); beyond that the fleet degrades, down to an inline
-    fallback in this process.  Does **not** raise for poisoned items —
-    callers inspect ``summary.poisoned`` and decide (the high-level
-    wrappers raise :class:`PoisonedWorkError`).
+    ``workers >= 2`` runs a supervised fleet of that many processes;
+    dead workers are respawned up to ``workers`` times in all (one
+    refill per slot), beyond that the fleet degrades, down to the inline
+    fallback.  ``workers <= 1`` runs the worker loop inline.
+
+    Attempt and quarantine records of earlier runs are dropped first
+    (live leases stay), so every item starts with a fresh retry budget.
+
+    ``progress`` gets one event per item, whoever committed it:
+    ``status`` ("cached" when committed before the run started, "done"
+    when seen committed during it), ``key``, ``label``, ``index`` (the
+    item's position in the source) and ``total``; and a "worker-died"
+    event with ``label`` and ``detail`` but no ``index`` per fleet
+    process that dies.  Does **not** raise for poisoned items — callers
+    inspect ``summary.poisoned`` (each record carries the item's
+    ``label``) and decide.
+
+    ``cfg`` defaults to :meth:`DistConfig.from_env`, the settings a
+    standalone ``repro worker`` joining the run reads too.
     """
-    cfg = DistConfig() if cfg is None else cfg
+    cfg = DistConfig.from_env() if cfg is None else cfg
     workers = max(1, int(workers))
-    budget = workers if respawn_budget is None else max(0, respawn_budget)
-    start = time.perf_counter()
 
     store = LeaseStore(source.coordination_dir(), ttl=cfg.lease_ttl)
-    summary = DistSummary(workers=workers)
-    if _resolved(source, store):
-        summary.poisoned = _source_poisoned(source, store)
-        summary.elapsed = time.perf_counter() - start
-        return summary
+    store.reset_retries()
+    items = source.items()
+    reported = set()
 
-    ctx = _pool_context()
+    def report(status: str) -> bool:
+        """Report items newly seen committed; True once all resolve."""
+        poisoned = store.poisoned()
+        resolved = True
+        for index, item in enumerate(items):
+            if item.key in reported:
+                continue
+            if item.is_done():
+                reported.add(item.key)
+                if progress is not None:
+                    progress(
+                        {
+                            "status": status,
+                            "key": item.key,
+                            "label": item.label,
+                            "index": index,
+                            "total": len(items),
+                        }
+                    )
+            elif item.key not in poisoned:
+                resolved = False
+        return resolved
+
+    summary = DistSummary(workers=workers)
+    if not report("cached"):
+        if workers > 1:
+            _supervise(source, workers, cfg, summary, report, progress)
+        if not report("done"):
+            # no fleet (workers <= 1), or every subprocess is gone — dead
+            # past the respawn budget — with work left: finish inline
+            summary.ran_inline = True
+            run_worker(
+                source,
+                cfg,
+                owner=new_owner_id("dispatcher"),
+                progress=lambda event: report("done"),
+            )
+            report("done")
+
+    # only this source's quarantine records: the coordination directory
+    # may hold ones keyed for other work (a concurrent build of a
+    # different config, whose keys embed a different config hash)
+    poisoned = store.poisoned()
+    summary.poisoned = {
+        item.key: {**poisoned[item.key], "label": item.label}
+        for item in items
+        if item.key in poisoned
+    }
+    return summary
+
+
+def _supervise(
+    source: WorkSource,
+    workers: int,
+    cfg: DistConfig,
+    summary: DistSummary,
+    report: Callable[[str], bool],
+    progress: Optional[Callable[[Dict[str, object]], None]],
+) -> None:
+    """Run the subprocess fleet until the source resolves or it is gone."""
+    ctx = _fork_context()
     source_kind, source_args = source.subprocess_payload()
 
     def spawn(index: int):
@@ -196,7 +222,13 @@ def run_distributed(
 
     procs: List[Optional[object]] = [spawn(i) for i in range(workers)]
     try:
-        while not _resolved(source, store):
+        while any(p is not None for p in procs):
+            # an exit (clean or not) wakes us at once; otherwise wake
+            # each poll interval to report what the fleet committed
+            wait(
+                [p.sentinel for p in procs if p is not None],
+                timeout=cfg.poll_interval,
+            )
             for i, proc in enumerate(procs):
                 if proc is None or proc.is_alive():
                     continue
@@ -210,29 +242,17 @@ def run_distributed(
                     progress(
                         {
                             "status": "worker-died",
-                            "key": proc.name,
                             "label": proc.name,
                             "detail": f"exit code {proc.exitcode}",
                         }
                     )
-                if summary.respawns < budget:
+                if summary.respawns < workers:
                     summary.respawns += 1
                     procs[i] = spawn(i)
                 else:
                     procs[i] = None  # degraded: run on with fewer workers
-            if all(p is None for p in procs):
-                if _resolved(source, store):
-                    break
-                # every subprocess is gone (dead past the respawn budget,
-                # or finished while a lease was still settling): finish
-                # the job inline rather than stall the run
-                summary.ran_inline = True
-                run_worker(
-                    source, cfg, owner=new_owner_id("dispatcher"),
-                    progress=progress,
-                )
-                break
-            time.sleep(cfg.poll_interval)
+            if report("done"):
+                return
     finally:
         for proc in procs:
             if proc is not None and proc.is_alive():
@@ -240,154 +260,3 @@ def run_distributed(
         for proc in procs:
             if proc is not None:
                 proc.join()
-
-    summary.poisoned = _source_poisoned(source, store)
-    summary.elapsed = time.perf_counter() - start
-    return summary
-
-
-def _dist_manifest_extra(
-    summary: DistSummary, cfg: DistConfig
-) -> Dict[str, object]:
-    return {
-        "mode": "distributed",
-        "workers": summary.workers,
-        "worker_deaths": summary.worker_deaths,
-        "respawns": summary.respawns,
-        "ran_inline": summary.ran_inline,
-        "lease_ttl": cfg.lease_ttl,
-        "heartbeat_interval": cfg.heartbeat_interval,
-        "max_attempts": cfg.max_attempts,
-    }
-
-
-def execute_distributed(
-    name: str,
-    spec: Optional[ExperimentSpec] = None,
-    runs_dir: Optional[Union[str, Path]] = None,
-    workers: int = 2,
-    cfg: Optional[DistConfig] = None,
-    force: bool = False,
-    progress: Optional[WorkerProgress] = None,
-) -> RunRecord:
-    """Run experiment ``name`` on a fault-tolerant worker fleet.
-
-    Same cache semantics and byte-identical ``result.json`` as
-    :func:`repro.runtime.parallel.execute_parallel`; only the manifest's
-    execution metadata differs.  Raises :class:`PoisonedWorkError` when
-    any unit exhausts its retry budget.
-    """
-    cfg = DistConfig() if cfg is None else cfg
-    root = Path(runs_dir) if runs_dir is not None else default_runs_dir()
-    source = ExperimentWorkSource(name, spec, root)
-
-    start = time.perf_counter()
-    if not force:
-        cached = load_cached_record(
-            name,
-            source.spec,
-            source.out_dir,
-            source.digest,
-            elapsed=time.perf_counter() - start,
-        )
-        if cached is not None:
-            return cached
-    else:
-        # recompute everything: drop unit caches and coordination state
-        shutil.rmtree(source.out_dir / UNITS_DIR_NAME, ignore_errors=True)
-        shutil.rmtree(source.coordination_dir(), ignore_errors=True)
-
-    summary = run_distributed(
-        source, workers=workers, cfg=cfg, progress=progress
-    )
-    if summary.poisoned:
-        raise PoisonedWorkError(name, summary.poisoned)
-
-    # every unit committed: the coordination state is spent.  Drop it so
-    # the finished run dir matches a serial run tree-for-tree (late
-    # workers recreate .dist/ lazily and find nothing left to claim)
-    shutil.rmtree(source.coordination_dir(), ignore_errors=True)
-
-    result_obj = source.exp.merge(source.spec, source.unit_results())
-    elapsed = time.perf_counter() - start
-    return write_run_artifacts(
-        source.exp,
-        source.spec,
-        source.digest,
-        source.out_dir,
-        result_obj,
-        elapsed,
-        manifest_extra={
-            "units": {
-                u.key: d[:16]
-                for u, d in zip(source.units, source.digests)
-            },
-            "dist": _dist_manifest_extra(summary, cfg),
-        },
-    )
-
-
-def build_shards_distributed(
-    config: PipelineConfig,
-    out_dir: Union[str, Path],
-    workers: int = 2,
-    cfg: Optional[DistConfig] = None,
-    force: bool = False,
-    progress: Optional[WorkerProgress] = None,
-) -> BuildResult:
-    """Build a sharded dataset on a fault-tolerant worker fleet.
-
-    Cache, shard bytes and manifest match
-    :func:`repro.datagen.pipeline.build_shards` exactly — the manifest
-    is assembled from per-shard meta records in plan order, through the
-    same :func:`~repro.datagen.pipeline.write_manifest`.
-    """
-    cfg = DistConfig() if cfg is None else cfg
-    out_dir = Path(out_dir)
-    start = time.perf_counter()
-    if not force and manifest_is_current(out_dir, config):
-        manifest = load_manifest(out_dir)
-        assert manifest is not None
-        return BuildResult(
-            manifest=manifest,
-            out_dir=out_dir,
-            cache_hit=True,
-            elapsed=time.perf_counter() - start,
-        )
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    source = DatasetWorkSource(config, out_dir)
-    if force:
-        shutil.rmtree(source.coordination_dir(), ignore_errors=True)
-    # drop shards from a previous (now stale) build so the directory
-    # never mixes generations — same rule as the pool builder
-    stale = load_manifest(out_dir)
-    if stale is not None and stale.get("config_hash") != config.config_hash():
-        for shard in stale.get("shards", []):
-            try:
-                (out_dir / shard["filename"]).unlink(missing_ok=True)
-            except OSError:
-                pass
-        # the old build's coordination state (leases, attempt counts,
-        # quarantine markers, meta records) describes work that no
-        # longer exists; item keys embed the config hash so it could
-        # not wedge this build anyway, but there is no reason to keep it
-        shutil.rmtree(source.coordination_dir(), ignore_errors=True)
-
-    summary = run_distributed(
-        source, workers=workers, cfg=cfg, progress=progress
-    )
-    if summary.poisoned:
-        raise PoisonedWorkError(source.name, summary.poisoned)
-
-    manifest = write_manifest(out_dir, config, source.shard_metas())
-    # manifest written from the per-shard meta records: the coordination
-    # state is spent.  Drop it so the dataset dir diffs clean against a
-    # serial build
-    shutil.rmtree(source.coordination_dir(), ignore_errors=True)
-    return BuildResult(
-        manifest=manifest,
-        out_dir=out_dir,
-        cache_hit=False,
-        elapsed=time.perf_counter() - start,
-    )

@@ -12,7 +12,8 @@ lease can never deadlock a run:
   critical section;
 * **heartbeat** — the holder periodically rewrites the lease (atomic
   temp + ``os.replace``) with a fresh wall-clock timestamp; a lease
-  whose heartbeat is older than its TTL is *stale*;
+  whose heartbeat is older than its TTL is *stale*, and so is one held
+  by a process of this host that has exited;
 * **reclaim** — a claimant first publishes a *reclaim marker*
   (create-excl, content-stamped with its creation time) so only one
   claimant reclaims at a time and the transient no-lease-file window
@@ -38,7 +39,8 @@ the current lease holder only:
   last error message;
 * ``poisoned/<key>.json`` — the quarantine marker written once an item
   has burned through ``max_attempts``; poisoned items are skipped by
-  every worker and reported loudly by the dispatcher.
+  every worker and reported loudly by the dispatcher.  Each run forgets
+  both, so a killed or failed run never spends the next run's retries.
 """
 
 from __future__ import annotations
@@ -76,6 +78,23 @@ def new_owner_id(role: str = "worker") -> str:
     )
 
 
+def _owner_is_gone(owner: str) -> bool:
+    """Does ``owner`` (a :func:`new_owner_id`) name an exited process of
+    this host?  Nobody can renew its lease, so the lease is stale at once.
+    Hosts are told apart by name: containers sharing a hostname but not a
+    pid namespace can misjudge each other, which costs duplicated work."""
+    host, _, pid = owner.partition("@")[2].rpartition(":")[0].rpartition(":")
+    if os.name != "posix" or host != socket.gethostname() or not pid.isdigit():
+        return False
+    try:
+        os.kill(int(pid), 0)  # signal 0 only probes for the process
+    except ProcessLookupError:
+        return True
+    except (PermissionError, OverflowError):
+        pass  # it exists under another user, or is no pid at all
+    return False
+
+
 @dataclass(frozen=True)
 class Lease:
     """One claim: who holds the item, since when, and how fresh."""
@@ -88,8 +107,11 @@ class Lease:
     ttl: float
 
     def is_stale(self, now: Optional[float] = None) -> bool:
+        """Past its TTL, or held by a process of this host that is gone."""
         now = time.time() if now is None else now
-        return (now - self.heartbeat_at) > self.ttl
+        return (now - self.heartbeat_at) > self.ttl or _owner_is_gone(
+            self.owner
+        )
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -395,6 +417,13 @@ class LeaseStore:
                 "last_error": last_error,
             },
         )
+
+    def reset_retries(self) -> None:
+        """Forget every attempt count and quarantine marker, file by file
+        (a peer writing a record keeps its directory); leases stay."""
+        for records in (self._attempts, self._poisoned):
+            for path in records.glob("*.json"):
+                path.unlink(missing_ok=True)
 
     # -- poisoned-item quarantine ----------------------------------------
     def poison(self, key: str, attempts: int, last_error: str) -> None:

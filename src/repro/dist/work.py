@@ -5,17 +5,17 @@ shared cache layout.  Two adapters cover the repo's fleet-sized jobs:
 
 * :class:`ExperimentWorkSource` — the units of a unit-decomposed
   experiment (one Table-II model configuration each), committed through
-  the same atomic :func:`repro.runtime.parallel.commit_unit` seam the
-  process-pool executor uses;
+  the atomic :func:`repro.runtime.parallel.commit_unit` seam;
 * :class:`DatasetWorkSource` — the shards of a dataset build.  Shard
   files are already written atomically; completion is certified by a
   small per-shard meta record under the coordination directory, written
-  last, which the dispatcher later assembles into the dataset manifest.
+  last, which :func:`repro.datagen.pipeline.build_shards` later
+  assembles into the dataset manifest.
 
 Every item exposes the same crash-safe contract:
 
 * ``is_done()`` consults only committed on-disk state, so any process
-  (dispatcher, pool worker, a host that joined mid-run) agrees on it;
+  (dispatcher, fleet worker, a host that joined mid-run) agrees on it;
 * ``run()`` is pure compute — deterministic given the source config —
   and ``commit(payload)`` publishes atomically and idempotently:
   committing the same item twice writes byte-identical state;
@@ -34,9 +34,10 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 from ..datagen.pipeline import (
+    MANIFEST_NAME,
     PipelineConfig,
     ShardSpec,
     generate_shard,
@@ -111,9 +112,8 @@ class WorkSource:
         What the dispatcher ships to subprocess workers instead of the
         source object itself: under a spawn start method the args must
         pickle, so the built-in sources override this with plain
-        primitives (name/spec/config/paths) and rebuild on the far side
-        — mirroring how ``execute_parallel`` ships unit args — so an
-        :class:`~repro.runtime.registry.Experiment` holding user
+        primitives (name/spec/config/paths) and rebuild on the far side,
+        so an :class:`~repro.runtime.registry.Experiment` holding user
         callables never has to cross the process boundary.  The default
         ships the source itself, for custom sources that do pickle.
         """
@@ -207,9 +207,8 @@ class ExperimentWorkSource(WorkSource):
         return self.out_dir / COORD_DIR_NAME
 
     def subprocess_payload(self) -> "tuple[str, tuple]":
-        # the spec already pickles across the pool boundary; the
-        # Experiment (with its user callables) is re-looked-up by name
-        # in the subprocess, exactly like execute_parallel's unit args
+        # the spec pickles; the Experiment (with its user callables) is
+        # re-looked-up by name in the subprocess
         return ("experiment", (self.name, self.spec, str(self.runs_dir)))
 
     def items(self) -> List[WorkItem]:
@@ -286,6 +285,11 @@ class _ShardItem(WorkItem):
         return data["shard"]
 
     def is_done(self) -> bool:
+        # a manifest certifies the whole directory, and the build that
+        # wrote it then clears the meta records: a worker that joins late
+        # must find nothing left to build rather than start over
+        if (self.out_dir / MANIFEST_NAME).is_file():
+            return True
         return self.read_meta() is not None and self.shard_path.is_file()
 
     def run(self) -> object:
@@ -294,8 +298,11 @@ class _ShardItem(WorkItem):
     def commit(self, payload: object) -> None:
         # the shard write is atomic (deterministic temp + rename); the
         # meta record is written last and certifies it, mirroring the
-        # manifest-last convention of the non-distributed builder
+        # dataset's manifest-last convention
         sha = write_shard(self.shard_path, payload)
+        # created here, not up front: a concurrent build of this config
+        # that finished first may have cleared the coordination directory
+        self.meta_path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write_json(
             self.meta_path,
             {
@@ -329,7 +336,6 @@ class DatasetWorkSource(WorkSource):
 
     def items(self) -> List[WorkItem]:
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        (self.coordination_dir() / "meta").mkdir(parents=True, exist_ok=True)
         return [
             _ShardItem(self.config, spec, self.out_dir, self._meta_path(spec))
             for spec in self.specs
@@ -349,10 +355,3 @@ class DatasetWorkSource(WorkSource):
                 )
             metas.append(meta)
         return metas
-
-
-def all_resolved(items: Sequence[WorkItem], poisoned_keys) -> bool:
-    """Is every item either committed or quarantined?"""
-    return all(
-        item.is_done() or item.key in poisoned_keys for item in items
-    )

@@ -23,10 +23,10 @@ claim → execute → commit → release protocol:
 Workers are interchangeable and stateless between items: any number may
 run the same loop on the same shared directory, including processes that
 join mid-run (``repro worker``).  A worker that finds nothing claimable
-sleeps ``poll_interval`` and rescans; the loop returns once every item
-is committed or quarantined, or when ``stop_event`` is set (SIGTERM
-drain: the in-flight item is finished and released, nothing new is
-claimed).
+waits up to ``poll_interval`` on its stop event and rescans; the loop
+returns once every item is committed or quarantined, or as soon as
+``stop_event`` is set (SIGTERM drain: the in-flight item is finished and
+released, nothing new is claimed).
 
 Fault-injection hooks (:mod:`repro.dist.faults`) sit at the exact
 protocol points the chaos suite cares about; with no plan in the
@@ -35,10 +35,12 @@ environment they are inert.
 
 from __future__ import annotations
 
+import signal
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from .config import DistConfig
 from .faults import FaultInjector
@@ -48,11 +50,14 @@ from .work import WorkItem, WorkSource
 __all__ = [
     "HeartbeatThread",
     "WorkerReport",
+    "drain_on_signals",
     "run_worker",
 ]
 
 #: progress callback: ``fn(event)`` with ``status`` ("done" | "failed" |
-#: "poisoned" | "abandoned"), ``key``, ``label`` and ``detail``.
+#: "poisoned" | "abandoned"), ``key``, ``label``, ``index`` (position in
+#: the source's item order), ``total``, ``elapsed`` (seconds the item ran,
+#: 0 unless done) and ``detail``.
 WorkerProgress = Callable[[Dict[str, object]], None]
 
 
@@ -111,21 +116,26 @@ class WorkerReport:
     drained: bool = False
 
 
-def _emit(
-    progress: Optional[WorkerProgress],
-    status: str,
-    item: WorkItem,
-    detail: str = "",
-) -> None:
-    if progress is not None:
-        progress(
-            {
-                "status": status,
-                "key": item.key,
-                "label": item.label,
-                "detail": detail,
-            }
-        )
+@contextmanager
+def drain_on_signals(*signums: int) -> Iterator[threading.Event]:
+    """A stop event for :func:`run_worker` that any of ``signums`` sets.
+
+    The handler sets it from a new thread: the main thread may hold the
+    event's lock inside ``wait`` when the signal lands, so setting it
+    from the handler itself could deadlock.  The previous handlers come
+    back on exit.  Main thread only (signal handlers are installed there).
+    """
+    stop = threading.Event()
+
+    def handler(*_) -> None:
+        threading.Thread(target=stop.set, daemon=True).start()
+
+    previous = [(signum, signal.signal(signum, handler)) for signum in signums]
+    try:
+        yield stop
+    finally:
+        for signum, old in previous:
+            signal.signal(signum, old)
 
 
 def run_worker(
@@ -150,7 +160,24 @@ def run_worker(
     store = LeaseStore(coord, ttl=cfg.lease_ttl)
     injector = FaultInjector.from_env(coord)
     items = source.items()
+    position = {item.key: index for index, item in enumerate(items)}
     report = WorkerReport(owner=owner)
+
+    def emit(
+        status: str, item: WorkItem, detail: str = "", elapsed: float = 0.0
+    ) -> None:
+        if progress is not None:
+            progress(
+                {
+                    "status": status,
+                    "key": item.key,
+                    "label": item.label,
+                    "index": position[item.key],
+                    "total": len(items),
+                    "elapsed": elapsed,
+                    "detail": detail,
+                }
+            )
 
     while True:
         if stop_event.is_set():
@@ -168,7 +195,7 @@ def run_worker(
             rec = store.attempts(item.key)
             if rec.count >= cfg.max_attempts:
                 progressed = (
-                    _quarantine(item, store, cfg, report, progress, owner)
+                    _quarantine(item, store, cfg, report, emit, owner)
                     or progressed
                 )
                 continue
@@ -193,13 +220,15 @@ def run_worker(
             )
             progressed = (
                 _run_item(item, store, injector, cfg, owner, count, report,
-                          progress)
+                          emit)
                 or progressed
             )
         if unresolved == 0:
             return report
         if not progressed:
-            time.sleep(cfg.poll_interval)
+            # idle: a peer holds what is left, or it is backing off.  A
+            # drain request ends the wait at once
+            stop_event.wait(cfg.poll_interval)
 
 
 def _quarantine(
@@ -207,7 +236,7 @@ def _quarantine(
     store: LeaseStore,
     cfg: DistConfig,
     report: WorkerReport,
-    progress: Optional[WorkerProgress],
+    emit: Callable[..., None],
     owner: str,
 ) -> bool:
     """Poison an item whose retry budget is spent — lease in hand.
@@ -236,7 +265,7 @@ def _quarantine(
             return False  # record changed underfoot; let the rescan decide
         store.poison(item.key, rec.count, rec.last_error)
         report.poisoned.append(item.key)
-        _emit(progress, "poisoned", item, rec.last_error)
+        emit("poisoned", item, rec.last_error)
         return True
     finally:
         store.release(item.key, owner)
@@ -250,11 +279,12 @@ def _run_item(
     owner: str,
     count: int,
     report: WorkerReport,
-    progress: Optional[WorkerProgress],
+    emit: Callable[..., None],
 ) -> bool:
     """Execute one claimed item end to end.  Returns True on commit."""
     hb = HeartbeatThread(store, item.key, owner, cfg.heartbeat_interval)
     hb.start()
+    started = time.perf_counter()
     try:
         try:
             payload = item.run()
@@ -267,14 +297,14 @@ def _run_item(
                 last_error=error,
             )
             report.failed += 1
-            _emit(progress, "failed", item, error)
+            emit("failed", item, error)
             if count >= cfg.max_attempts and store.owns(item.key, owner):
                 # that was the final permitted attempt and the lease is
                 # still ours: quarantine here, under the lease, instead
                 # of leaving it to a scan (which would have to reclaim)
                 store.poison(item.key, count, error)
                 report.poisoned.append(item.key)
-                _emit(progress, "poisoned", item, error)
+                emit("poisoned", item, error)
             return False
 
         if injector.take("stall_past_lease", item.label):
@@ -297,14 +327,14 @@ def _run_item(
             # now; abandon the result (commits are idempotent, but
             # double-publishing is still pointless churn)
             report.abandoned += 1
-            _emit(progress, "abandoned", item)
+            emit("abandoned", item)
             return False
 
         item.commit(payload)
         if injector.take("crash_after_commit", item.label):
             injector.crash()
         report.completed.append(item.key)
-        _emit(progress, "done", item)
+        emit("done", item, elapsed=time.perf_counter() - started)
         return True
     finally:
         hb.stop()

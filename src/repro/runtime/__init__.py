@@ -7,9 +7,9 @@
 * :mod:`.runner` — run directories with a ``manifest.json`` keyed by a
   spec hash, giving every paper table the same cache-hit/invalidation
   semantics as the dataset pipeline;
-* :mod:`.parallel` — the process-pool executor that fans a grid
-  experiment's units out over workers with per-unit cache directories,
-  so killed grids resume from completed units;
+* :mod:`.parallel` — the executor that runs a grid experiment's units
+  on the lease-based worker fleet (:mod:`repro.dist`) with per-unit
+  cache directories, so killed grids resume from completed units;
 * :mod:`.compare` — metric diffs between two cached runs, with optional
   tolerance gating;
 * :mod:`.golden` — committed golden-metric fixtures and the drift gate

@@ -1,16 +1,21 @@
-"""Process-pool execution of unit-decomposed experiments.
+"""Parallel execution of unit-decomposed experiments.
 
 The paper's headline tables are grids of *independent* trainings —
 Table II alone is 13 model configurations — so an experiment that
 exposes the unit API (:class:`~repro.runtime.registry.UnitSpec` rows via
-``units``/``run_unit``/``merge``) can fan those rows out over worker
-processes and cache each one separately::
+``units``/``run_unit``/``merge``) runs each row as one work item of the
+lease-based fleet (:mod:`repro.dist`) and caches each one separately::
 
     runs/<experiment>/<spec_hash[:16]>/
         manifest.json  result.json  report.txt  report.md   (whole run)
         units/<unit_hash[:16]>/
             result.json    the unit's JSON payload
             unit.json      unit manifest — certifies the directory
+        .dist/             lease/attempt/quarantine records, while running
+
+``workers >= 2`` spawns that many fleet worker processes; ``workers <=
+1`` runs the same worker loop in this process.  Either way, standalone
+``repro worker experiment`` processes may join the run mid-flight.
 
 Unit directories are published atomically: :func:`commit_unit` stages
 the whole directory under a temp name and renames it into place, so a
@@ -21,13 +26,19 @@ complete one.  Semantics mirror the run-level cache one level down:
   unit hash and format version, and ``result.json`` parses; anything
   else (kill mid-unit, truncation, a stale directory from an older
   layout) is a miss for that unit alone;
-* workers write their own unit directory *before* reporting back, so a
+* each unit's directory is committed as soon as the unit finishes, so a
   grid killed mid-flight resumes from every completed unit;
-* every unit result is JSON-roundtripped before merging, so merging
-  fresh results and merging reloaded cache files are byte-identical —
-  which is what makes ``--workers 1``, ``--workers N`` and
-  resumed-after-kill runs produce the same ``result.json`` bytes.
+* a unit that raises retries with backoff; once its retries run out the
+  run fails with :class:`~repro.dist.PoisonedWorkError`, and its
+  completed siblings keep their unit directories.  The retry budget is
+  per run: a rerun after a fix (or a kill) retries that unit;
+* every unit result is JSON-roundtripped before it is committed, and the
+  merge always reads the committed files, which is what makes
+  ``--workers 1``, ``--workers N`` and resumed-after-kill runs produce
+  the same ``result.json`` bytes.
 
+The coordination directory ``.dist/`` is removed once every unit is
+committed, so a finished run directory holds no trace of how it ran.
 Experiments without unit support fall back to the serial runner
 (:func:`repro.runtime.runner.execute`) regardless of ``workers``.
 """
@@ -36,31 +47,24 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import shutil
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Union
 
 from ..utils import atomic_replace_dir
-from .registry import (
-    Experiment,
-    ExperimentSpec,
-    UnitSpec,
-    canonical_unit_result,
-    get_experiment,
-)
+from .registry import ExperimentSpec, UnitSpec, get_experiment
 from .runner import (
     RunRecord,
     default_runs_dir,
     execute as execute_serial,
     load_cached_record,
-    run_dir_for,
-    spec_hash,
     write_run_artifacts,
 )
+
+if TYPE_CHECKING:  # the fleet imports this module's unit-cache seam
+    from ..dist import DistConfig
 
 __all__ = [
     "UNIT_FORMAT_VERSION",
@@ -81,7 +85,8 @@ UNIT_RESULT_NAME = "result.json"
 
 #: progress callback: ``fn(event)`` with an event dict holding
 #: ``status`` ("cached" | "done"), ``key``, ``label``, ``index`` (0-based
-#: position in unit order), ``total`` and ``elapsed`` seconds.
+#: position in unit order), ``total`` and ``elapsed`` seconds; or a
+#: "worker-died" event with no ``index`` (see :func:`repro.dist.run_distributed`).
 UnitProgress = Callable[[Dict[str, object]], None]
 
 
@@ -143,8 +148,7 @@ def commit_unit(
     complete one — never the truncated ``result.json`` states the cache
     reader has to defend against.  A stale target (e.g. a torn partial
     from a legacy in-place writer) is cleared by the rename helper.
-    This is the one commit seam shared by the in-process pool executor
-    and the distributed lease-based workers.
+    This is the one commit seam of every fleet worker.
     """
     unit_dir = Path(unit_dir)
     unit_dir.parent.mkdir(parents=True, exist_ok=True)
@@ -176,37 +180,13 @@ def commit_unit(
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _pool_context():
-    """Fork when the platform offers it (workers inherit the parent's
-    registry, so dynamically registered experiments resolve); the
-    platform default otherwise — there, only experiments importable via
-    ``repro.experiments`` are reachable from workers."""
+def _unit_elapsed(unit_dir: Path) -> float:
+    """Worker-measured seconds recorded in a committed unit's manifest."""
     try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - no fork on this platform
-        return multiprocessing.get_context()
-
-
-def _run_one_unit(
-    name: str,
-    spec: ExperimentSpec,
-    unit: UnitSpec,
-    digest: str,
-    unit_dir_str: str,
-) -> "tuple[Dict[str, object], float]":
-    """Worker entry point: execute one unit and persist its cache dir.
-
-    Module-level (not a closure) so a process pool can pickle it; the
-    experiment is re-looked-up by name inside the worker.  Returns the
-    canonical result plus the worker-measured elapsed seconds (queue
-    wait excluded).
-    """
-    exp = get_experiment(name)
-    start = time.perf_counter()
-    result = canonical_unit_result(exp.run_unit(spec, unit))
-    elapsed = time.perf_counter() - start
-    commit_unit(Path(unit_dir_str), unit, digest, result, elapsed)
-    return result, elapsed
+        manifest = json.loads((unit_dir / UNIT_MANIFEST_NAME).read_text())
+        return float(manifest["elapsed"])
+    except (OSError, ValueError, KeyError, TypeError):
+        return 0.0
 
 
 def execute_parallel(
@@ -216,118 +196,82 @@ def execute_parallel(
     workers: int = 1,
     force: bool = False,
     progress: Optional[UnitProgress] = None,
+    cfg: Optional[DistConfig] = None,
 ) -> RunRecord:
-    """Run experiment ``name``, fanning its units over ``workers``.
+    """Run experiment ``name``, its units spread over ``workers``.
 
     The run-level cache is honoured exactly like the serial path; on a
-    miss, cached units are reloaded and only pending units execute —
-    in-process when ``workers <= 1``, on a process pool otherwise.
-    ``force=True`` discards both cache levels.  Experiments without unit
-    support run serially whatever ``workers`` says.
+    miss, committed units are reloaded and only pending units execute,
+    on the lease fleet tuned by ``cfg`` (the environment's
+    :class:`~repro.dist.DistConfig` when ``None``).  ``force=True``
+    discards both cache levels.  Raises
+    :class:`~repro.dist.PoisonedWorkError` when a unit exhausts its
+    retries.  Experiments without unit support run serially whatever
+    ``workers`` says.
     """
-    exp: Experiment = get_experiment(name)
-    spec = exp.validate_spec(spec)
-    if not exp.supports_units:
-        return execute_serial(name, spec, runs_dir=runs_dir, force=force)
+    # imported here: repro.dist builds on this module's unit-cache seam
+    from ..dist import ExperimentWorkSource, PoisonedWorkError, run_distributed
 
-    digest = spec_hash(name, spec)
+    if not get_experiment(name).supports_units:
+        return execute_serial(name, spec, runs_dir=runs_dir, force=force)
     root = Path(runs_dir) if runs_dir is not None else default_runs_dir()
-    out_dir = run_dir_for(root, name, digest)
+    source = ExperimentWorkSource(name, spec, root)
+    exp, spec, out_dir = source.exp, source.spec, source.out_dir
 
     start = time.perf_counter()
     if not force:
         cached = load_cached_record(
-            name, spec, out_dir, digest, elapsed=time.perf_counter() - start
+            name, spec, out_dir, source.digest,
+            elapsed=time.perf_counter() - start,
         )
         if cached is not None:
             return cached
-    elif (out_dir / UNITS_DIR_NAME).is_dir():
-        # --force means recompute everything: drop the unit caches too
+    else:
+        # --force means recompute everything: drop the unit caches and
+        # any coordination state with them
         shutil.rmtree(out_dir / UNITS_DIR_NAME, ignore_errors=True)
+        shutil.rmtree(source.coordination_dir(), ignore_errors=True)
 
-    units = exp.units(spec)
-    total = len(units)
-    digests = [unit_hash(digest, u) for u in units]
-    dirs = [unit_dir_for(out_dir, d) for d in digests]
+    def report(event: Dict[str, object]) -> None:
+        if "index" in event:  # a unit, not a fleet process that died
+            unit = source.units[event["index"]]
+            unit_dir = unit_dir_for(out_dir, source.digests[event["index"]])
+            done = event["status"] == "done"
+            elapsed = _unit_elapsed(unit_dir) if done else 0.0
+            event = {**event, "key": unit.key, "label": unit.label,
+                     "elapsed": elapsed}
+        progress(event)
 
-    results: List[Optional[Dict[str, object]]] = [None] * total
-    pending: List[int] = []
-    for i, (unit, u_digest, u_dir) in enumerate(zip(units, digests, dirs)):
-        cached_unit = load_unit_result(u_dir, u_digest)
-        if cached_unit is not None:
-            results[i] = cached_unit
-            if progress is not None:
-                progress(
-                    {
-                        "status": "cached",
-                        "key": unit.key,
-                        "label": unit.label,
-                        "index": i,
-                        "total": total,
-                        "elapsed": 0.0,
-                    }
-                )
-        else:
-            pending.append(i)
+    summary = run_distributed(
+        source,
+        workers=workers,
+        cfg=cfg,
+        progress=None if progress is None else report,
+    )
+    if summary.poisoned:
+        raise PoisonedWorkError(name, summary.poisoned)
+    # every unit is committed: the coordination state is spent.  Drop it
+    # so the finished run dir is the same tree whatever ran it
+    shutil.rmtree(source.coordination_dir(), ignore_errors=True)
 
-    def report(i: int, elapsed: float) -> None:
-        if progress is not None:
-            progress(
-                {
-                    "status": "done",
-                    "key": units[i].key,
-                    "label": units[i].label,
-                    "index": i,
-                    "total": total,
-                    "elapsed": elapsed,
-                }
-            )
-
-    if pending and workers <= 1:
-        for i in pending:
-            results[i], unit_elapsed = _run_one_unit(
-                name, spec, units[i], digests[i], str(dirs[i])
-            )
-            report(i, unit_elapsed)
-    elif pending:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(pending)),
-            mp_context=_pool_context(),
-        ) as pool:
-            submitted = {
-                pool.submit(
-                    _run_one_unit,
-                    name,
-                    spec,
-                    units[i],
-                    digests[i],
-                    str(dirs[i]),
-                ): i
-                for i in pending
-            }
-            outstanding = set(submitted)
-            while outstanding:
-                finished, outstanding = wait(
-                    outstanding, return_when=FIRST_COMPLETED
-                )
-                for future in finished:
-                    i = submitted[future]
-                    # a failed unit raises here; completed siblings keep
-                    # their cache dirs, so the re-run resumes from them
-                    results[i], unit_elapsed = future.result()
-                    report(i, unit_elapsed)
-
-    result_obj = exp.merge(spec, results)
+    result_obj = exp.merge(spec, source.unit_results())
     elapsed = time.perf_counter() - start
     return write_run_artifacts(
         exp,
         spec,
-        digest,
+        source.digest,
         out_dir,
         result_obj,
         elapsed,
         manifest_extra={
-            "units": {u.key: d[:16] for u, d in zip(units, digests)},
-            "workers": workers,
+            "units": {
+                u.key: d[:16] for u, d in zip(source.units, source.digests)
+            },
+            "workers": summary.workers,
+            "fleet": {
+                "worker_deaths": summary.worker_deaths,
+                "respawns": summary.respawns,
+                "ran_inline": summary.ran_inline,
+            },
         },
     )

@@ -15,9 +15,9 @@ table or figure.  Each one declares:
 
 Grid experiments additionally decompose into **units** — independent
 pieces of work (one Table-II model configuration, one ablation section,
-one sweep point) that the process-pool executor in
-:mod:`repro.runtime.parallel` fans out over workers and caches one
-directory each.  A unit experiment registers
+one sweep point) that the executor in :mod:`repro.runtime.parallel`
+spreads over worker processes and caches one directory each.  A unit
+experiment registers
 
 * ``units(spec) -> List[UnitSpec]`` — the grid rows, in table order;
 * ``run_unit(spec, unit) -> dict`` — one row's work, returning

@@ -13,7 +13,10 @@ Endpoints:
 
 ``ThreadingHTTPServer`` gives one handler thread per connection; handler
 threads only parse and wait on the micro-batcher, so the model itself
-stays single-threaded (see :mod:`repro.serve.batcher`).
+stays single-threaded (see :mod:`repro.serve.batcher`).  A connection
+that stalls mid-request for :data:`READ_TIMEOUT_S`, sends a body shorter
+than its ``Content-Length`` or goes away mid-exchange is dropped without
+a reply, so its handler thread ends.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ _MAX_BODY_BYTES = 64 * 1024 * 1024
 #: passes, so by then the queue has usually drained below the bound
 RETRY_AFTER_S = 1
 
+#: seconds a connection may stall in a read (a request line, headers, a
+#: body, or idle keep-alive) before its handler thread drops it
+READ_TIMEOUT_S = 30.0
+
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
@@ -51,6 +58,20 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.service  # type: ignore[attr-defined]
 
     # -- plumbing -------------------------------------------------------
+    def setup(self) -> None:
+        # StreamRequestHandler applies ``timeout`` to the socket; read
+        # per connection so the module constant stays the one setting
+        self.timeout = READ_TIMEOUT_S
+        super().setup()
+
+    def handle_one_request(self) -> None:
+        # the stdlib drops a timed-out connection itself; a client that
+        # went away mid-exchange would otherwise end in a traceback
+        try:
+            super().handle_one_request()
+        except (BrokenPipeError, ConnectionResetError):
+            self.close_connection = True
+
     def log_message(self, format: str, *args) -> None:
         if getattr(self.server, "verbose", False):  # pragma: no cover
             super().log_message(format, *args)
@@ -116,6 +137,11 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         body = self.rfile.read(length)
+        if len(body) < length:
+            # the client closed before its body was complete: there is
+            # no request to answer, and nobody left to read a reply
+            self.close_connection = True
+            return
         try:
             message = parse_message(body.decode("utf-8", errors="replace"))
             if not isinstance(message, QueryRequest):

@@ -1,13 +1,16 @@
 """Tests for the parallel sharded dataset pipeline.
 
 The pipeline's contract is threefold: shard contents are a pure function
-of the config (so builds are reproducible byte for byte), worker-pool
-builds match the serial path exactly, and an unchanged config re-uses the
-on-disk build as a cache hit while any config change invalidates it.
+of the config (so builds are reproducible byte for byte), builds on a
+fleet of worker processes match the in-process path exactly, and an
+unchanged config re-uses the on-disk build as a cache hit while any
+config change invalidates it.
 """
 
 import dataclasses
 import json
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -89,9 +92,30 @@ class TestDeterminism:
         assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
 
     def test_workers_match_serial_exactly(self, tmp_path):
+        # dir_bytes reads every entry as a file: a leftover coordination
+        # directory would fail it too
         build_shards(TINY, tmp_path / "serial", workers=1)
-        build_shards(TINY, tmp_path / "pool", workers=2)
-        assert dir_bytes(tmp_path / "serial") == dir_bytes(tmp_path / "pool")
+        build_shards(TINY, tmp_path / "fleet", workers=2)
+        assert dir_bytes(tmp_path / "serial") == dir_bytes(tmp_path / "fleet")
+
+    def test_concurrent_builds_share_one_directory(self, tmp_path):
+        build_shards(TINY, tmp_path / "serial")
+        results = []
+        builds = [
+            threading.Thread(
+                target=lambda: results.append(
+                    build_shards(TINY, tmp_path / "shared")
+                )
+            )
+            for _ in range(2)
+        ]
+        for build in builds:
+            build.start()
+        for build in builds:
+            build.join(timeout=60)
+        assert len(results) == 2
+        assert results[0].manifest == results[1].manifest
+        assert dir_bytes(tmp_path / "serial") == dir_bytes(tmp_path / "shared")
 
     def test_shard_independent_of_sibling_suites(self):
         """Adding a suite to the config must not disturb existing shards."""
@@ -284,9 +308,16 @@ class TestCli:
             "--patterns", "256", "--shard-size", "2", "--workers", "2",
         ]
         assert main(argv) == 0
-        assert "built: 4 circuits" in capsys.readouterr().out
+        built = capsys.readouterr()
+        assert "built: 4 circuits" in built.out
+        # one progress line per shard, whichever worker built it
+        assert sorted(re.findall(r"\[unit (\d)/2\] \S+: done", built.err)) == [
+            "1", "2",
+        ]
         assert main(argv) == 0
-        assert "cache hit" in capsys.readouterr().out
+        hit = capsys.readouterr()
+        assert "cache hit" in hit.out
+        assert "[unit" not in hit.err
         assert main(["dataset", "info", str(out)]) == 0
         info = capsys.readouterr().out
         assert "circuits:    4" in info

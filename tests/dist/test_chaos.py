@@ -1,23 +1,19 @@
 """Chaos suite: every planned fault, and a real SIGKILL, must leave the
-distributed results byte-identical to a serial run."""
+results of a ``workers=2`` fleet byte-identical to a ``workers=1`` run."""
 
+import multiprocessing
 import time
 
 import pytest
 
 from repro.datagen.pipeline import build_shards
 from repro.dist.config import DistConfig
-from repro.dist.dispatcher import (
-    build_shards_distributed,
-    execute_distributed,
-)
 from repro.dist.faults import FAULT_KINDS
 from repro.dist.leases import LeaseStore
 from repro.dist.work import ExperimentWorkSource
 from repro.dist.worker import run_worker
 from repro.runtime import execute_parallel
 from repro.runtime import registry as registry_module
-from repro.runtime.parallel import _pool_context
 
 from ..helpers import (
     GridSpec,
@@ -26,8 +22,9 @@ from ..helpers import (
     tiny_pipeline_config,
 )
 
-# TTLs short enough that lease expiry (the recovery path every crash
-# fault exercises) costs seconds, not the production default
+# TTLs short enough that lease expiry (the recovery path from a stalled
+# worker; a crashed one's lease is stale at once) costs seconds, not the
+# production default
 CHAOS = DistConfig(
     lease_ttl=1.5,
     heartbeat_interval=0.3,
@@ -62,7 +59,7 @@ def test_fault_leaves_results_byte_identical(
         name, GridSpec(), runs_dir=tmp_path / "serial", workers=1
     )
     monkeypatch.setenv("REPRO_FAULT_PLAN", f"{kind}@beta")
-    dist = execute_distributed(
+    dist = execute_parallel(
         name,
         GridSpec(),
         runs_dir=tmp_path / "dist",
@@ -79,7 +76,7 @@ def _worker_main(source, cfg):
 
 def test_sigkilled_worker_is_reclaimed_without_operator_action(tmp_path):
     # a standalone worker joins the run, gets kill -9'd mid-unit, and
-    # the dispatcher fleet still finishes: the orphaned lease expires
+    # the dispatcher fleet still finishes: the orphaned lease goes stale
     # and is reclaimed, nobody intervenes
     log_dir = tmp_path / "log"
     log_dir.mkdir()
@@ -91,7 +88,7 @@ def test_sigkilled_worker_is_reclaimed_without_operator_action(tmp_path):
             name, GridSpec(), runs_dir=tmp_path / "serial", workers=1
         )
         source = ExperimentWorkSource(name, None, tmp_path / "dist")
-        victim = _pool_context().Process(
+        victim = multiprocessing.get_context("fork").Process(
             target=_worker_main, args=(source, CHAOS)
         )
         victim.start()
@@ -104,7 +101,7 @@ def test_sigkilled_worker_is_reclaimed_without_operator_action(tmp_path):
         victim.kill()
         victim.join(timeout=30)
 
-        dist = execute_distributed(
+        dist = execute_parallel(
             name,
             GridSpec(),
             runs_dir=tmp_path / "dist",
@@ -120,9 +117,7 @@ def test_dataset_chaos_manifest_identical(tmp_path, monkeypatch):
     config = tiny_pipeline_config()
     serial = build_shards(config, tmp_path / "serial", workers=1)
     monkeypatch.setenv("REPRO_FAULT_PLAN", "torn_write@*")
-    dist = build_shards_distributed(
-        config, tmp_path / "dist", workers=2, cfg=CHAOS
-    )
+    dist = build_shards(config, tmp_path / "dist", workers=2, cfg=CHAOS)
     assert dist.manifest == serial.manifest
     assert (tmp_path / "serial" / "manifest.json").read_bytes() == (
         tmp_path / "dist" / "manifest.json"
@@ -140,7 +135,7 @@ def test_crash_fault_executes_unit_exactly_once_more(
     # targeted unit (the crashed attempt), never a crash loop
     name, log_dir = grid
     monkeypatch.setenv("REPRO_FAULT_PLAN", "crash_before_commit@beta")
-    execute_distributed(
+    execute_parallel(
         name, GridSpec(), runs_dir=tmp_path / "dist", workers=2, cfg=CHAOS
     )
     assert count_unit_executions(log_dir, "beta") == 2

@@ -72,6 +72,19 @@ class TestFromEnv:
         with pytest.raises(ValueError, match="REPRO_MAX_ATTEMPTS"):
             DistConfig.from_env({"REPRO_MAX_ATTEMPTS": "2.5"})
 
+    def test_worker_local_knobs_have_no_env_var(self):
+        # backoff and polling only pace one worker; nothing a joining
+        # process must share, so the environment does not reach them
+        env = {
+            "REPRO_BACKOFF_BASE": "9",
+            "REPRO_BACKOFF_CAP": "9",
+            "REPRO_POLL_INTERVAL": "9",
+        }
+        assert DistConfig.from_env(env) == DistConfig()
+        assert sorted(ENV_KNOBS) == [
+            "REPRO_HEARTBEAT_INTERVAL", "REPRO_LEASE_TTL", "REPRO_MAX_ATTEMPTS",
+        ]
+
     def test_every_knob_has_a_config_field(self):
         fields = set(DistConfig.__dataclass_fields__)
         assert set(ENV_KNOBS.values()) <= fields

@@ -1,16 +1,14 @@
-"""Dispatcher supervision and the high-level distributed entry points."""
+"""Dispatcher supervision, and the coordination state the executors
+built on it keep or clear."""
 
+import dataclasses
 import pickle
 
 import pytest
 
 from repro.dist.config import DistConfig
-from repro.dist.dispatcher import (
-    PoisonedWorkError,
-    build_shards_distributed,
-    execute_distributed,
-    run_distributed,
-)
+from repro.dist.dispatcher import run_distributed
+from repro.dist.faults import CRASH_EXIT_CODE
 from repro.dist.leases import LeaseStore
 from repro.dist.work import (
     DatasetWorkSource,
@@ -18,7 +16,6 @@ from repro.dist.work import (
     rebuild_source,
 )
 from repro.dist.worker import run_worker
-from repro.runtime import execute_parallel
 from repro.runtime import registry as registry_module
 from repro.datagen.pipeline import build_shards
 
@@ -50,66 +47,6 @@ def grid(tmp_path):
         registry_module.unregister(name)
 
 
-def result_bytes(record):
-    return (record.out_dir / "result.json").read_bytes()
-
-
-class TestExecuteDistributed:
-    def test_byte_identical_to_serial(self, tmp_path, grid):
-        name, _ = grid
-        serial = execute_parallel(
-            name, GridSpec(), runs_dir=tmp_path / "serial", workers=1
-        )
-        dist = execute_distributed(
-            name,
-            GridSpec(),
-            runs_dir=tmp_path / "dist",
-            workers=2,
-            cfg=FAST,
-        )
-        assert not dist.cache_hit
-        assert result_bytes(serial) == result_bytes(dist)
-
-    def test_cache_hit_on_rerun(self, tmp_path, grid):
-        name, log_dir = grid
-        first = execute_distributed(
-            name, GridSpec(), runs_dir=tmp_path / "runs", workers=2, cfg=FAST
-        )
-        executions = count_unit_executions(log_dir)
-        again = execute_distributed(
-            name, GridSpec(), runs_dir=tmp_path / "runs", workers=2, cfg=FAST
-        )
-        assert again.cache_hit
-        assert result_bytes(first) == result_bytes(again)
-        assert count_unit_executions(log_dir) == executions
-
-    def test_poisoned_unit_raises_with_context(self, tmp_path, grid):
-        name, _ = grid
-        with pytest.raises(PoisonedWorkError) as excinfo:
-            execute_distributed(
-                name,
-                GridSpec(rows=("alpha", "explode")),
-                runs_dir=tmp_path / "runs",
-                workers=1,
-                cfg=FAST,
-            )
-        assert len(excinfo.value.poisoned) == 1
-        assert "unit exploded" in str(excinfo.value)
-
-    def test_manifest_records_dist_metadata(self, tmp_path, grid):
-        import json
-
-        name, _ = grid
-        record = execute_distributed(
-            name, GridSpec(), runs_dir=tmp_path / "runs", workers=2, cfg=FAST
-        )
-        manifest = json.loads((record.out_dir / "manifest.json").read_text())
-        dist = manifest["dist"]
-        assert dist["mode"] == "distributed"
-        assert dist["workers"] == 2
-        assert dist["max_attempts"] == FAST.max_attempts
-
-
 class TestRunDistributed:
     def test_already_resolved_source_returns_immediately(
         self, tmp_path, grid
@@ -118,55 +55,71 @@ class TestRunDistributed:
         source = ExperimentWorkSource(name, None, tmp_path / "runs")
         run_worker(source, FAST)
         executions = count_unit_executions(log_dir)
-        summary = run_distributed(source, workers=2, cfg=FAST)
+        events = []
+        summary = run_distributed(
+            source, workers=2, cfg=FAST, progress=events.append
+        )
         assert summary.worker_deaths == 0
-        assert not summary.degraded
+        assert not summary.ran_inline
         assert count_unit_executions(log_dir) == executions
+        assert [(e["status"], e["index"]) for e in events] == [
+            ("cached", 0), ("cached", 1), ("cached", 2),
+        ]
 
     def test_crashed_worker_is_reaped_and_fleet_recovers(
         self, tmp_path, grid, monkeypatch
     ):
-        # one worker, told to die right before committing beta: the
+        # a worker told to die right before committing beta: the
         # dispatcher must reap the corpse and respawn (or fall back
         # inline) so the run still resolves without operator action
         name, _ = grid
         monkeypatch.setenv("REPRO_FAULT_PLAN", "crash_before_commit@beta")
         source = ExperimentWorkSource(name, None, tmp_path / "runs")
-        summary = run_distributed(source, workers=1, cfg=FAST)
+        # the corpse's lease on beta must go stale before anyone retries it
+        cfg = dataclasses.replace(FAST, lease_ttl=1.0)
+        events = []
+        summary = run_distributed(
+            source, workers=2, cfg=cfg, progress=events.append
+        )
         assert summary.worker_deaths >= 1
         assert summary.respawns >= 1 or summary.ran_inline
         assert summary.poisoned == {}
         assert all(item.is_done() for item in source.items())
-
-
-class TestBuildShardsDistributed:
-    def test_identical_to_pool_build(self, tmp_path):
-        config = tiny_pipeline_config()
-        serial = build_shards(config, tmp_path / "serial", workers=1)
-        dist = build_shards_distributed(
-            config, tmp_path / "dist", workers=2, cfg=FAST
+        # each death is reported, naming the process and its exit code
+        deaths = [e for e in events if e["status"] == "worker-died"]
+        assert len(deaths) == summary.worker_deaths
+        assert all(
+            e["label"].startswith("repro-dist-worker-")
+            and e["detail"] == f"exit code {CRASH_EXIT_CODE}"
+            and "index" not in e
+            for e in deaths
         )
-        assert not dist.cache_hit
-        assert dist.manifest == serial.manifest
-        for shard in serial.manifest["shards"]:
-            a = (tmp_path / "serial" / shard["filename"]).read_bytes()
-            b = (tmp_path / "dist" / shard["filename"]).read_bytes()
-            assert a == b
-        # and the manifest files are byte-identical on disk too
-        assert (tmp_path / "serial" / "manifest.json").read_bytes() == (
-            tmp_path / "dist" / "manifest.json"
-        ).read_bytes()
 
-    def test_cache_hit_on_rebuild(self, tmp_path):
-        config = tiny_pipeline_config()
-        build_shards_distributed(
-            config, tmp_path / "data", workers=2, cfg=FAST
+    def test_inline_run_reports_each_commit(self, tmp_path, grid):
+        name, _ = grid
+        source = ExperimentWorkSource(name, None, tmp_path / "runs")
+        events = []
+        summary = run_distributed(
+            source, workers=1, cfg=FAST, progress=events.append
         )
-        again = build_shards_distributed(
-            config, tmp_path / "data", workers=2, cfg=FAST
-        )
-        assert again.cache_hit
+        assert summary.ran_inline and summary.worker_deaths == 0
+        assert [(e["status"], e["label"], e["total"]) for e in events] == [
+            ("done", "alpha", 3), ("done", "beta", 3), ("done", "gamma", 3),
+        ]
 
+    def test_poisoned_items_carry_their_label(self, tmp_path, grid):
+        name, _ = grid
+        source = ExperimentWorkSource(
+            name, GridSpec(rows=("alpha", "explode")), tmp_path / "runs"
+        )
+        summary = run_distributed(source, workers=1, cfg=FAST)
+        (record,) = summary.poisoned.values()
+        assert record["label"] == "explode"
+        assert record["attempts"] == FAST.max_attempts
+        assert "unit exploded" in record["last_error"]
+
+
+class TestDatasetCoordinationState:
     def test_stale_config_coordination_state_cannot_wedge_build(
         self, tmp_path
     ):
@@ -184,9 +137,59 @@ class TestBuildShardsDistributed:
         old_keys = {item.key for item in old_source.items()}
         new_keys = {item.key for item in DatasetWorkSource(new, out).items()}
         assert old_keys.isdisjoint(new_keys)
-        result = build_shards_distributed(new, out, workers=1, cfg=FAST)
+        result = build_shards(new, out, workers=1, cfg=FAST)
         assert not result.cache_hit
         assert result.manifest["config_hash"] == new.config_hash()
+
+    def test_failed_first_build_gets_a_fresh_retry_budget(self, tmp_path):
+        # a first build that quarantined one shard and cut another off
+        # at its last attempt leaves only .dist records behind: the
+        # rebuild (no force) retries both instead of failing at once
+        config = tiny_pipeline_config()
+        out = tmp_path / "data"
+        source = DatasetWorkSource(config, out)
+        first, second, *_ = source.items()
+        store = LeaseStore(source.coordination_dir(), ttl=FAST.lease_ttl)
+        store.poison(first.key, attempts=2, last_error="MemoryError: ")
+        store.record_attempt(second.key, 2, next_eligible_at=0.0)
+        events = []
+        result = build_shards(
+            config, out, workers=1, cfg=FAST, progress=events.append
+        )
+        assert not result.cache_hit
+        assert first.shard_path.is_file() and second.shard_path.is_file()
+        assert not source.coordination_dir().exists()
+        # one progress event per shard, in plan order
+        assert [(e["status"], e["index"]) for e in events] == [
+            ("done", i) for i in range(len(source.items()))
+        ]
+
+    def test_late_worker_finds_a_certified_build_done(self, tmp_path):
+        # a build clears its meta records once its manifest is written;
+        # a worker joining after that must not start over
+        config = tiny_pipeline_config()
+        out = tmp_path / "data"
+        build_shards(config, out, workers=1, cfg=FAST)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        source = DatasetWorkSource(config, out)
+        report = run_worker(source, FAST)
+        assert report.completed == []
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_killed_build_resumes_from_committed_shards(self, tmp_path):
+        # a build killed before its manifest leaves shard files and
+        # their meta records: the next build reuses them
+        config = tiny_pipeline_config()
+        out = tmp_path / "data"
+        source = DatasetWorkSource(config, out)
+        first, *rest = source.items()
+        first.commit(first.run())
+        mtime = first.shard_path.stat().st_mtime_ns
+        result = build_shards(config, out, workers=1, cfg=FAST)
+        assert not result.cache_hit
+        assert first.shard_path.stat().st_mtime_ns == mtime
+        assert all(item.shard_path.is_file() for item in rest)
+        assert not source.coordination_dir().exists()
 
 
 class TestSubprocessPayload:

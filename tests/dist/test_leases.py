@@ -1,6 +1,10 @@
 """Lease lifecycle: acquire, heartbeat, stale reclaim, attempts, poison."""
 
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 
 from repro.dist.leases import (
@@ -74,6 +78,13 @@ class TestHeartbeat:
         assert not store.heartbeat("k", "owner-b")
 
 
+def _exited_pid() -> int:
+    """The pid of a child process that has exited and been reaped."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait(timeout=30)
+    return child.pid
+
+
 class TestStaleReclaim:
     def test_stale_lease_is_reclaimed_with_attempt_bump(self, tmp_path):
         store = make_store(tmp_path, ttl=5.0)
@@ -88,6 +99,31 @@ class TestStaleReclaim:
         store = make_store(tmp_path, ttl=5.0)
         store.try_acquire("k", "owner-a", now=1000.0)
         assert store.try_acquire("k", "owner-b", now=1004.0) is None
+
+    def test_lease_of_an_exited_local_process_is_reclaimed_at_once(
+        self, tmp_path
+    ):
+        # nobody can renew it, so it does not wait out its TTL
+        store = make_store(tmp_path, ttl=60.0)
+        gone = _exited_pid()
+        owner = f"worker@{socket.gethostname()}:{gone}:0123abcd"
+        store.try_acquire("k", owner, now=1000.0)
+        lease = store.try_acquire("k", "owner-b", now=1001.0)
+        assert lease is not None and lease.attempt == 2
+
+    def test_live_or_remote_owners_keep_their_lease_until_the_ttl(
+        self, tmp_path
+    ):
+        store = make_store(tmp_path, ttl=60.0)
+        host = socket.gethostname()
+        owners = {
+            "live": f"worker@{host}:{os.getpid()}:0123abcd",
+            "remote": f"worker@elsewhere.invalid:{_exited_pid()}:0123abcd",
+            "no-pid": f"worker@{host}:{'9' * 30}:0123abcd",
+        }
+        for key, owner in owners.items():
+            store.try_acquire(key, owner, now=1000.0)
+            assert store.try_acquire(key, "owner-b", now=1001.0) is None
 
     def test_corrupt_lease_is_reclaimed(self, tmp_path):
         store = make_store(tmp_path)

@@ -1,11 +1,13 @@
 """The claim/execute/commit worker loop: heartbeats, drain, quarantine."""
 
+import multiprocessing
 import threading
 import time
 
 import pytest
 
 from repro.dist.config import DistConfig
+from repro.dist.dispatcher import _worker_proc_main
 from repro.dist.leases import LeaseStore
 from repro.dist.work import ExperimentWorkSource
 from repro.dist.worker import run_worker
@@ -287,7 +289,40 @@ class TestRunWorker:
         source = make_source(name, tmp_path)
         events = []
         run_worker(source, FAST, progress=events.append)
-        assert sorted(e["label"] for e in events) == [
-            "alpha", "beta", "gamma",
+        assert [(e["label"], e["index"], e["total"]) for e in events] == [
+            ("alpha", 0, 3), ("beta", 1, 3), ("gamma", 2, 3),
         ]
         assert {e["status"] for e in events} == {"done"}
+        assert all(e["elapsed"] > 0 and e["detail"] == "" for e in events)
+
+
+class TestDrain:
+    def test_sigterm_ends_an_idle_wait_at_once(self, tmp_path, grid):
+        # the only item is leased by a live rival, so the worker idles;
+        # with a 5 s poll interval, SIGTERM must still end it in < 1 s
+        name, _ = grid
+        source = make_source(name, tmp_path, GridSpec(rows=("alpha",)))
+        (item,) = source.items()
+        store = LeaseStore(source.coordination_dir(), ttl=60.0)
+        assert store.try_acquire(item.key, "rival@host:1:aa") is not None
+        cfg = DistConfig(
+            lease_ttl=60.0, heartbeat_interval=1.0, poll_interval=5.0
+        )
+        kind, args = source.subprocess_payload()
+        worker = multiprocessing.get_context("fork").Process(
+            target=_worker_proc_main, args=(kind, args, cfg, 0)
+        )
+        worker.start()
+        try:
+            time.sleep(0.5)  # past its first scan, into the idle wait
+            signalled = time.monotonic()
+            worker.terminate()
+            worker.join(timeout=3)
+            assert not worker.is_alive(), "idle worker ignored SIGTERM"
+            assert time.monotonic() - signalled < 1.0
+            assert worker.exitcode == 0  # drained, not killed
+        finally:
+            if worker.is_alive():
+                worker.kill()
+                worker.join()
+        assert store.owns(item.key, "rival@host:1:aa")

@@ -71,7 +71,7 @@ def build_tiny_shards(out_dir, workers: int = 1, **overrides) -> Path:
 class GridSpec(ExperimentSpec):
     """Spec of the fake unit-decomposed grid experiment.
 
-    Module-level so instances pickle across the process-pool boundary.
+    Module-level so instances pickle across the process boundary.
     """
 
     rows: Tuple[str, ...] = ("alpha", "beta", "gamma")
@@ -90,7 +90,9 @@ def register_grid_experiment(
     the parallel tests assert "this unit ran / was cached".
     ``unit_sleep`` makes every unit take that many seconds — the
     distributed tests use it to outlive a short lease TTL and prove
-    heartbeats keep slow units alive.  Callers must
+    heartbeats keep slow units alive.  A unit keyed ``explode`` raises,
+    until a file named ``fixed`` appears in ``log_dir`` (the bug fix a
+    rerun picks up).  Callers must
     ``repro.runtime.registry.unregister(name)`` when done.
     """
 
@@ -98,7 +100,8 @@ def register_grid_experiment(
         return [UnitSpec(key=row, title=f"row {row}") for row in spec.rows]
 
     def run_unit(spec: GridSpec, unit: UnitSpec):
-        if unit.key == "explode":
+        fixed = log_dir is not None and (Path(log_dir) / "fixed").exists()
+        if unit.key == "explode" and not fixed:
             raise RuntimeError("unit exploded")
         if unit_sleep > 0:
             time.sleep(unit_sleep)

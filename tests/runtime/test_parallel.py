@@ -1,13 +1,24 @@
-"""Tests for the process-pool executor and per-unit cache directories."""
+"""Tests for the parallel executor (the lease fleet) and per-unit cache
+directories."""
 
+import dataclasses
 import json
+import multiprocessing
+import os
+import time
 
 import pytest
 
+from repro.dist import DistConfig, PoisonedWorkError
+from repro.dist.leases import LeaseStore
+from repro.dist.work import COORD_DIR_NAME, ExperimentWorkSource
+from repro.dist.worker import run_worker
 from repro.runtime import (
     execute,
     execute_parallel,
     load_unit_result,
+    run_dir_for,
+    spec_hash,
     unit_dir_for,
     unit_hash,
 )
@@ -20,6 +31,18 @@ from ..helpers import (
     GridSpec,
     count_unit_executions,
     register_grid_experiment,
+)
+
+
+# retries and backoff short enough that a failing unit costs
+# milliseconds, not the production defaults
+FAST = DistConfig(
+    lease_ttl=5.0,
+    heartbeat_interval=0.2,
+    max_attempts=2,
+    backoff_base=0.05,
+    backoff_cap=0.1,
+    poll_interval=0.02,
 )
 
 
@@ -91,6 +114,23 @@ class TestExecuteParallel:
             unit_dir_for(record.out_dir, digest), digest
         )
         assert cached == {"row": "alpha", "value": 10}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_finished_run_holds_no_coordination_state(
+        self, tmp_path, grid, workers
+    ):
+        name, _ = grid
+        record = execute_parallel(
+            name, GridSpec(), runs_dir=tmp_path, workers=workers, cfg=FAST
+        )
+        assert not (record.out_dir / COORD_DIR_NAME).exists()
+        manifest = json.loads((record.out_dir / MANIFEST_NAME).read_text())
+        assert manifest["workers"] == workers
+        assert manifest["fleet"] == {
+            "worker_deaths": 0,
+            "respawns": 0,
+            "ran_inline": workers == 1,
+        }
 
     def test_run_level_cache_hit_executes_nothing(self, tmp_path, grid):
         name, log_dir = grid
@@ -180,18 +220,97 @@ class TestExecuteParallel:
         assert a.out_dir != b.out_dir
         assert a.result["rows"] != b.result["rows"]
 
-    def test_failing_unit_propagates_but_keeps_siblings(
-        self, tmp_path, grid
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_unit_is_poisoned_but_keeps_siblings(
+        self, tmp_path, grid, workers
     ):
         name, log_dir = grid
         spec = GridSpec(rows=("alpha", "beta", "explode"))
-        with pytest.raises(RuntimeError, match="unit exploded"):
-            execute_parallel(name, spec, runs_dir=tmp_path, workers=2)
-        # completed siblings kept their unit caches; the re-run after the
-        # "fix" (here: a spec without the bad row... same spec minus the
-        # failure is a new spec, so assert at the unit-cache level)
-        executed = count_unit_executions(log_dir)
-        assert executed == 2  # alpha and beta ran, explode never logged
+        with pytest.raises(PoisonedWorkError) as excinfo:
+            execute_parallel(
+                name, spec, runs_dir=tmp_path, workers=workers, cfg=FAST
+            )
+        # the error names the unit by its label, with its last error
+        message = str(excinfo.value)
+        assert "- explode [" in message
+        assert "RuntimeError: unit exploded" in message
+        assert list(excinfo.value.poisoned.values())[0]["label"] == "explode"
+        # alpha and beta ran once and kept their unit caches; explode
+        # raised before logging; no run manifest certifies the failure
+        assert count_unit_executions(log_dir) == 2
+        run_digest = spec_hash(name, spec)
+        out_dir = run_dir_for(tmp_path, name, run_digest)
+        for row in ("alpha", "beta"):
+            digest = unit_hash(run_digest, UnitSpec(key=row))
+            cached = load_unit_result(unit_dir_for(out_dir, digest), digest)
+            assert cached == {"row": row, "value": len(row) * 2}
+        assert not (out_dir / MANIFEST_NAME).exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rerun_after_a_fix_retries_the_poisoned_unit(
+        self, tmp_path, grid, workers
+    ):
+        # the retry budget is per run: once the bug is fixed, a plain
+        # rerun (no force) runs the quarantined unit again and reuses
+        # its finished sibling
+        name, log_dir = grid
+        spec = GridSpec(rows=("alpha", "explode"))
+        with pytest.raises(PoisonedWorkError):
+            execute_parallel(
+                name, spec, runs_dir=tmp_path, workers=workers, cfg=FAST
+            )
+        (log_dir / "fixed").write_text("")
+        record = execute_parallel(
+            name, spec, runs_dir=tmp_path, workers=workers, cfg=FAST
+        )
+        assert [r["row"] for r in record.result["rows"]] == [
+            "alpha", "explode",
+        ]
+        assert count_unit_executions(log_dir, "alpha") == 1
+        assert count_unit_executions(log_dir, "explode") == 1
+        assert not (record.out_dir / COORD_DIR_NAME).exists()
+
+    def test_killed_run_resumes_without_spending_retries_or_waiting(
+        self, tmp_path
+    ):
+        # a worker is kill -9'd mid-unit after earlier interrupts used
+        # up that unit's attempts: the next run neither quarantines the
+        # unit nor waits out the dead worker's lease
+        log_dir = tmp_path / "log"
+        log_dir.mkdir()
+        name = register_grid_experiment(
+            "fake-grid-killed", log_dir=log_dir, unit_sleep=0.5
+        )
+        cfg = dataclasses.replace(FAST, lease_ttl=30.0)
+        try:
+            source = ExperimentWorkSource(name, GridSpec(), tmp_path)
+            store = LeaseStore(source.coordination_dir(), ttl=cfg.lease_ttl)
+            victim = multiprocessing.get_context("fork").Process(
+                target=run_worker, args=(source, cfg)
+            )
+            victim.start()
+            deadline = time.monotonic() + 10
+            while not store.active_leases() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            victim.kill()
+            victim.join(timeout=10)
+            assert not victim.is_alive()
+            (lease,) = store.active_leases()
+            store.record_attempt(
+                lease.key, cfg.max_attempts, next_eligible_at=0.0
+            )
+            start = time.monotonic()
+            record = execute_parallel(
+                name, GridSpec(), runs_dir=tmp_path, workers=1, cfg=cfg
+            )
+            took = time.monotonic() - start
+        finally:
+            registry_module.unregister(name)
+        assert took < cfg.lease_ttl / 3
+        assert [r["row"] for r in record.result["rows"]] == [
+            "alpha", "beta", "gamma",
+        ]
+        assert not (record.out_dir / COORD_DIR_NAME).exists()
 
     def test_progress_events(self, tmp_path, grid):
         name, _ = grid
@@ -216,6 +335,35 @@ class TestExecuteParallel:
         )
         assert record.cache_hit  # run-level hit emits no unit events
         assert events == []
+
+    def test_progress_arrives_as_subprocess_workers_commit(self, tmp_path):
+        # two fleet processes run alpha and beta, then one of them runs
+        # gamma: the dispatcher reports the first two while gamma is
+        # still running, not in a burst once the run is over
+        log_dir = tmp_path / "log"
+        log_dir.mkdir()
+        name = register_grid_experiment(
+            "fake-grid-live", log_dir=log_dir, unit_sleep=0.5
+        )
+        events = []
+        try:
+            execute_parallel(
+                name, GridSpec(), runs_dir=tmp_path, workers=2, cfg=FAST,
+                progress=lambda e: events.append((time.monotonic(), e)),
+            )
+            finished = time.monotonic()
+        finally:
+            registry_module.unregister(name)
+        assert sorted(e["key"] for _, e in events) == [
+            "alpha", "beta", "gamma",
+        ]
+        assert all(e["status"] == "done" for _, e in events)
+        # no unit ran in this process: the workers did all of it
+        assert not any(
+            f"-{os.getpid()}-" in p.name for p in log_dir.iterdir()
+        )
+        first = min(t for t, _ in events)
+        assert finished - first > 0.3
 
     def test_cached_progress_events_on_resume(self, tmp_path, grid):
         name, _ = grid

@@ -3,7 +3,9 @@
 import http.client
 import json
 import socket
+import struct
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -16,6 +18,7 @@ from repro.serve import (
     ServeServer,
     describe,
 )
+from repro.serve import server as server_module
 from repro.serve.protocol import HealthReply, QueryRequest, parse_message
 
 from .conftest import rename_bench
@@ -221,6 +224,62 @@ class TestUnreadBody:
         assert first.status == (200 if valid else 400)
         assert first.getheader("Connection") is None
         assert (second.status, health) == (200, HealthReply())
+
+
+class TestStalledClient:
+    """A client that stalls, sends a short body or resets mid-exchange
+    loses its connection without a reply or a traceback, and its
+    handler thread ends."""
+
+    HEAD = b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n"
+
+    def test_short_bodies_get_eof_and_free_their_threads(
+        self, server, adder_aag, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.5)
+        baseline = threading.active_count()
+        # 10 of 100 body bytes: one client stalls, one closes its side
+        stalled = socket.create_connection((server.host, server.port), 5)
+        stalled.sendall(self.HEAD + b"0123456789")
+        closed = socket.create_connection((server.host, server.port), 5)
+        closed.sendall(self.HEAD + b"0123456789")
+        closed.shutdown(socket.SHUT_WR)
+        # a client that sends a whole query, then resets the connection
+        reset = socket.create_connection((server.host, server.port), 5)
+        body = QueryRequest(circuit=adder_aag).to_json().encode()
+        reset.sendall(
+            b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n"
+            % len(body) + body
+        )
+        reset.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        reset.close()
+        for sock in (stalled, closed):
+            with sock:
+                # a recv timeout (5 s) fails the test instead of hanging
+                assert sock.recv(65536) == b""
+        deadline = time.monotonic() + 5
+        while (
+            threading.active_count() > baseline
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.05)
+        assert threading.active_count() <= baseline
+        assert "Traceback" not in capsys.readouterr().err
+
+        # a good connection still gets both of its keep-alive queries
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            statuses = []
+            for _ in range(2):
+                conn.request("POST", "/query", body=body)
+                reply = conn.getresponse()
+                reply.read()
+                statuses.append(reply.status)
+        finally:
+            conn.close()
+        assert statuses == [200, 200]
 
 
 def test_banner_names_the_url_cache_and_queue(server):

@@ -1,12 +1,20 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import multiprocessing
 import re
+import signal
+import time
 
 import pytest
 
-from repro.cli import _CIRCUIT_SUFFIXES, _workers, main
+from repro.cli import _CIRCUIT_SUFFIXES, _unit_progress, _workers, main
 from repro.datagen.generators import GENERATOR_CATALOG
+from repro.dist.work import COORD_DIR_NAME
+from repro.runtime import execute_parallel, run_dir_for, spec_hash
+from repro.runtime import registry as registry_module
+
+from .helpers import GridSpec, register_grid_experiment
 
 
 @pytest.fixture
@@ -250,10 +258,28 @@ class TestExperimentCLI:
         assert main(parallel) == 0
         second = capsys.readouterr()
         assert second.out == first.out
+        # one line per unit, also for units the fleet's processes ran
+        for err in (first.err, second.err):
+            lines = re.findall(r"\[unit (\d)/4\] \S+: done \(\d+\.\d\ds\)", err)
+            assert sorted(lines) == ["1", "2", "3", "4"]
 
         a = (tmp_path / "serial").glob("table1/*/result.json")
         b = (tmp_path / "par").glob("table1/*/result.json")
         assert next(iter(a)).read_bytes() == next(iter(b)).read_bytes()
+        assert not list((tmp_path / "par").glob(f"table1/*/{COORD_DIR_NAME}"))
+
+    def test_resumed_run_shows_cached_units(self, capsys, tmp_path):
+        args = ["experiment", "run", "table1", "--scale", "smoke",
+                "--runs-dir", str(tmp_path), "--workers", "2"]
+        assert main(args) == 0
+        first = capsys.readouterr()
+        # a run killed before its manifest resumes from its units
+        next(tmp_path.glob("table1/*/manifest.json")).unlink()
+        assert main(args) == 0
+        resumed = capsys.readouterr()
+        assert resumed.out == first.out
+        assert len(re.findall(r": cached \(0\.00s\)", resumed.err)) == 4
+        assert ": done" not in resumed.err
 
     def test_quiet_suppresses_progress(self, capsys, tmp_path):
         assert main(["experiment", "run", "table1", "--scale", "smoke",
@@ -288,15 +314,25 @@ class TestWorkersResolver:
         assert not any(tmp_path.iterdir())
 
 
+def _join_when_leased(coord_dir, argv):
+    """Wait until a run holds its first lease, then join it via the CLI."""
+    deadline = time.monotonic() + 30
+    while not list(coord_dir.glob("leases/*.json")):
+        if time.monotonic() > deadline:
+            raise SystemExit("the run never claimed a unit")
+        time.sleep(0.01)
+    raise SystemExit(main(argv))
+
+
 class TestDistCLI:
-    def test_dist_run_matches_serial(self, capsys, tmp_path):
+    def test_lease_knobs_run_matches_serial(self, capsys, tmp_path):
         serial = ["experiment", "run", "table1", "--scale", "smoke",
                   "--runs-dir", str(tmp_path / "serial"), "--quiet"]
         assert main(serial) == 0
         first = capsys.readouterr()
 
         dist = ["experiment", "run", "table1", "--scale", "smoke",
-                "--runs-dir", str(tmp_path / "dist"), "--dist",
+                "--runs-dir", str(tmp_path / "dist"),
                 "--workers", "2", "--lease-ttl", "10",
                 "--heartbeat-interval", "1"]
         assert main(dist) == 0
@@ -312,21 +348,101 @@ class TestDistCLI:
         # with an all-zero report — the mid-run case is covered by the
         # dist chaos suite, where timing is controllable
         run = ["experiment", "run", "table1", "--scale", "smoke",
-               "--runs-dir", str(tmp_path), "--dist", "--quiet"]
+               "--runs-dir", str(tmp_path), "--quiet"]
         assert main(run) == 0
         capsys.readouterr()
         worker = ["worker", "experiment", "table1", "--scale", "smoke",
                   "--runs-dir", str(tmp_path), "--quiet"]
+        handlers = [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)]
         assert main(worker) == 0
         out = capsys.readouterr().out
         assert "0 completed" in out
         assert "0 failed" in out
+        # the drain handlers are the worker's alone: the caller's return
+        assert [
+            signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)
+        ] == handlers
+
+    def test_standalone_worker_joins_a_running_fleet(self, tmp_path):
+        # `repro worker experiment`, started once a plain `--workers 2`
+        # run holds its first lease, takes a unit of that run; the
+        # result is byte-identical to a serial run
+        log_dir = tmp_path / "log"
+        log_dir.mkdir()
+        name = register_grid_experiment(
+            "fake-grid-join", log_dir=log_dir, unit_sleep=0.4
+        )
+        runs = tmp_path / "runs"
+        spec_args = [name, "--scale", "default", "--runs-dir", str(runs)]
+        coord = run_dir_for(runs, name, spec_hash(name, GridSpec()))
+        coord = coord / COORD_DIR_NAME
+        joiner = multiprocessing.get_context("fork").Process(
+            target=_join_when_leased,
+            args=(coord, ["worker", "experiment", *spec_args, "--quiet"]),
+        )
+        try:
+            serial = execute_parallel(
+                name, GridSpec(), runs_dir=tmp_path / "serial"
+            )
+            joiner.start()
+            run = ["experiment", "run", *spec_args, "--workers", "2",
+                   "--quiet"]
+            assert main(run) == 0
+            joiner.join(timeout=30)
+        finally:
+            if joiner.is_alive():
+                joiner.kill()
+                joiner.join()
+            registry_module.unregister(name)
+        assert joiner.exitcode == 0
+        assert any(f"-{joiner.pid}-" in p.name for p in log_dir.iterdir())
+        assert next(runs.glob(f"{name}/*/result.json")).read_bytes() == (
+            serial.out_dir / "result.json"
+        ).read_bytes()
+        assert not coord.exists()
+
+    @pytest.mark.parametrize("command", ["run", "capture"])
+    def test_poisoned_unit_is_a_clean_exit_naming_it(
+        self, tmp_path, monkeypatch, command
+    ):
+        monkeypatch.setenv("REPRO_MAX_ATTEMPTS", "1")
+        name = register_grid_experiment("fake-grid-poison")
+        argv = ["experiment", command, name, "--set", "rows=alpha,explode",
+                "--runs-dir", str(tmp_path / "runs"), "--quiet"]
+        if command == "capture":
+            argv += ["--goldens-dir", str(tmp_path / "goldens")]
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+        finally:
+            registry_module.unregister(name)
+        message = str(exc.value.code)
+        assert "- explode [" in message
+        assert "RuntimeError: unit exploded" in message
+
+    def test_worker_deaths_get_a_fleet_line(self, capsys):
+        _unit_progress(
+            {"status": "worker-died", "label": "repro-dist-worker-1",
+             "detail": "exit code -9"}
+        )
+        assert capsys.readouterr().err == (
+            "[fleet] repro-dist-worker-1: worker-died (exit code -9)\n"
+        )
 
     def test_bad_dist_knob_is_clean_error(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["experiment", "run", "table1", "--scale", "smoke",
-                  "--runs-dir", str(tmp_path), "--dist",
-                  "--lease-ttl", "-3"])
+                  "--runs-dir", str(tmp_path), "--lease-ttl", "-3"])
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "run", "table1"],
+        ["dataset", "build", "--out", "data"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_dist_flag_is_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--dist"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dist" in capsys.readouterr().err
 
 
 class TestExperimentCompareCLI:
