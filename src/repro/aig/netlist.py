@@ -106,6 +106,8 @@ class Netlist:
         self._gates: Dict[str, Gate] = {}
         self._inputs: List[str] = []
         self._outputs: List[str] = []
+        #: :meth:`topological_order`'s last answer; ``_add`` drops it
+        self._order: Optional[List[str]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -135,6 +137,7 @@ class Netlist:
         if gate.name in self._gates:
             raise NetlistError(f"net {gate.name!r} already driven")
         self._gates[gate.name] = gate
+        self._order = None
 
     # ------------------------------------------------------------------
     # queries
@@ -197,11 +200,19 @@ class Netlist:
     def topological_order(self) -> List[str]:
         """Return net names in topological order (inputs first).
 
+        The order is sorted once and kept until a gate is added; each
+        call returns a fresh copy of it.
+
         Raises
         ------
         NetlistError
             If the netlist contains a combinational cycle.
         """
+        if self._order is None:
+            self._order = self._sort()
+        return list(self._order)
+
+    def _sort(self) -> List[str]:
         indegree = {name: len(g.fanins) for name, g in self._gates.items()}
         fanouts: Dict[str, List[str]] = {name: [] for name in self._gates}
         for name, g in self._gates.items():

@@ -708,9 +708,13 @@ def cmd_query(args: argparse.Namespace) -> int:
 
     from .serve import ServeClient, ServeClientError
 
-    client = ServeClient(
-        args.url, timeout=args.timeout, retries=args.retries
-    )
+    try:
+        client = ServeClient(
+            args.url, timeout=args.timeout, retries=args.retries
+        )
+    except ValueError as exc:  # not an http:// URL, or retries < 0
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         if args.stats:
             reply = client.stats()

@@ -17,6 +17,10 @@ and babysits them:
 * if every subprocess is gone and work remains, the dispatcher runs the
   worker loop **inline** as a floor — a run never stalls just because
   its fleet died, it just gets slower;
+* a dispatcher that dies (``kill -9``) takes its fleet with it: each
+  worker sees within :data:`ORPHAN_POLL_S` that it has been reparented,
+  finishes and releases its in-flight item and exits, so no worker runs
+  on unsupervised; a rerun resumes from the committed items;
 * items that burned through their retry budget come back in
   ``summary.poisoned``, which the wrappers raise as
   :class:`PoisonedWorkError` naming every quarantined item and its last
@@ -37,7 +41,9 @@ reports their commits exactly like its own fleet's.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import signal
+import threading
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Optional
@@ -94,10 +100,27 @@ def _fork_context():
         return multiprocessing.get_context()
 
 
+#: seconds between a fleet worker's checks that its dispatcher lives
+ORPHAN_POLL_S = 0.1
+
+
+def _drain_when_orphaned(stop: threading.Event, dispatcher_pid: int) -> None:
+    """Set ``stop`` once the dispatcher has died (this process has been
+    reparented), so the worker drains as on SIGTERM.
+
+    The parent's sentinel pipe cannot tell on its own: a worker forked
+    after this one inherits a copy of the pipe's write end, so EOF waits
+    for that sibling to exit too."""
+    while not stop.wait(ORPHAN_POLL_S):
+        if os.getppid() != dispatcher_pid:
+            stop.set()
+
+
 def _worker_proc_main(
     source_kind: str, source_args: tuple, cfg: DistConfig, index: int
 ) -> None:
-    """Subprocess entry: one worker loop that SIGTERM drains.
+    """Subprocess entry: one worker loop that SIGTERM, or the death of
+    its dispatcher, drains.
 
     Receives the source as ``(kind, primitives)`` from
     :meth:`~repro.dist.work.WorkSource.subprocess_payload` and rebuilds
@@ -106,6 +129,12 @@ def _worker_proc_main(
     """
     source = rebuild_source(source_kind, source_args)
     with drain_on_signals(signal.SIGTERM) as stop:
+        threading.Thread(
+            target=_drain_when_orphaned,
+            args=(stop, multiprocessing.parent_process().pid),
+            name="orphan-watch",
+            daemon=True,
+        ).start()
         run_worker(
             source, cfg, owner=new_owner_id(f"worker{index}"), stop_event=stop
         )

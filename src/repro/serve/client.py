@@ -1,9 +1,19 @@
 """Tiny stdlib client for a running ``repro serve`` instance.
 
-``urllib.request`` only — the same no-new-deps rule as the server.  HTTP
-error bodies are parsed back into :class:`~repro.serve.protocol.ErrorReply`
-and surfaced as :class:`ServeClientError` carrying the structured kind,
-detail, and (for parse errors) line number.
+``http.client`` only — the same no-new-deps rule as the server.  Each
+calling thread keeps one HTTP/1.1 connection to the server and reuses
+it, so one client may be shared across threads; a thread's connection
+closes when the thread ends, or on :meth:`ServeClient.close`.  When the
+server has closed a reused connection (it drops idle ones after its
+read timeout), the client reconnects and sends the request once more:
+a query is a pure function of its text, so a resend is safe.  The
+client connects directly; it does not read proxy settings from the
+environment.
+
+HTTP error bodies are parsed back into
+:class:`~repro.serve.protocol.ErrorReply` and surfaced as
+:class:`ServeClientError` carrying the structured kind, detail, and
+(for parse errors) line number.
 
 The client can optionally retry transient failures: construct it with
 ``retries > 0`` and 503 answers (server saturated or shutting down) and
@@ -14,11 +24,12 @@ Non-transient errors (4xx, 500) are never retried.
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Optional
+import weakref
+from typing import Optional, Tuple
 
 from .protocol import (
     ErrorReply,
@@ -73,10 +84,20 @@ def _retry_after_seconds(headers) -> Optional[float]:
         return None
 
 
+class _Connection(http.client.HTTPConnection):
+    """A thread's kept-alive connection, closed when it is collected:
+    a thread that ends drops the only reference to it."""
+
+    def __del__(self) -> None:
+        self.close()
+
+
 class ServeClient:
     """Blocking HTTP client bound to one server base URL.
 
-    ``retries`` is the number of *extra* attempts after the first for
+    Threads may share one client: each gets its own kept-alive
+    connection, which :meth:`close` (or leaving a ``with`` block)
+    closes.  ``retries`` is the number of *extra* attempts after the first for
     transient failures (503, connection errors); waits grow as
     ``backoff_base * 2**n`` capped at ``backoff_cap``, and a server
     ``Retry-After`` hint raises (never lowers below) the computed wait.
@@ -93,46 +114,96 @@ class ServeClient:
         if retries < 0:
             raise ValueError("retries must be >= 0")
         self.base_url = base_url.rstrip("/")
+        scheme, sep, rest = self.base_url.partition("://")
+        if not sep or scheme.lower() != "http":
+            raise ValueError(f"expected an http:// URL, got {base_url!r}")
+        # "host:port" for the connections; a path prefix for the requests
+        self._netloc, slash, prefix = rest.partition("/")
+        self._prefix = slash + prefix
         self.timeout = timeout
         self.retries = retries
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
+        self._local = threading.local()
+        # the live threads' connections, for close(); a thread's own
+        # reference in ``_local`` is the one that keeps it open
+        self._connections: "weakref.WeakSet[_Connection]" = weakref.WeakSet()
+        self._lock = threading.Lock()
+
+    def _connection(self) -> _Connection:
+        """The calling thread's connection, made on its first request
+        (it connects lazily, and again after any close)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = _Connection(self._netloc, timeout=self.timeout)
+            self._local.conn = conn
+            with self._lock:
+                self._connections.add(conn)
+        return conn
+
+    def close(self) -> None:
+        """Close every connection this client holds open.  The client
+        stays usable: a later request connects again."""
+        with self._lock:
+            connections = list(self._connections)
+        for conn in connections:
+            conn.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _exchange(
+        self, path: str, body: Optional[bytes]
+    ) -> Tuple[http.client.HTTPResponse, bytes]:
+        """Send one request on this thread's connection and read the
+        whole reply, so the connection is ready for the next one."""
+        conn = self._connection()
+        method = "GET" if body is None else "POST"
+        headers = {} if body is None else {"Content-Type": "application/json"}
+        while True:  # twice at most: after close() the next try connects
+            reused = conn.sock is not None
+            try:
+                conn.request(method, self._prefix + path, body=body,
+                             headers=headers)
+                resp = conn.getresponse()
+                return resp, resp.read()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                if not (reused and isinstance(exc, ConnectionError)):
+                    raise ServeClientError(
+                        str(exc) or type(exc).__name__
+                    ) from exc
+                # the server closed a kept-alive connection (an idle one
+                # past its read timeout): connect and send again
 
     def _request_once(self, path: str, body: Optional[bytes] = None):
-        req = urllib.request.Request(
-            self.base_url + path,
-            data=body,
-            headers={"Content-Type": "application/json"} if body else {},
-            method="POST" if body is not None else "GET",
-        )
+        resp, raw = self._exchange(path, body)
+        if 200 <= resp.status < 300:
+            return parse_message(raw.decode("utf-8"))
+        text = raw.decode("utf-8", errors="replace")
+        retry_after = _retry_after_seconds(resp.headers)
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                text = resp.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            raw = exc.read().decode("utf-8", errors="replace")
-            retry_after = _retry_after_seconds(exc.headers)
-            try:
-                reply = parse_message(raw)
-            except (ProtocolError, json.JSONDecodeError):
-                raise ServeClientError(
-                    raw.strip() or str(exc),
-                    status=exc.code,
-                    retry_after=retry_after,
-                ) from exc
-            if isinstance(reply, ErrorReply):
-                raise ServeClientError(
-                    reply.detail,
-                    kind=reply.error,
-                    status=exc.code,
-                    line=reply.line,
-                    retry_after=retry_after,
-                ) from exc
+            reply = parse_message(text)
+        except (ProtocolError, json.JSONDecodeError):
             raise ServeClientError(
-                raw.strip(), status=exc.code, retry_after=retry_after
-            ) from exc
-        except urllib.error.URLError as exc:
-            raise ServeClientError(str(exc.reason)) from exc
-        return parse_message(text)
+                text.strip() or f"HTTP {resp.status} {resp.reason}",
+                status=resp.status,
+                retry_after=retry_after,
+            ) from None
+        if isinstance(reply, ErrorReply):
+            raise ServeClientError(
+                reply.detail,
+                kind=reply.error,
+                status=resp.status,
+                line=reply.line,
+                retry_after=retry_after,
+            )
+        raise ServeClientError(
+            text.strip(), status=resp.status, retry_after=retry_after
+        )
 
     def _request(self, path: str, body: Optional[bytes] = None):
         for attempt in range(self.retries + 1):

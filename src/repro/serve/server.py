@@ -11,12 +11,15 @@ Endpoints:
 * ``GET /stats`` — cache/batcher/request counters (``StatsReply``).
 * ``GET /healthz`` — liveness probe.
 
-``ThreadingHTTPServer`` gives one handler thread per connection; handler
-threads only parse and wait on the micro-batcher, so the model itself
-stays single-threaded (see :mod:`repro.serve.batcher`).  A connection
-that stalls mid-request for :data:`READ_TIMEOUT_S`, sends a body shorter
-than its ``Content-Length`` or goes away mid-exchange is dropped without
-a reply, so its handler thread ends.
+Connections are HTTP/1.1 and kept alive: ``ThreadingHTTPServer`` gives
+one handler thread per connection, which answers its requests in turn.
+Handler threads only parse and wait on the micro-batcher, so the model
+itself stays single-threaded (see :mod:`repro.serve.batcher`).  Each
+reply goes out in one write on a ``TCP_NODELAY`` socket, so a kept-alive
+client never waits on a delayed ACK.  A connection idle for
+:data:`READ_TIMEOUT_S` is closed.  One that stalls mid-request for as
+long, sends a body shorter than its ``Content-Length`` or goes away
+mid-exchange is dropped without a reply, so its handler thread ends.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ READ_TIMEOUT_S = 30.0
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: a reply's one write leaves without waiting for ACKs
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> InferenceService:
@@ -90,8 +95,12 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Retry-After", str(retry_after))
         if self.close_connection:
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        # status line, headers and body leave in one write: sent alone
+        # (as end_headers() would), the headers hold the body back on a
+        # kept-alive connection until the client's delayed ACK (~40 ms).
+        # So the blank line and the body join the buffer send_header fills
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _send_error_reply(
         self,

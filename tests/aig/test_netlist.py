@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.aig import GateType, Netlist, NetlistError
+from repro.aig import GateType, Netlist, NetlistError, aiger, bench
+from repro.datagen.generators import ripple_adder
+from repro.serve.service import canonicalize, parse_circuit
+
+from ..helpers import random_netlist
 
 
 def half_adder() -> Netlist:
@@ -132,6 +136,63 @@ class TestStructure:
         assert "extra" in cp
         assert "extra" not in nl
         assert cp.outputs == nl.outputs
+
+
+class TestOrderCache:
+    """The topological order is sorted once per set of gates."""
+
+    @pytest.fixture
+    def sorts(self, monkeypatch):
+        count = [0]
+        sort = Netlist._sort
+
+        def counting_sort(netlist):
+            count[0] += 1
+            return sort(netlist)
+
+        monkeypatch.setattr(Netlist, "_sort", counting_sort)
+        return count
+
+    def test_a_bench_query_sorts_once(self, sorts):
+        text = bench.dumps(ripple_adder(3))
+        sorts[0] = 0
+        parse_circuit(text, "bench")
+        assert sorts[0] == 1
+
+    def test_adding_a_gate_forces_a_fresh_sort(self, sorts):
+        nl = half_adder()
+        nl.validate()
+        nl.validate()
+        assert sorts[0] == 1
+        nl.add_gate("nsum", GateType.NOT, ["sum"])
+        order = nl.topological_order()
+        assert sorts[0] == 2
+        assert order.index("sum") < order.index("nsum")
+
+    def test_a_cycle_closed_after_validate_still_raises(self):
+        nl = half_adder()
+        nl.validate()
+        nl.add_gate("g1", GateType.AND, ["sum", "g2"])
+        nl.add_gate("g2", GateType.AND, ["carry", "g1"])
+        with pytest.raises(NetlistError, match="cycle"):
+            nl.validate()
+
+    def test_callers_get_a_copy(self):
+        nl = half_adder()
+        nl.topological_order().reverse()
+        nl.topological_order().clear()
+        order = nl.topological_order()
+        assert len(order) == 4
+        assert order.index("a") < order.index("sum")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_aigs_and_hashes_match_a_sort_per_call(self, seed, monkeypatch):
+        text = bench.dumps(random_netlist(np.random.default_rng(seed), 5, 30))
+        cached = canonicalize(parse_circuit(text, "bench"))
+        monkeypatch.setattr(Netlist, "topological_order", Netlist._sort)
+        resorted = canonicalize(parse_circuit(text, "bench"))
+        assert cached[0] == resorted[0]
+        assert aiger.dumps(cached[1]) == aiger.dumps(resorted[1])
 
 
 class TestEvaluate:

@@ -2,7 +2,9 @@
 results of a ``workers=2`` fleet byte-identical to a ``workers=1`` run."""
 
 import multiprocessing
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -141,3 +143,73 @@ def test_crash_fault_executes_unit_exactly_once_more(
     assert count_unit_executions(log_dir, "beta") == 2
     assert count_unit_executions(log_dir, "alpha") == 1
     assert count_unit_executions(log_dir, "gamma") == 1
+
+
+def _dispatcher_main(name, spec, runs_dir, cfg):
+    execute_parallel(name, spec, runs_dir=runs_dir, workers=2, cfg=cfg)
+
+
+def _running(pid: int) -> bool:
+    """Is ``pid`` a live process?  A zombie is not: its reaper may be an
+    init that never waits for orphans."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+def _executed_keys(log_dir):
+    return {p.name.split("-")[1] for p in Path(log_dir).glob("exec-*")}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+def test_sigkilled_dispatcher_takes_its_workers_down(tmp_path):
+    # kill -9 the dispatcher mid-unit: both workers notice they are
+    # orphans, finish and release their in-flight units, and exit
+    # instead of running the rest unsupervised; a rerun resumes
+    log_dir = tmp_path / "log"
+    log_dir.mkdir()
+    spec = GridSpec(rows=tuple(f"r{k}" for k in range(8)))
+    name = register_grid_experiment("fake-grid-orphan")
+    try:
+        serial = execute_parallel(
+            name, spec, runs_dir=tmp_path / "serial", workers=1
+        )
+    finally:
+        registry_module.unregister(name)
+    register_grid_experiment(name, log_dir=log_dir, unit_sleep=1.0)
+    try:
+        source = ExperimentWorkSource(name, spec, tmp_path / "dist")
+        store = LeaseStore(source.coordination_dir(), ttl=CHAOS.lease_ttl)
+        dispatcher = multiprocessing.get_context("fork").Process(
+            target=_dispatcher_main, args=(name, spec, tmp_path / "dist", CHAOS)
+        )
+        dispatcher.start()
+        deadline = time.time() + 30
+        while len(store.active_leases()) < 2 and time.time() < deadline:
+            time.sleep(0.02)
+        time.sleep(0.3)  # mid-unit: the next unit boundary is ~0.7 s away
+        leases = store.active_leases()
+        executed = _executed_keys(log_dir)
+        dispatcher.kill()
+        dispatcher.join(timeout=10)
+        assert len(leases) == 2, "the fleet never had two units in flight"
+        in_flight = {lease.key for lease in leases}
+        workers = {int(lease.owner.rsplit(":", 2)[1]) for lease in leases}
+
+        deadline = time.time() + 5
+        while any(map(_running, workers)) and time.time() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers)), "orphaned workers ran on"
+        labels = {item.key: item.label for item in source.items()}
+        finished_after_kill = _executed_keys(log_dir) - executed
+        assert finished_after_kill <= {labels[key] for key in in_flight}
+        assert not store.active_leases()
+
+        resumed = execute_parallel(
+            name, spec, runs_dir=tmp_path / "dist", workers=2, cfg=CHAOS
+        )
+        assert result_bytes(serial) == result_bytes(resumed)
+    finally:
+        registry_module.unregister(name)

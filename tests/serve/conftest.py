@@ -1,11 +1,16 @@
-"""Shared fixtures: one tiny model and a pair of circuit texts."""
+"""Shared fixtures and helpers: one tiny model, a few circuit texts, a
+renamer and a reference forward."""
 
 import numpy as np
 import pytest
 
 from repro.aig import aiger, bench
 from repro.datagen.generators import comparator, ripple_adder
+from repro.graphdata.dataset import PreparedBatch
+from repro.graphdata.features import inference_graph
 from repro.models import DeepGate
+from repro.nn.tensor import no_grad
+from repro.serve.service import canonicalize, parse_circuit
 from repro.synth import netlist_to_aig
 
 
@@ -47,3 +52,14 @@ def rename_bench(text: str, prefix: str = "net_") -> str:
     for name in sorted(names, key=len, reverse=True):
         renamed = renamed.replace(name, prefix + name)
     return renamed
+
+
+def direct_forward(model, text, fmt, num_iterations):
+    """Key and predictions of a plain single-circuit forward of ``text``."""
+    key, canonical = canonicalize(parse_circuit(text, fmt))
+    with no_grad():
+        out = model.forward(
+            PreparedBatch(inference_graph(canonical)),
+            num_iterations=num_iterations,
+        )
+    return key, tuple(float(p) for p in np.asarray(out.data, dtype=np.float32))

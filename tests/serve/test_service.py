@@ -9,9 +9,6 @@ import pytest
 
 from repro.aig import bench
 from repro.datagen.generators import comparator, parity
-from repro.graphdata.dataset import PreparedBatch
-from repro.graphdata.features import inference_graph
-from repro.nn.tensor import no_grad
 from repro.serve.batcher import BatcherClosed
 from repro.serve.protocol import QueryRequest
 from repro.serve.service import (
@@ -21,7 +18,7 @@ from repro.serve.service import (
     parse_circuit,
 )
 
-from .conftest import rename_bench
+from .conftest import direct_forward, rename_bench
 
 
 @pytest.fixture
@@ -256,17 +253,6 @@ class TestStats:
         assert stats.memo_hits == 1
         assert stats.model == "test"
         assert stats.uptime_s >= 0.0
-
-
-def direct_forward(model, text, fmt, num_iterations):
-    """Key and predictions of a plain single-circuit forward of ``text``."""
-    key, canonical = canonicalize(parse_circuit(text, fmt))
-    with no_grad():
-        out = model.forward(
-            PreparedBatch(inference_graph(canonical)),
-            num_iterations=num_iterations,
-        )
-    return key, tuple(float(p) for p in np.asarray(out.data, dtype=np.float32))
 
 
 class TestPredictionMemo:

@@ -746,6 +746,10 @@ class TestServeQueryCLI:
                      "--url", "http://127.0.0.1:9", "--timeout", "2"]) == 1
         assert "transport_error" in capsys.readouterr().err
 
+    def test_query_non_http_url_exits_1(self, capsys):
+        assert main(["query", "--stats", "--url", "localhost:9"]) == 1
+        assert "expected an http:// URL" in capsys.readouterr().err
+
     def test_query_round_trip_and_cache_hit(
         self, running_server, adder_bench, capsys
     ):
