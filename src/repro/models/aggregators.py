@@ -349,8 +349,10 @@ class AttentionAggregator(PassStepAggregator):
     # -- pass-step hooks (see PassStepAggregator) ----------------------
     def step_begin(self, hd):
         # query-score contribution of every node, batched per pass: the
-        # query rows always come from the pass-input state
-        return (hd @ self.w_query.weight.data).ravel()
+        # query rows always come from the pass-input state.  A zero-stride
+        # broadcast input (DeepGate's initial state) is first copied: on
+        # the view, matmul leaves the BLAS path and rounds differently
+        return (np.ascontiguousarray(hd) @ self.w_query.weight.data).ravel()
 
     def step_walk(self, ctx, plan, use_edge_attr):
         # every edge's query score in one take; the skip-edge weights

@@ -115,7 +115,9 @@ class DeepGate(Module):
         n = batch.graph.num_nodes
         if self.input_mode == "init_only":
             return self.embed(x)
-        return Tensor(np.repeat(self.h_init.data, n, axis=0))
+        # a read-only zero-stride view: every row is ``h_init``, and the
+        # first pass copies it into its output anyway
+        return Tensor(np.broadcast_to(self.h_init.data, (n, self.dim)))
 
     def embeddings(
         self, batch: PreparedBatch, num_iterations: Optional[int] = None

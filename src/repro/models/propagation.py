@@ -22,9 +22,11 @@ runs as a single window spanning the whole pass.
   - the schedule's cached
     :class:`~repro.graphdata.batching.WalkPlan` gives each group as one
     flat tuple (sources, slices, layout and flags);
-  - once per walk, ``take`` gathers the query rows, the static GRU input
-    share of every written node and (attention) every edge's query
-    score, and each group slices them;
+  - once per walk, one gather each fetches the query rows, the static
+    GRU input share of every written node and (attention) every edge's
+    query score, and each group slices them; the query rows come from
+    the pass input by fancy indexing, which stays fast when that input
+    is a zero-stride broadcast (DeepGate's initial state);
   - a group whose ``n`` nodes all have the same in-degree ``R`` reduces
     as one ``(R, n)`` grid reduction (the *grid rule*), and attention
     passes a group whose nodes each have one in-edge straight through,
@@ -40,7 +42,9 @@ runs as a single window spanning the whole pass.
   reverse, routing source gradients by global row id through the
   schedule's routing plans — at most two scatters per group: rows the
   group read from the pass input into the input gradient, rows written
-  earlier in the pass into the running output gradient.  A recorded
+  earlier in the pass into the running output gradient, which is the
+  output's own gradient buffer, updated in place (``Tensor.backward``
+  drops it after the pass's backward returns).  A recorded
   one-window pass keeps every group's saved state from its forward; a
   multi-window pass keeps none and recomputes each window from the pass
   output, which bounds its state by the window budget.  The window count
@@ -48,10 +52,11 @@ runs as a single window spanning the whole pass.
   nothing.
 * Everything that does not depend on mid-pass state is batched: the
   GRU's recurrent pre-projection ``h @ W_hh + b_hh`` over the written
-  rows (in fixed chunks, :data:`GEMM_CHUNK_ROWS`), the attention query
-  scores ``h @ w_q``, and the static share of the GRU input transform
-  (a per-type table lookup).  Per-group backward intermediates (gate-input
-  gradients, messages, aggregator activations) land in contiguous buffers
+  rows (in fixed chunks of :data:`GEMM_CHUNK_ROWS` rows, at most two
+  resident), the attention query scores ``h @ w_q``, and the static
+  share of the GRU input transform (a per-type table lookup).
+  Per-group backward intermediates (gate-input gradients, messages,
+  aggregator activations) land in contiguous buffers
   laid out by the window's :class:`~repro.graphdata.batching.PassBlock`,
   and every parameter gradient contracts them in one GEMM per window
   instead of one small GEMM per level group.
@@ -217,8 +222,11 @@ def get_window_stats() -> Dict[str, int]:
 #: to the full product when the chunk extents match exactly.  The
 #: constant is budget-independent, so every window budget reproduces the
 #: one-window pass's output bits; a pass with at most this many written
-#: rows runs the pre-projection as one GEMM.
-GEMM_CHUNK_ROWS = 32768
+#: rows (any circuit of a few thousand gates) runs the pre-projection as
+#: one GEMM.  A windowed walk holds at most two chunks,
+#: ``(GEMM_CHUNK_ROWS, 3d)`` each (1.6 MB at d=32), whatever the circuit
+#: size.
+GEMM_CHUNK_ROWS = 4096
 
 
 def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -512,7 +520,9 @@ def _walk(
     ``None`` and builds no saved state.
     """
     ws = win.compiled
-    q_w = hd.take(ws.written, axis=0)
+    # fancy indexing, not ``take``: the pass input may be a zero-stride
+    # broadcast (DeepGate's initial state), where ``take`` is ~100x slower
+    q_w = hd[ws.written]
     gh_w = gh.rows(win.written_start, win.written_stop, q_w)
     walk = step.begin_walk(ctx, ws)
     saveds: List[tuple] = []
@@ -622,10 +632,11 @@ def run_pass(
                 w.frontier_rows for w in windows
             )
 
-    def backward(grad: np.ndarray) -> None:
-        gwork = grad.copy()
+    def backward(gwork: np.ndarray) -> None:
+        # the running output gradient is the output's own gradient buffer,
+        # updated in place: Tensor.backward drops it once this returns
         need_dh = h.requires_grad
-        dh = np.zeros_like(hd) if need_dh else None
+        dh = np.zeros(hd.shape, np.float32) if need_dh else None
         if kept is not None:
             ws = windows[0].compiled
             _window_backward(step, ws, kept, ws.block(), hd, gwork, dh)

@@ -26,6 +26,36 @@ from .aggregators import _acc
 __all__ = ["PerTypeRegressor"]
 
 
+def _hidden(lin1, x: np.ndarray) -> np.ndarray:
+    """A head's ReLU layer ``max(x @ W1 + b1, 0)``, computed in place."""
+    r1 = x @ lin1.weight.data
+    r1 += lin1.bias.data
+    return np.maximum(r1, 0.0, out=r1)
+
+
+def _head_backward(head, hd, idx, p, grad, dh) -> None:
+    """One type's head gradients from its rows ``idx`` and saved
+    probabilities ``p``: the rows are regathered and the hidden layer
+    recomputed, and every temporary dies on return, before the next
+    type's exist."""
+    lin1, lin2 = head.layers
+    x = hd[idx]
+    r1 = _hidden(lin1, x)
+    dz = grad[idx].reshape(-1, 1) * p * (1.0 - p)
+    _acc(lin2.weight, r1.T @ dz)
+    _acc(lin2.bias, dz.sum(axis=0))
+    mask = r1 > 0
+    del r1
+    da1 = dz @ lin2.weight.data.T
+    da1 *= mask
+    del mask
+    _acc(lin1.weight, x.T @ da1)
+    del x
+    _acc(lin1.bias, da1.sum(axis=0))
+    if dh is not None:
+        dh[idx] = da1 @ lin1.weight.data.T
+
+
 class PerTypeRegressor(Module):
     """One sigmoid-headed MLP per gate type, output in (0, 1)."""
 
@@ -60,7 +90,12 @@ class PerTypeRegressor(Module):
         return out.reshape(-1)
 
     def _forward_fused(self, h: Tensor, node_type: np.ndarray) -> Tensor:
-        """The whole readout as one autograd node (closed-form backward)."""
+        """The whole readout as one autograd node (closed-form backward).
+
+        Saves only each type's rows and probabilities: the backward
+        regathers the rows and recomputes the hidden layer, so no
+        per-type copy of the input or hidden layer outlives the forward.
+        """
         hd = h.data
         out = np.zeros(hd.shape[0], dtype=np.float32)
         saved = []
@@ -69,12 +104,12 @@ class PerTypeRegressor(Module):
             if idx.size == 0:
                 continue
             lin1, lin2 = self.heads[t].layers
-            x = hd[idx]
-            r1 = np.maximum(x @ lin1.weight.data + lin1.bias.data, 0.0)
+            r1 = _hidden(lin1, hd[idx])
             z = r1 @ lin2.weight.data + lin2.bias.data
+            del r1
             p = 1.0 / (1.0 + np.exp(-z))
             out[idx] = p.ravel()
-            saved.append((t, idx, x, r1, p))
+            saved.append((t, idx, p))
         # listing the parameters walks the module tree: only a recording
         # call needs them
         record = is_grad_enabled()
@@ -88,19 +123,10 @@ class PerTypeRegressor(Module):
             return Tensor(out)
 
         def backward(grad: np.ndarray) -> None:
-            need_h = h.requires_grad
-            dh = np.zeros_like(hd) if need_h else None
-            for t, idx, x, r1, p in saved:
-                lin1, lin2 = self.heads[t].layers
-                dz = grad[idx].reshape(-1, 1) * p * (1.0 - p)
-                _acc(lin2.weight, r1.T @ dz)
-                _acc(lin2.bias, dz.sum(axis=0))
-                da1 = (dz @ lin2.weight.data.T) * (r1 > 0)
-                _acc(lin1.weight, x.T @ da1)
-                _acc(lin1.bias, da1.sum(axis=0))
-                if need_h:
-                    dh[idx] = da1 @ lin1.weight.data.T
-            if need_h:
+            dh = np.zeros(hd.shape, np.float32) if h.requires_grad else None
+            for t, idx, p in saved:
+                _head_backward(self.heads[t], hd, idx, p, grad, dh)
+            if dh is not None:
                 h._accumulate(dh, own=True)
 
         return Tensor._make(out, (h, *params), backward)

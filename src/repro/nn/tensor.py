@@ -159,6 +159,14 @@ class Tensor:
 
         Consumes the graph (see the module notes): interior nodes are
         released one by one as the walk passes them.
+
+        Ownership: an interior node's closure receives the node's own
+        gradient buffer, which no other tensor references (every
+        ``_accumulate`` copies or takes a fresh array), and the walk sets
+        ``node.grad = None`` as soon as the closure returns.  A closure
+        may therefore use that buffer as working space and overwrite it
+        (the compiled pass's backward keeps its running output gradient
+        in it), but must not hand it to another tensor.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that requires no grad")

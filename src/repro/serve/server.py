@@ -17,13 +17,16 @@ Handler threads only parse and wait on the micro-batcher, so the model
 itself stays single-threaded (see :mod:`repro.serve.batcher`).  Each
 reply goes out in one write on a ``TCP_NODELAY`` socket, so a kept-alive
 client never waits on a delayed ACK.  A connection idle for
-:data:`READ_TIMEOUT_S` is closed.  One that stalls mid-request for as
+:data:`READ_TIMEOUT_S` is closed, and :meth:`ServeServer.close` ends
+every connection still open.  One that stalls mid-request for as
 long, sends a body shorter than its ``Content-Length`` or goes away
 mid-exchange is dropped without a reply, so its handler thread ends.
 """
 
 from __future__ import annotations
 
+import socket
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
@@ -183,6 +186,38 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, response)
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """One daemon handler thread per connection, each connection's socket
+    tracked until its handler ends, so :meth:`close_connections` can end
+    the threads that wait on idle kept-alive connections."""
+
+    def __init__(self, *args, **kwargs):
+        self._connections = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut every open connection down: a handler blocked reading
+        reads end-of-file and ends, a reply still being written fails."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for request in connections:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed by its peer or its handler
+                pass
+
+
 class ServeServer:
     """The threaded HTTP server wrapping one :class:`InferenceService`."""
 
@@ -194,8 +229,7 @@ class ServeServer:
         verbose: bool = False,
     ):
         self.service = service
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _HTTPServer((host, port), _Handler)
         self._httpd.service = service  # type: ignore[attr-defined]
         self._httpd.verbose = verbose  # type: ignore[attr-defined]
 
@@ -216,9 +250,13 @@ class ServeServer:
         self._httpd.shutdown()
 
     def close(self) -> None:
-        """Release the socket and drain the service's worker thread."""
+        """Release the listening socket, drain the service's worker thread
+        and shut every open connection down, so the handler threads of
+        idle kept-alive connections end now, not after
+        :data:`READ_TIMEOUT_S`."""
         self._httpd.server_close()
         self.service.close()
+        self._httpd.close_connections()
 
     def __enter__(self) -> "ServeServer":
         return self

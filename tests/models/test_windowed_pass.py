@@ -161,6 +161,43 @@ class TestBitwiseForward:
                 )
 
 
+@pytest.mark.parametrize("config", AGG_CONFIGS, ids=AGG_IDS)
+@pytest.mark.parametrize("shape", ["full", "windowed"])
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+def test_broadcast_pass_input_matches_its_copy(config, shape, direction):
+    # DeepGate's initial state is a zero-stride view of h_init: as a pass
+    # input it must give its contiguous copy's outputs and gradients
+    batch = make_batch()
+    row = np.random.default_rng(3).standard_normal((1, 8)).astype(np.float32)
+    view = np.broadcast_to(row, (batch.num_nodes, 8))
+    results = []
+    for data in (view, view.copy()):
+        model = make_model(**config)
+        full, windowed, step = pass_setup(batch, model, direction, 7)
+        schedule = full if shape == "full" else windowed
+        h = Tensor(data, requires_grad=True)
+        out = P.run_pass(h, schedule, step)
+        out.backward(random_state(batch, seed=4))
+        results.append((out.data, h.grad, grads_of(model)))
+    (out_v, dh_v, grads_v), (out_c, dh_c, grads_c) = results
+    np.testing.assert_array_equal(out_v, out_c)
+    np.testing.assert_array_equal(dh_v, dh_c)
+    assert grads_v.keys() == grads_c.keys() and grads_v
+    for name in grads_v:
+        np.testing.assert_array_equal(
+            grads_v[name], grads_c[name], err_msg=f"bits differ for {name}"
+        )
+
+
+def test_initial_state_is_a_read_only_broadcast():
+    batch = make_batch()
+    model = make_model()
+    state = model.initial_state(batch).data
+    assert state.shape == (batch.num_nodes, 8) and state.strides[0] == 0
+    assert not state.flags.writeable
+    np.testing.assert_array_equal(state, model.h_init.data[[0] * len(state)])
+
+
 class TestChunkConvention:
     def test_multi_chunk_forward_stays_bitwise(self, monkeypatch):
         # force the pass-wide affine pre-projections through several

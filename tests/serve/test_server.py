@@ -42,6 +42,15 @@ def client(server):
     return ServeClient(f"http://{server.host}:{server.port}", timeout=30.0)
 
 
+def http_error(req):
+    """``(status, body)`` of the ``HTTPError`` that ``req`` raises; the
+    error holds the response's socket, so it is closed here."""
+    with pytest.raises(urllib.error.HTTPError) as info:
+        urllib.request.urlopen(req, timeout=10)
+    with info.value as error:
+        return error.code, error.read().decode()
+
+
 class TestHappyPath:
     def test_health(self, client):
         assert client.health()
@@ -127,11 +136,9 @@ class TestErrorMapping:
             headers={"Content-Type": "application/json"},
             method="POST",
         )
-        with pytest.raises(urllib.error.HTTPError) as info:
-            urllib.request.urlopen(req, timeout=10)
-        assert info.value.code == 400
-        reply = parse_message(info.value.read().decode())
-        assert reply.error == "protocol_error"
+        code, body = http_error(req)
+        assert code == 400
+        assert parse_message(body).error == "protocol_error"
 
     def test_wrong_message_type_is_400(self, server):
         body = HealthReply().to_json().encode()
@@ -141,9 +148,8 @@ class TestErrorMapping:
             headers={"Content-Type": "application/json"},
             method="POST",
         )
-        with pytest.raises(urllib.error.HTTPError) as info:
-            urllib.request.urlopen(req, timeout=10)
-        assert info.value.code == 400
+        code, _ = http_error(req)
+        assert code == 400
 
     def test_missing_body_is_400(self, server):
         req = urllib.request.Request(
@@ -151,9 +157,8 @@ class TestErrorMapping:
             data=b"",
             method="POST",
         )
-        with pytest.raises(urllib.error.HTTPError) as info:
-            urllib.request.urlopen(req, timeout=10)
-        assert info.value.code == 400
+        code, _ = http_error(req)
+        assert code == 400
 
     def test_errors_count_in_stats(self, client):
         before = client.stats()

@@ -177,6 +177,25 @@ class TestSharedClient:
         client.close()
 
 
+class TestServerClose:
+    def test_close_ends_idle_kept_alive_connections(
+        self, model, handler_threads
+    ):
+        # without it, the handler thread of a connection the client keeps
+        # open would wait out READ_TIMEOUT_S (30 s) after close()
+        srv = ServeServer(InferenceService(model), host="127.0.0.1", port=0)
+        loop = threading.Thread(target=srv.serve_forever, daemon=True)
+        loop.start()
+        with ServeClient(url(srv), timeout=10.0) as client:
+            assert client.health()
+            srv.shutdown()
+            loop.join(timeout=10)
+            srv.close()
+            (thread,) = handler_threads
+            thread.join(timeout=1.0)
+            assert not thread.is_alive()
+
+
 class TestReconnect:
     def test_idle_connection_dropped_by_the_server_is_resent_once(
         self, server, adder_aag, handler_threads, client_connects, monkeypatch
