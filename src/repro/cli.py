@@ -28,7 +28,7 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
-from typing import Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -423,14 +423,34 @@ def cmd_experiment_list(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_diff(diff: Dict[str, object], fmt: str) -> int:
+    """Print a ``compare`` diff; report and return its violation count."""
+    from .runtime.compare import render_markdown, render_text
+
+    if fmt == "json":
+        import json as _json
+
+        print(_json.dumps(diff, indent=2, sort_keys=True))
+    elif fmt == "markdown":
+        print(render_markdown(diff))
+    else:
+        print(render_text(diff))
+    violations = diff.get("violations", [])
+    if violations:
+        print(
+            f"{len(violations)} tolerance violation"
+            f"{'s' if len(violations) != 1 else ''}",
+            file=sys.stderr,
+        )
+    return len(violations)
+
+
 def cmd_experiment_compare(args: argparse.Namespace) -> int:
     from .runtime.compare import (
         apply_tolerances,
         compare_results,
         load_run_result,
         load_tolerances,
-        render_markdown,
-        render_text,
     )
 
     if args.fail_on_drift and not args.tolerances:
@@ -452,35 +472,13 @@ def cmd_experiment_compare(args: argparse.Namespace) -> int:
     diff = compare_results(run_a, run_b)
     if tolerances is not None:
         diff = apply_tolerances(diff, tolerances)
-    if args.format == "json":
-        import json as _json
-
-        print(_json.dumps(diff, indent=2, sort_keys=True))
-    elif args.format == "markdown":
-        print(render_markdown(diff))
-    else:
-        print(render_text(diff))
-    violations = diff.get("violations", [])
-    if violations:
-        print(
-            f"{len(violations)} tolerance violation"
-            f"{'s' if len(violations) != 1 else ''}",
-            file=sys.stderr,
-        )
-        if args.fail_on_drift:
-            return 1
-    return 0
+    return 1 if _print_diff(diff, args.format) and args.fail_on_drift else 0
 
 
 def cmd_experiment_capture(args: argparse.Namespace) -> int:
     from .dist import PoisonedWorkError
     from .runtime import execute_parallel
-    from .runtime.golden import (
-        DEFAULT_ABS_FLOOR,
-        DEFAULT_REL_TOLERANCE,
-        capture_golden,
-        write_golden,
-    )
+    from .runtime.golden import capture_golden, write_golden
 
     exp, spec = _experiment_spec(args)
     overrides = {}
@@ -489,9 +487,15 @@ def cmd_experiment_capture(args: argparse.Namespace) -> int:
         if not sep:
             raise SystemExit(f"bad --tolerance {item!r}; use metric=limit")
         try:
-            overrides[key] = float(value)
+            limit = float(value)
         except ValueError:
-            raise SystemExit(f"bad --tolerance limit {value!r}")
+            limit = np.nan
+        # the limit a fixture must load with: finite and >= 0
+        if not 0 <= limit < np.inf:
+            raise SystemExit(
+                f"bad --tolerance limit {value!r}; need a finite number >= 0"
+            )
+        overrides[key] = limit
     workers = _workers(args)
     try:
         record = execute_parallel(
@@ -504,12 +508,8 @@ def cmd_experiment_capture(args: argparse.Namespace) -> int:
         )
     except (ValueError, PoisonedWorkError) as exc:
         raise SystemExit(str(exc))
-    rel = args.rel if args.rel is not None else DEFAULT_REL_TOLERANCE
-    floor = args.floor if args.floor is not None else DEFAULT_ABS_FLOOR
     try:
-        golden = capture_golden(
-            record, rel=rel, floor=floor, overrides=overrides
-        )
+        golden = capture_golden(record, overrides=overrides)
         path = write_golden(golden, goldens_dir=args.goldens_dir)
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -527,8 +527,6 @@ def cmd_experiment_verify(args: argparse.Namespace) -> int:
         default_goldens_dir,
         list_golden_paths,
         load_golden,
-        render_report_markdown,
-        render_report_text,
         verify_golden,
     )
 
@@ -553,11 +551,11 @@ def cmd_experiment_verify(args: argparse.Namespace) -> int:
         print(f"no golden fixtures under {root}", file=sys.stderr)
         return 1
 
-    failed = 0
+    failed = checks = 0
     for path in paths:
         try:
             golden = load_golden(path)
-            report = verify_golden(
+            diff = verify_golden(
                 golden,
                 runs_dir=args.runs_dir,
                 workers=workers,
@@ -568,20 +566,19 @@ def cmd_experiment_verify(args: argparse.Namespace) -> int:
             print(f"ERROR: {exc}", file=sys.stderr)
             failed += 1
             continue
-        if args.format == "json":
-            import json as _json
-
-            print(_json.dumps(report.to_json(), indent=2, sort_keys=True))
-        elif args.format == "markdown":
-            print(render_report_markdown(report))
-        else:
-            print(render_report_text(report))
-        if not report.passed:
-            failed += 1
+        checks += len(golden.metrics)
+        drifted = _print_diff(diff, args.format)
+        failed += bool(drifted)
+        print(
+            f"verify {golden.experiment} [{golden.spec_hash[:12]}]: "
+            f"{'FAIL' if drifted else 'PASS'}, {len(golden.metrics)} checks "
+            f"(a = fixture, b = fresh run)",
+            file=sys.stderr,
+        )
     total = len(paths)
     print(
         f"verified {total} fixture{'s' if total != 1 else ''}: "
-        f"{total - failed} passed, {failed} failed",
+        f"{total - failed} passed, {failed} failed, {checks} checks",
         file=sys.stderr,
     )
     return 1 if failed else 0
@@ -961,14 +958,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="goldens root (default: REPRO_GOLDENS_DIR or ./goldens)",
     )
     q.add_argument(
-        "--rel", type=float, default=None,
-        help="relative tolerance for derived per-metric limits",
-    )
-    q.add_argument(
-        "--floor", type=float, default=None,
-        help="absolute tolerance floor for derived per-metric limits",
-    )
-    q.add_argument(
         "--tolerance", action="append", metavar="METRIC=LIMIT",
         help="explicit absolute limit for one metric "
              "(or 'row:metric'); overrides the derived default",
@@ -977,7 +966,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = exp_sub.add_parser(
         "verify",
-        help="re-run golden fixtures at fixture scale and fail on drift",
+        help="re-run golden fixtures at fixture scale and compare each "
+             "(run a) with its fresh run (run b); fail on drift",
     )
     q.add_argument(
         "fixtures", nargs="*",
@@ -1000,7 +990,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="suppress per-unit progress lines")
     q.add_argument(
         "--format", default="text", choices=["text", "markdown", "json"],
-        help="how to print each verification report",
+        help="how to print each fixture's diff against its fresh run",
     )
     q.set_defaults(func=cmd_experiment_verify)
 

@@ -12,8 +12,9 @@
   cache directories, so killed grids resume from completed units;
 * :mod:`.compare` — metric diffs between two cached runs, with optional
   tolerance gating;
-* :mod:`.golden` — committed golden-metric fixtures and the drift gate
-  behind ``repro experiment capture``/``verify``.
+* :mod:`.golden` — committed golden-metric fixtures behind ``repro
+  experiment capture``/``verify``; a verify is a gated compare of the
+  fixture against a fresh run.
 """
 
 from .compare import (
@@ -27,7 +28,6 @@ from .compare import (
 from .golden import (
     Golden,
     GoldenError,
-    GoldenReport,
     capture_golden,
     default_goldens_dir,
     golden_path,
@@ -96,7 +96,6 @@ __all__ = [
     "apply_tolerances",
     "Golden",
     "GoldenError",
-    "GoldenReport",
     "capture_golden",
     "default_goldens_dir",
     "golden_path",

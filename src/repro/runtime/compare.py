@@ -2,15 +2,24 @@
 
 ``repro experiment compare <run-a> <run-b>`` matches the rows of two
 ``result.json`` files by their label fields (the non-numeric columns:
-model name, suite, ablation variant, …) and diffs every numeric column —
+model name, suite, ablation variant, …) and diffs every metric cell —
 absolute delta and percent change — rendering the outcome as plain text,
 a markdown pipe table, or JSON.
 
+A result's metrics form a **cell map**, ``(row label, metric) -> value``
+(:func:`result_metrics`): one entry per cell of a numeric column that
+holds a finite number.  NaN and ±inf are not metrics — a row the paper
+has no figure for carries ``paper_error`` NaN — so such a cell is simply
+absent.  :func:`diff_cells` diffs two cell maps; both a run-vs-run
+``compare`` and a golden fixture's ``verify`` (fixture as run a, fresh
+run as run b, see :mod:`repro.runtime.golden`) are that one diff.
+
 With a tolerance table (``--tolerances limits.json``) the diff becomes
 an accuracy-trajectory gate: every matched metric gains an absolute
-drift ``limit`` and a pass/fail status, and ``--fail-on-drift`` turns
-any violation — including a tolerance whose metric is *missing* from
-the diff, which cannot be certified — into a non-zero exit.
+drift ``limit`` and a pass/fail status (drift when ``|b - a|`` exceeds
+the limit), and ``--fail-on-drift`` turns any violation — including a
+tolerance whose cell is *missing* from the diff, which cannot be
+certified — into a non-zero exit.
 
 Runs are addressed by their run directory (``runs/table2/<hash>``),
 either as a filesystem path or relative to the runs root, so the output
@@ -21,9 +30,11 @@ into ``compare``.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from .registry import markdown_table
 from .runner import MANIFEST_NAME, default_runs_dir
 
 __all__ = [
@@ -31,6 +42,8 @@ __all__ = [
     "load_run_result",
     "resolve_run_dir",
     "label_and_metric_keys",
+    "result_metrics",
+    "diff_cells",
     "compare_results",
     "load_tolerances",
     "apply_tolerances",
@@ -132,8 +145,19 @@ def load_run_result(
     )
 
 
+#: one result's metrics: ``(row label, metric) -> value``
+Cells = Dict[Tuple[str, str], float]
+
+
 def _is_numeric(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_finite_number(value: object) -> bool:
+    """A metric value: a number that is not a bool, NaN or ±inf."""
+    return _is_numeric(value) and (
+        isinstance(value, int) or math.isfinite(value)
+    )
 
 
 #: canonical row-identifier columns used across the built-in
@@ -219,39 +243,66 @@ def label_and_metric_keys(
     return label_keys, metric_keys
 
 
+def _cells(
+    labelled: Dict[str, Dict[str, object]], metric_keys: List[str]
+) -> Cells:
+    return {
+        (label, metric): row[metric]
+        for label, row in labelled.items()
+        for metric in metric_keys
+        if is_finite_number(row.get(metric))
+    }
+
+
+def result_metrics(rows: List[Dict[str, object]]) -> Cells:
+    """The cell map of one result, as a golden fixture addresses it.
+
+    Uses the same label/metric column split and duplicate-label suffixes
+    as :func:`compare_results`, so a fixture and a diff name a metric by
+    identical coordinates.
+    """
+    # canonicalise key order first: capture sees fresh in-memory rows
+    # while verify may see rows reloaded from a sort_keys result.json,
+    # and both must derive identical (row, metric) coordinates
+    rows = [{k: row[k] for k in sorted(row)} for row in rows]
+    label_keys, metric_keys = label_and_metric_keys(rows)
+    return _cells(_labelled_rows(rows, label_keys), metric_keys)
+
+
+def diff_cells(a: Cells, b: Cells) -> List[Dict[str, object]]:
+    """One entry per cell of ``a`` that ``b`` also holds, in ``a``'s order:
+    ``a``, ``b``, ``delta`` (b - a) and ``pct`` (percent change, ``None``
+    when a is 0)."""
+    diffs: List[Dict[str, object]] = []
+    for (label, metric), va in a.items():
+        vb = b.get((label, metric))
+        if vb is None:
+            continue
+        delta = vb - va
+        diffs.append(
+            {
+                "row": label,
+                "metric": metric,
+                "a": va,
+                "b": vb,
+                "delta": delta,
+                "pct": (100.0 * delta / va) if va else None,
+            }
+        )
+    return diffs
+
+
 def compare_results(a: RunResult, b: RunResult) -> Dict[str, object]:
     """Structured metric diff of two runs.
 
     Rows are matched by the tuple of shared non-numeric columns; every
-    shared numeric column becomes one diff entry with ``a``, ``b``,
-    ``delta`` (b - a) and ``pct`` (percent change, ``None`` when a is 0).
+    metric cell the two runs share becomes one :func:`diff_cells` entry.
     """
     rows_a, rows_b = a.rows, b.rows
     label_keys, metric_keys = label_and_metric_keys(rows_a, rows_b)
 
     by_label_a = _labelled_rows(rows_a, label_keys)
     by_label_b = _labelled_rows(rows_b, label_keys)
-    diffs: List[Dict[str, object]] = []
-    for label, row_a in by_label_a.items():
-        row_b = by_label_b.get(label)
-        if row_b is None:
-            continue
-        for metric in metric_keys:
-            va, vb = row_a.get(metric), row_b.get(metric)
-            if not (_is_numeric(va) and _is_numeric(vb)):
-                continue
-            delta = vb - va
-            pct = (100.0 * delta / va) if va else None
-            diffs.append(
-                {
-                    "row": label,
-                    "metric": metric,
-                    "a": va,
-                    "b": vb,
-                    "delta": delta,
-                    "pct": pct,
-                }
-            )
     return {
         "experiment_a": a.experiment,
         "experiment_b": b.experiment,
@@ -259,7 +310,9 @@ def compare_results(a: RunResult, b: RunResult) -> Dict[str, object]:
         "run_b": str(b.out_dir),
         "label_keys": label_keys,
         "metrics": metric_keys,
-        "rows": diffs,
+        "rows": diff_cells(
+            _cells(by_label_a, metric_keys), _cells(by_label_b, metric_keys)
+        ),
         "only_in_a": sorted(set(by_label_a) - set(by_label_b)),
         "only_in_b": sorted(set(by_label_b) - set(by_label_a)),
     }
@@ -276,12 +329,15 @@ def load_tolerances(path: Union[str, Path]) -> Dict[str, float]:
         raise ValueError(f"tolerance file {path} must be a JSON object")
     out: Dict[str, float] = {}
     for key, value in raw.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_numeric(value):
             raise ValueError(
                 f"tolerance for {key!r} must be a number, got {value!r}"
             )
-        if value < 0:
-            raise ValueError(f"tolerance for {key!r} must be >= 0")
+        if not 0 <= value < math.inf:
+            raise ValueError(
+                f"tolerance for {key!r} must be finite and >= 0, "
+                f"got {value!r}"
+            )
         out[str(key)] = float(value)
     return out
 
@@ -415,7 +471,6 @@ def render_text(diff: Dict[str, object]) -> str:
 
 
 def render_markdown(diff: Dict[str, object]) -> str:
-    headers = _headers_for(diff)
     lines = [
         f"# compare {diff['experiment_a']}",
         "",
@@ -424,12 +479,7 @@ def render_markdown(diff: Dict[str, object]) -> str:
         "",
     ]
     if diff["rows"]:
-        lines.append("| " + " | ".join(headers) + " |")
-        lines.append("| " + " | ".join("---" for _ in headers) + " |")
-        for row in _diff_table_rows(diff):
-            lines.append(
-                "| " + " | ".join(c.replace("|", "\\|") for c in row) + " |"
-            )
+        lines.extend(markdown_table(_headers_for(diff), _diff_table_rows(diff)))
     else:
         lines.append("(no comparable metric rows)")
     lines.extend(_unmatched_lines(diff))

@@ -12,59 +12,71 @@ one exact spec::
         tolerance_policy        how default tolerances were derived
         metrics                 [{row, metric, value, tolerance}, ...]
 
-``repro experiment capture`` runs the experiment and writes the fixture;
-``repro experiment verify`` re-runs it at fixture scale and fails when
-any metric drifts beyond its committed absolute tolerance — or when a
-committed metric has vanished from the result, which cannot be
-certified.  Fixtures are plain JSON and meant to be committed, so CI
-gates accuracy trajectories on every change.
+``repro experiment capture`` runs the experiment and writes one entry
+per cell of its cell map (:func:`repro.runtime.compare.result_metrics`:
+every finite numeric cell; NaN and ±inf cells are not metrics).
+Integers get limit 0; floats ``max(0.05, 0.25 * |value|)``
+(:func:`default_tolerance`), unless a ``--tolerance`` override names
+the metric or ``row:metric``.
+
+``repro experiment verify`` re-runs the experiment at fixture scale and
+*is* ``repro experiment compare``: run a is the fixture (the committed
+values), run b the fresh run, gated by
+:func:`~repro.runtime.compare.apply_tolerances` with each committed
+limit under its ``row:metric`` key.  A metric fails as ``drift`` when
+``|b - a|`` exceeds its limit and as ``missing`` when the fresh run has
+no finite value for it, which cannot be certified.  Fixtures are plain
+JSON and meant to be committed, so CI gates accuracy trajectories on
+every change.
 
 Schema validation is strict and total: a corrupted, truncated,
 wrong-version or hand-edited fixture (whose spec no longer reproduces
 its recorded hash — *stale*) raises :class:`GoldenError` with a message
-naming the file and the defect, never a bare ``KeyError`` deep in the
-verify loop.
+naming the file and the defect, never a bare ``KeyError`` mid-verify.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from ..utils import atomic_write_text as _write_text
-from .compare import label_and_metric_keys
+from .compare import (
+    RunResult,
+    _tolerance_for,
+    apply_tolerances,
+    diff_cells,
+    is_finite_number,
+    result_metrics,
+)
 from .parallel import UnitProgress, execute_parallel
 from .registry import ExperimentSpec, get_experiment, spec_from_json
-from .runner import RunRecord, spec_dict, spec_hash_from_dict
+from .runner import RunRecord, spec_hash_from_dict
 
 __all__ = [
     "GOLDEN_FORMAT_VERSION",
     "GoldenError",
     "GoldenMetric",
     "Golden",
-    "GoldenCheck",
-    "GoldenReport",
     "default_goldens_dir",
     "golden_path",
     "list_golden_paths",
-    "result_metrics",
     "default_tolerance",
     "capture_golden",
     "write_golden",
     "load_golden",
     "verify_golden",
-    "render_report_text",
-    "render_report_markdown",
 ]
 
 GOLDEN_FORMAT_VERSION = 1
 
 #: default tolerance derivation for float metrics: max(floor, rel * |v|).
 #: Wide enough to absorb BLAS/platform noise on trained-model metrics,
-#: tight enough that a real accuracy regression trips the gate.
+#: tight enough that a real accuracy regression trips the gate.  Every
+#: fixture records them as its ``tolerance_policy``.
 DEFAULT_REL_TOLERANCE = 0.25
 DEFAULT_ABS_FLOOR = 0.05
 
@@ -91,7 +103,6 @@ class Golden:
     spec: Dict[str, object]
     spec_hash: str
     metrics: List[GoldenMetric]
-    tolerance_policy: Dict[str, float] = field(default_factory=dict)
     path: Optional[Path] = None
 
     def to_json(self) -> Dict[str, object]:
@@ -100,7 +111,10 @@ class Golden:
             "experiment": self.experiment,
             "spec": self.spec,
             "spec_hash": self.spec_hash,
-            "tolerance_policy": self.tolerance_policy,
+            "tolerance_policy": {
+                "rel": DEFAULT_REL_TOLERANCE,
+                "floor": DEFAULT_ABS_FLOOR,
+            },
             "metrics": [
                 {
                     "row": m.row,
@@ -139,95 +153,49 @@ def list_golden_paths(
 # ---------------------------------------------------------------------------
 
 
-def _is_numeric(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def result_metrics(
-    rows: List[Dict[str, object]],
-) -> List[Tuple[str, str, float]]:
-    """``(row_label, metric, value)`` triples of a result's numeric cells.
-
-    Uses the same label/metric column split as ``experiment compare``,
-    so a fixture and a diff address a metric by identical coordinates.
-    """
-    # canonicalise key order first: capture sees fresh in-memory rows
-    # while verify may see rows reloaded from a sort_keys result.json,
-    # and both must derive identical (row, metric) coordinates
-    rows = [{k: row[k] for k in sorted(row)} for row in rows]
-    label_keys, metric_keys = label_and_metric_keys(rows)
-    seen: Dict[str, int] = {}
-    out: List[Tuple[str, str, float]] = []
-    for row in rows:
-        label = " / ".join(str(row.get(k)) for k in label_keys)
-        n = seen.get(label, 0)
-        seen[label] = n + 1
-        if n:
-            label = f"{label} #{n + 1}"
-        for metric in metric_keys:
-            value = row.get(metric)
-            if _is_numeric(value):
-                out.append((label, metric, value))
-    return out
-
-
-def default_tolerance(
-    value: float,
-    rel: float = DEFAULT_REL_TOLERANCE,
-    floor: float = DEFAULT_ABS_FLOOR,
-) -> float:
+def default_tolerance(value: float) -> float:
     """Absolute drift limit for one metric value.
 
     Integer metrics (counts, ranks) must reproduce exactly; float
-    metrics get ``max(floor, rel * |value|)`` so near-zero values keep a
-    usable window.
+    metrics get ``max(DEFAULT_ABS_FLOOR, DEFAULT_REL_TOLERANCE * |value|)``
+    so near-zero values keep a usable window.
     """
     if isinstance(value, int):
         return 0.0
-    return max(floor, rel * abs(value))
+    return max(DEFAULT_ABS_FLOOR, DEFAULT_REL_TOLERANCE * abs(value))
 
 
 def capture_golden(
-    record: RunRecord,
-    rel: float = DEFAULT_REL_TOLERANCE,
-    floor: float = DEFAULT_ABS_FLOOR,
-    overrides: Optional[Dict[str, float]] = None,
+    record: RunRecord, overrides: Optional[Dict[str, float]] = None
 ) -> Golden:
     """Freeze a run record's metrics into a :class:`Golden`.
 
-    ``overrides`` maps a metric name (or ``"row:metric"``) to an explicit
-    absolute tolerance, taking precedence over the derived default.
+    ``overrides`` is a tolerance table as ``compare --tolerances`` reads
+    one: a metric name or ``"row:metric"`` (the more specific key wins)
+    mapped to an absolute limit that replaces :func:`default_tolerance`.
     """
-    rows = record.result.get("rows")
-    if not isinstance(rows, list) or not rows:
+    rows = RunResult(record.out_dir, record.result).rows
+    if not rows:
         raise GoldenError(
             f"run {record.out_dir} has no result rows to capture"
         )
-    triples = result_metrics([r for r in rows if isinstance(r, dict)])
-    if not triples:
+    cells = result_metrics(rows)
+    if not cells:
         raise GoldenError(
             f"run {record.out_dir} has no numeric metrics to capture"
         )
     overrides = overrides or {}
     metrics = []
-    for row, metric, value in triples:
-        tolerance = overrides.get(f"{row}:{metric}", overrides.get(metric))
+    for (row, metric), value in cells.items():
+        tolerance = _tolerance_for(overrides, row, metric)
         if tolerance is None:
-            tolerance = default_tolerance(value, rel=rel, floor=floor)
-        metrics.append(
-            GoldenMetric(
-                row=row,
-                metric=metric,
-                value=value,
-                tolerance=float(tolerance),
-            )
-        )
+            tolerance = default_tolerance(value)
+        metrics.append(GoldenMetric(row, metric, value, float(tolerance)))
     return Golden(
         experiment=record.experiment,
         spec=record.spec,
         spec_hash=record.spec_hash,
         metrics=metrics,
-        tolerance_policy={"rel": rel, "floor": floor},
     )
 
 
@@ -261,9 +229,10 @@ def load_golden(path: Union[str, Path]) -> Golden:
     Raises :class:`GoldenError` naming the defect for every reachable
     bad state: unreadable file, invalid/truncated JSON, non-object
     payload, unsupported format version, missing or mistyped fields,
-    malformed metric entries, and a stale spec hash (the recorded spec
-    no longer hashes to the recorded ``spec_hash`` — the fixture was
-    hand-edited or the run format changed; re-baseline it).
+    malformed metric entries (a non-finite ``value`` or ``tolerance``
+    included), and a stale spec hash (the recorded spec no longer hashes
+    to the recorded ``spec_hash`` — the fixture was hand-edited or the
+    run format changed; re-baseline it).
     """
     path = Path(path)
     try:
@@ -318,14 +287,16 @@ def load_golden(path: Union[str, Path]) -> Golden:
             f"metrics[{i}] needs string 'row' and 'metric'",
         )
         _require(
-            _is_numeric(value),
+            is_finite_number(value),
             path,
-            f"metrics[{i}] ({row}/{metric}) has a non-numeric 'value'",
+            f"metrics[{i}] ({row}/{metric}) needs a finite numeric "
+            f"'value', got {value!r}",
         )
         _require(
-            _is_numeric(tolerance) and tolerance >= 0,
+            is_finite_number(tolerance) and tolerance >= 0,
             path,
-            f"metrics[{i}] ({row}/{metric}) needs a tolerance >= 0",
+            f"metrics[{i}] ({row}/{metric}) needs a finite tolerance >= 0, "
+            f"got {tolerance!r}",
         )
         metrics.append(GoldenMetric(row, metric, value, float(tolerance)))
     recomputed = spec_hash_from_dict(experiment, spec)
@@ -337,13 +308,11 @@ def load_golden(path: Union[str, Path]) -> Golden:
         f"or the run format changed; re-baseline with "
         f"'repro experiment capture {experiment}'",
     )
-    policy = data.get("tolerance_policy")
     return Golden(
         experiment=experiment,
         spec=spec,
         spec_hash=digest,
         metrics=metrics,
-        tolerance_policy=policy if isinstance(policy, dict) else {},
         path=path,
     )
 
@@ -375,74 +344,23 @@ def golden_spec(golden: Golden) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GoldenCheck:
-    """One metric's verification outcome."""
-
-    row: str
-    metric: str
-    golden: float
-    tolerance: float
-    new: Optional[float]  # None when the metric vanished from the result
-    status: str  # "ok" | "drift" | "missing"
-
-    @property
-    def delta(self) -> Optional[float]:
-        return None if self.new is None else self.new - self.golden
-
-
-@dataclass
-class GoldenReport:
-    """Verification of one fixture against a fresh run."""
-
-    golden: Golden
-    record: RunRecord
-    checks: List[GoldenCheck]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.status == "ok" for c in self.checks)
-
-    @property
-    def failures(self) -> List[GoldenCheck]:
-        return [c for c in self.checks if c.status != "ok"]
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "experiment": self.golden.experiment,
-            "fixture": str(self.golden.path) if self.golden.path else None,
-            "run_dir": str(self.record.out_dir),
-            "passed": self.passed,
-            "checks": [
-                {
-                    "row": c.row,
-                    "metric": c.metric,
-                    "golden": c.golden,
-                    "new": c.new,
-                    "delta": c.delta,
-                    "tolerance": c.tolerance,
-                    "status": c.status,
-                }
-                for c in self.checks
-            ],
-        }
-
-
 def verify_golden(
     golden: Golden,
     runs_dir: Optional[Union[str, Path]] = None,
     workers: int = 1,
     force: bool = False,
     progress: Optional[UnitProgress] = None,
-) -> GoldenReport:
-    """Re-run a fixture's experiment and check every committed metric.
+) -> Dict[str, object]:
+    """Re-run a fixture's experiment and compare it against the fixture.
 
     The run goes through the normal cached/parallel executor, so a
     verify immediately after a capture is a cache hit (byte-identical by
     construction) and a CI verify from a clean checkout is a real re-run
-    at fixture scale.  A metric drifts when ``|new - golden|`` exceeds
-    its committed tolerance; a committed metric absent from the fresh
-    result is a failure in its own right (status ``missing``).
+    at fixture scale.  Returns a gated ``compare`` diff (see
+    :func:`~repro.runtime.compare.compare_results` and
+    :func:`~repro.runtime.compare.apply_tolerances`) whose run a is the
+    fixture and run b the fresh run; the fixture passes when its
+    ``violations`` list is empty.
     """
     spec = golden_spec(golden)
     record = execute_parallel(
@@ -453,87 +371,19 @@ def verify_golden(
         force=force,
         progress=progress,
     )
-    rows = record.result.get("rows")
-    fresh = {
-        (row, metric): value
-        for row, metric, value in result_metrics(
-            [r for r in rows if isinstance(r, dict)]
-            if isinstance(rows, list)
-            else []
-        )
+    committed = {(m.row, m.metric): m.value for m in golden.metrics}
+    fresh = result_metrics(RunResult(record.out_dir, record.result).rows)
+    rows_a = {row for row, _ in committed}
+    rows_b = {row for row, _ in fresh}
+    diff = {
+        "experiment_a": golden.experiment,
+        "experiment_b": record.experiment,
+        "run_a": str(golden.path),
+        "run_b": str(record.out_dir),
+        "rows": diff_cells(committed, fresh),
+        "only_in_a": sorted(rows_a - rows_b),
+        "only_in_b": sorted(rows_b - rows_a),
     }
-    checks: List[GoldenCheck] = []
-    for m in golden.metrics:
-        new = fresh.get((m.row, m.metric))
-        if new is None:
-            status = "missing"
-        elif abs(new - m.value) <= m.tolerance:
-            status = "ok"
-        else:
-            status = "drift"
-        checks.append(
-            GoldenCheck(
-                row=m.row,
-                metric=m.metric,
-                golden=m.value,
-                tolerance=m.tolerance,
-                new=new,
-                status=status,
-            )
-        )
-    return GoldenReport(golden=golden, record=record, checks=checks)
-
-
-def _fmt(value: Optional[float]) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return f"{value:.4f}"
-    return str(value)
-
-
-def _report_rows(report: GoldenReport) -> List[List[str]]:
-    return [
-        [
-            c.row,
-            c.metric,
-            _fmt(c.golden),
-            _fmt(c.new),
-            _fmt(c.delta),
-            _fmt(c.tolerance),
-            c.status.upper() if c.status != "ok" else "ok",
-        ]
-        for c in report.checks
-    ]
-
-
-_REPORT_HEADERS = ["row", "metric", "golden", "new", "delta", "limit", "status"]
-
-
-def render_report_text(report: GoldenReport) -> str:
-    from ..experiments.common import format_rows
-
-    verdict = "PASS" if report.passed else "FAIL"
-    title = (
-        f"verify {report.golden.experiment} "
-        f"[{report.golden.spec_hash[:12]}]: {verdict}"
+    return apply_tolerances(
+        diff, {f"{m.row}:{m.metric}": m.tolerance for m in golden.metrics}
     )
-    return format_rows(_REPORT_HEADERS, _report_rows(report), title=title)
-
-
-def render_report_markdown(report: GoldenReport) -> str:
-    verdict = "PASS" if report.passed else "FAIL"
-    lines = [
-        f"# verify {report.golden.experiment}: {verdict}",
-        "",
-        f"- fixture: `{report.golden.path}`",
-        f"- run: `{report.record.out_dir}`",
-        "",
-        "| " + " | ".join(_REPORT_HEADERS) + " |",
-        "| " + " | ".join("---" for _ in _REPORT_HEADERS) + " |",
-    ]
-    for row in _report_rows(report):
-        lines.append(
-            "| " + " | ".join(c.replace("|", "\\|") for c in row) + " |"
-        )
-    return "\n".join(lines)

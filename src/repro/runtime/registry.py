@@ -93,19 +93,21 @@ class ExperimentResult:
         lines: List[str] = []
         if self.rows:
             headers = list(self.rows[0].keys())
-            lines.append("| " + " | ".join(headers) + " |")
-            lines.append("| " + " | ".join("---" for _ in headers) + " |")
-            for row in self.rows:
-                lines.append(
-                    "| "
-                    + " | ".join(_md_cell(row.get(h)) for h in headers)
-                    + " |"
-                )
+            cells = [[row.get(h) for h in headers] for row in self.rows]
+            lines.extend(markdown_table(headers, cells))
             lines.append("")
         lines.append("```")
         lines.append(self.table)
         lines.append("```")
         return "\n".join(lines)
+
+
+def markdown_table(headers: List[str], rows: List[List[object]]) -> List[str]:
+    """Lines of a GitHub pipe table: floats to 4 places, ``|`` escaped."""
+    return [
+        "| " + " | ".join(headers) + " |",
+        "| " + " | ".join("---" for _ in headers) + " |",
+    ] + ["| " + " | ".join(_md_cell(c) for c in row) + " |" for row in rows]
 
 
 def _md_cell(value: object) -> str:

@@ -7,7 +7,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -124,6 +124,18 @@ def register_grid_experiment(
                 f"{r['row']} {r['value']}" for r in unit_results
             ),
         )
+
+    return name
+
+
+def register_row_experiment(name: str, row: Dict[str, object]) -> str:
+    """Register a one-row experiment whose row is ``row`` as it stands
+    when the experiment runs; tests edit ``row`` between runs.  Callers
+    must ``repro.runtime.registry.unregister(name)`` when done."""
+
+    @experiment(name, spec=ExperimentSpec, title="Fake row")
+    def run(spec: ExperimentSpec):
+        return ExperimentResult(experiment=name, rows=[dict(row)], table="")
 
     return name
 

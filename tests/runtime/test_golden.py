@@ -5,15 +5,20 @@ fixture that is corrupted, truncated, carries the wrong schema version,
 or whose recorded spec no longer reproduces its hash must be rejected
 with a clear :class:`GoldenError` — never a bare ``KeyError`` mid-verify.
 The capture -> verify round trip and the drift/missing failure modes run
-on the cheap fake grid experiment from ``tests.helpers``.
+on the cheap fake grid experiment from ``tests.helpers``; non-finite
+cells and the rule verify shares with ``compare --tolerances`` run on a
+one-row experiment whose values each test sets.
 """
 
 import json
+import math
 
 import pytest
 
-from repro.runtime import execute_parallel
+from repro.cli import main
+from repro.runtime import ExperimentSpec, execute_parallel
 from repro.runtime import registry as registry_module
+from repro.runtime.compare import render_markdown, render_text, result_metrics
 from repro.runtime.golden import (
     GOLDEN_FORMAT_VERSION,
     Golden,
@@ -25,14 +30,11 @@ from repro.runtime.golden import (
     golden_path,
     list_golden_paths,
     load_golden,
-    render_report_markdown,
-    render_report_text,
-    result_metrics,
     verify_golden,
     write_golden,
 )
 
-from ..helpers import GridSpec, register_grid_experiment
+from ..helpers import GridSpec, register_grid_experiment, register_row_experiment
 
 
 @pytest.fixture
@@ -44,6 +46,17 @@ def grid_run(tmp_path):
             name, GridSpec(factor=2), runs_dir=tmp_path / "runs"
         )
         yield tmp_path, record
+    finally:
+        registry_module.unregister(name)
+
+
+@pytest.fixture
+def one_row():
+    """The row of the one-row experiment ``fake-row``; tests edit it."""
+    row = {"model": "m", "error": 0.1}
+    name = register_row_experiment("fake-row", row)
+    try:
+        yield row
     finally:
         registry_module.unregister(name)
 
@@ -75,11 +88,10 @@ class TestCapture:
 
     def test_default_tolerance_derivation(self):
         assert default_tolerance(7) == 0.0
-        assert default_tolerance(0.5, rel=0.1, floor=0.02) == pytest.approx(
-            0.05
-        )
+        assert default_tolerance(0.5) == pytest.approx(0.125)
+        assert default_tolerance(-0.5) == pytest.approx(0.125)
         # near zero the floor wins
-        assert default_tolerance(0.001, rel=0.1, floor=0.02) == 0.02
+        assert default_tolerance(0.001) == 0.05
 
     def test_overrides_beat_derived_defaults(self, grid_run):
         _, record = grid_run
@@ -98,7 +110,15 @@ class TestCapture:
 
     def test_result_metrics_disambiguates_duplicate_labels(self):
         rows = [{"name": "x", "v": 1.0}, {"name": "x", "v": 2.0}]
-        assert result_metrics(rows) == [("x", "v", 1.0), ("x #2", "v", 2.0)]
+        assert result_metrics(rows) == {("x", "v"): 1.0, ("x #2", "v"): 2.0}
+
+    def test_non_finite_cells_are_not_metrics(self):
+        rows = [
+            {"name": "x", "v": 1.0, "w": float("nan")},
+            {"name": "y", "v": float("inf"), "w": -float("inf")},
+            {"name": "z", "v": 3, "w": True},
+        ]
+        assert result_metrics(rows) == {("x", "v"): 1.0, ("z", "v"): 3}
 
 
 class TestWriteLoad:
@@ -174,11 +194,27 @@ class TestSchemaValidation:
             (lambda d: d.update(metrics=["x"]), r"metrics\[0\]"),
             (
                 lambda d: d["metrics"][0].pop("value"),
-                "non-numeric 'value'",
+                "finite numeric 'value', got None",
+            ),
+            (
+                lambda d: d["metrics"][0].update(value=float("nan")),
+                r"\(alpha/value\) needs a finite numeric 'value', got nan",
+            ),
+            (
+                lambda d: d["metrics"][0].update(value=-float("inf")),
+                r"\(alpha/value\) needs a finite numeric 'value', got -inf",
             ),
             (
                 lambda d: d["metrics"][0].update(tolerance=-1),
                 "tolerance >= 0",
+            ),
+            (
+                lambda d: d["metrics"][0].update(tolerance=float("inf")),
+                r"\(alpha/value\) needs a finite tolerance >= 0, got inf",
+            ),
+            (
+                lambda d: d["metrics"][0].update(tolerance=float("nan")),
+                r"\(alpha/value\) needs a finite tolerance >= 0, got nan",
             ),
         ],
     )
@@ -213,20 +249,26 @@ class TestVerify:
     def test_clean_verify_passes_from_run_cache(self, grid_run):
         tmp_path, record = grid_run
         golden, path = roundtrip_fixture(tmp_path, record)
-        report = verify_golden(load_golden(path), runs_dir=tmp_path / "runs")
-        assert report.passed
-        assert report.record.cache_hit  # same spec -> same run dir
-        assert all(c.status == "ok" for c in report.checks)
-        assert report.failures == []
+        diff = verify_golden(load_golden(path), runs_dir=tmp_path / "runs")
+        assert diff["violations"] == []
+        # same spec -> same run dir; the fixture is run a
+        assert diff["run_a"] == str(path)
+        assert diff["run_b"] == str(record.out_dir)
+        assert [(d["row"], d["a"], d["b"], d["limit"], d["within"])
+                for d in diff["rows"]] == [
+            ("alpha", 10, 10, 0.0, True),
+            ("beta", 8, 8, 0.0, True),
+            ("gamma", 10, 10, 0.0, True),
+        ]
 
     def test_clean_verify_passes_on_fresh_rerun(self, grid_run):
         tmp_path, record = grid_run
         golden, path = roundtrip_fixture(tmp_path, record)
-        report = verify_golden(
+        diff = verify_golden(
             load_golden(path), runs_dir=tmp_path / "fresh-runs"
         )
-        assert report.passed
-        assert not report.record.cache_hit
+        assert diff["violations"] == []
+        assert diff["run_b"].startswith(str(tmp_path / "fresh-runs"))
 
     def test_drift_beyond_tolerance_fails(self, grid_run):
         tmp_path, record = grid_run
@@ -236,10 +278,10 @@ class TestVerify:
             if m["row"] == "beta":
                 m["value"] = m["value"] + 5  # tolerance is 0
         path.write_text(json.dumps(data, sort_keys=True))
-        report = verify_golden(load_golden(path), runs_dir=tmp_path / "runs")
-        assert not report.passed
-        assert [(c.row, c.status) for c in report.failures] == [
-            ("beta", "drift")
+        diff = verify_golden(load_golden(path), runs_dir=tmp_path / "runs")
+        assert diff["violations"] == [
+            {"kind": "drift", "row": "beta", "metric": "value",
+             "delta": -5, "limit": 0.0}
         ]
 
     def test_drift_within_tolerance_passes(self, grid_run):
@@ -249,8 +291,8 @@ class TestVerify:
         data = json.loads(path.read_text())
         data["metrics"][0]["value"] += 5  # within the 10.0 limit
         path.write_text(json.dumps(data, sort_keys=True))
-        report = verify_golden(load_golden(path), runs_dir=tmp_path / "runs")
-        assert report.passed
+        diff = verify_golden(load_golden(path), runs_dir=tmp_path / "runs")
+        assert diff["violations"] == []
 
     def test_vanished_metric_fails_as_missing(self, grid_run):
         tmp_path, record = grid_run
@@ -260,10 +302,8 @@ class TestVerify:
             {"row": "alpha", "metric": "gone", "value": 1.0, "tolerance": 9.0}
         )
         path.write_text(json.dumps(data, sort_keys=True))
-        report = verify_golden(load_golden(path), runs_dir=tmp_path / "runs")
-        assert not report.passed
-        assert report.failures[0].status == "missing"
-        assert report.failures[0].new is None
+        diff = verify_golden(load_golden(path), runs_dir=tmp_path / "runs")
+        assert diff["violations"] == [{"kind": "missing", "key": "alpha:gone"}]
 
     def test_unknown_experiment_is_golden_error(self, tmp_path):
         golden = Golden(
@@ -285,13 +325,110 @@ class TestVerify:
             verify_golden(loaded, runs_dir=tmp_path / "runs")
 
     def test_report_json_and_renderers(self, grid_run):
+        """verify prints through compare's renderers, fixture as run a."""
         tmp_path, record = grid_run
         golden, path = roundtrip_fixture(tmp_path, record)
-        report = verify_golden(load_golden(path), runs_dir=tmp_path / "runs")
-        payload = report.to_json()
-        assert payload["passed"] is True
-        assert json.loads(json.dumps(payload)) == payload
-        text = render_report_text(report)
-        assert "PASS" in text and "alpha" in text
-        md = render_report_markdown(report)
-        assert "| row | metric | golden | new | delta | limit | status |" in md
+        diff = verify_golden(load_golden(path), runs_dir=tmp_path / "runs")
+        assert json.loads(json.dumps(diff)) == diff
+        text = render_text(diff)
+        assert f"{path} vs {record.out_dir}" in text and "alpha" in text
+        md = render_markdown(diff)
+        assert f"- a: `{path}`" in md
+        assert "| row | metric | a | b | delta | pct | limit | status |" in md
+
+
+class TestNonFiniteCells:
+    """A NaN or ±inf cell is not a metric: capture skips it, and a
+    committed metric whose fresh cell turned non-finite is missing."""
+
+    def _dirs(self, tmp_path):
+        return ["--runs-dir", str(tmp_path / "runs"),
+                "--goldens-dir", str(tmp_path / "goldens"), "--quiet"]
+
+    def test_nan_cell_verifies_against_its_own_cached_run(
+        self, capsys, tmp_path, one_row
+    ):
+        # a paper_error the paper has no figure for, as in table2
+        one_row["paper_error"] = float("nan")
+        assert main(["experiment", "capture", "fake-row",
+                     *self._dirs(tmp_path)]) == 0
+        assert execute_parallel(
+            "fake-row", ExperimentSpec(scale="smoke"),
+            runs_dir=tmp_path / "runs",
+        ).cache_hit
+        assert main(["experiment", "verify", *self._dirs(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert "paper_error" not in captured.out
+        assert "1 passed, 0 failed, 1 checks" in captured.err
+        (path,) = (tmp_path / "goldens").glob("fake-row/*.json")
+        assert [(m.row, m.metric) for m in load_golden(path).metrics] == [
+            ("m", "error")
+        ]
+
+    def test_committed_cell_turned_nan_fails_as_missing(
+        self, tmp_path, one_row
+    ):
+        one_row["paper_error"] = 0.2
+        record = execute_parallel(
+            "fake-row", ExperimentSpec(scale="smoke"),
+            runs_dir=tmp_path / "runs",
+        )
+        path = write_golden(
+            capture_golden(record), goldens_dir=tmp_path / "goldens"
+        )
+        one_row["paper_error"] = float("nan")
+        diff = verify_golden(
+            load_golden(path), runs_dir=tmp_path / "runs", force=True
+        )
+        assert diff["violations"] == [
+            {"kind": "missing", "key": "m:paper_error"}
+        ]
+
+
+class TestOneRule:
+    """``compare --tolerances --fail-on-drift`` and ``verify`` judge the
+    same committed (a) and fresh (b) values by the same rule."""
+
+    @pytest.mark.parametrize(
+        "fresh, verdict",
+        [
+            ({"model": "m", "error": 0.75}, "ok"),  # |delta| == limit
+            ({"model": "m", "error": math.nextafter(0.75, 1.0)}, "DRIFT"),
+            ({"model": "m"}, "MISSING"),  # the cell is absent
+        ],
+        ids=["at-limit", "above-limit", "absent"],
+    )
+    def test_compare_and_verify_agree(
+        self, capsys, tmp_path, one_row, fresh, verdict
+    ):
+        runs, goldens = tmp_path / "runs", tmp_path / "goldens"
+        one_row["error"] = 0.5
+        a = execute_parallel(
+            "fake-row", ExperimentSpec(scale="smoke"), runs_dir=runs
+        )
+        write_golden(
+            capture_golden(a, overrides={"error": 0.25}), goldens_dir=goldens
+        )
+        one_row.clear()
+        one_row.update(fresh)
+        b = execute_parallel(
+            "fake-row", ExperimentSpec(scale="smoke", seed=1), runs_dir=runs
+        )
+        limits = tmp_path / "limits.json"
+        limits.write_text(json.dumps({"m:error": 0.25}))
+        capsys.readouterr()
+
+        compared = main(["experiment", "compare", str(a.out_dir),
+                         str(b.out_dir), "--tolerances", str(limits),
+                         "--fail-on-drift"])
+        compare_out = capsys.readouterr().out
+        verified = main(["experiment", "verify", "--runs-dir", str(runs),
+                         "--goldens-dir", str(goldens), "--force", "--quiet"])
+        verify_out = capsys.readouterr().out
+
+        assert compared == verified == (0 if verdict == "ok" else 1)
+        for out in (compare_out, verify_out):
+            if verdict == "MISSING":
+                assert "MISSING: tolerance 'm:error'" in out
+            else:
+                assert verdict in out.splitlines()[-1].split()

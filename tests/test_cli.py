@@ -531,6 +531,19 @@ class TestExperimentCompareCLI:
         with pytest.raises(SystemExit, match="requires --tolerances"):
             main(["experiment", "compare", "a", "b", "--fail-on-drift"])
 
+    @pytest.mark.parametrize("limit", ["NaN", "Infinity"])
+    def test_non_finite_tolerance_is_clean_error(
+        self, capsys, tmp_path, limit
+    ):
+        self._run(tmp_path, None)
+        capsys.readouterr()
+        limits = tmp_path / "limits.json"
+        limits.write_text(f'{{"subcircuits": {limit}}}')
+        run = next(iter(tmp_path.glob("table1/*")))
+        with pytest.raises(SystemExit, match="'subcircuits' must be finite"):
+            main(["experiment", "compare", str(run), str(run),
+                  "--tolerances", str(limits)])
+
     def test_bad_tolerances_file_is_clean_error(self, capsys, tmp_path):
         self._run(tmp_path, None)
         capsys.readouterr()
@@ -568,8 +581,8 @@ class TestGoldenCLI:
 
         assert self._verify(tmp_path) == 0
         captured = capsys.readouterr()
-        assert "PASS" in captured.out
-        assert "verified 1 fixture: 1 passed, 0 failed" in captured.err
+        assert "PASS, 8 checks (a = fixture, b = fresh run)" in captured.err
+        assert "verified 1 fixture: 1 passed, 0 failed, 8 checks" in captured.err
 
     def test_verify_detects_drift(self, capsys, tmp_path):
         import json
@@ -583,7 +596,7 @@ class TestGoldenCLI:
         path.write_text(json.dumps(data, sort_keys=True))
         assert self._verify(tmp_path) == 1
         captured = capsys.readouterr()
-        assert "DRIFT" in captured.out and "FAIL" in captured.out
+        assert "DRIFT" in captured.out and "FAIL" in captured.err
         assert "1 failed" in captured.err
 
     def test_capture_tolerance_override_loosens_gate(self, capsys, tmp_path):
@@ -598,7 +611,7 @@ class TestGoldenCLI:
                 metric["value"] += 7  # within the 100 override
         path.write_text(json.dumps(data, sort_keys=True))
         assert self._verify(tmp_path) == 0
-        assert "PASS" in capsys.readouterr().out
+        assert "PASS" in capsys.readouterr().err
 
     def test_verify_by_experiment_name_and_file(self, capsys, tmp_path):
         assert self._capture(tmp_path) == 0
@@ -606,7 +619,7 @@ class TestGoldenCLI:
         assert self._verify(tmp_path, "table1") == 0
         capsys.readouterr()
         assert self._verify(tmp_path, str(self._fixture_path(tmp_path))) == 0
-        assert "PASS" in capsys.readouterr().out
+        assert "PASS" in capsys.readouterr().err
 
     def test_verify_markdown_and_json_formats(self, capsys, tmp_path):
         import json
@@ -614,10 +627,13 @@ class TestGoldenCLI:
         assert self._capture(tmp_path) == 0
         capsys.readouterr()
         assert self._verify(tmp_path, "--format", "markdown") == 0
-        assert "| row | metric | golden |" in capsys.readouterr().out
+        md = capsys.readouterr().out
+        assert f"- a: `{self._fixture_path(tmp_path)}`" in md
+        assert "| row | metric | a | b | delta | pct | limit | status |" in md
         assert self._verify(tmp_path, "--format", "json") == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["passed"] is True
+        assert payload["violations"] == []
+        assert payload["run_a"] == str(self._fixture_path(tmp_path))
 
     def test_verify_corrupt_fixture_is_counted_failure(
         self, capsys, tmp_path
@@ -640,6 +656,12 @@ class TestGoldenCLI:
     def test_bad_tolerance_flag_is_clean_error(self, tmp_path):
         with pytest.raises(SystemExit, match="metric=limit"):
             self._capture(tmp_path, "--tolerance", "oops")
+
+    @pytest.mark.parametrize("limit", ["big", "nan", "inf", "-1"])
+    def test_tolerance_limit_must_load_back(self, tmp_path, limit):
+        with pytest.raises(SystemExit, match="need a finite number >= 0"):
+            self._capture(tmp_path, "--tolerance", f"subcircuits={limit}")
+        assert not (tmp_path / "goldens").exists()
 
 
 class TestServeQueryCLI:
