@@ -478,6 +478,7 @@ def cmd_experiment_compare(args: argparse.Namespace) -> int:
 def cmd_experiment_capture(args: argparse.Namespace) -> int:
     from .dist import PoisonedWorkError
     from .runtime import execute_parallel
+    from .runtime.compare import check_limit
     from .runtime.golden import capture_golden, write_golden
 
     exp, spec = _experiment_spec(args)
@@ -487,15 +488,9 @@ def cmd_experiment_capture(args: argparse.Namespace) -> int:
         if not sep:
             raise SystemExit(f"bad --tolerance {item!r}; use metric=limit")
         try:
-            limit = float(value)
-        except ValueError:
-            limit = np.nan
-        # the limit a fixture must load with: finite and >= 0
-        if not 0 <= limit < np.inf:
-            raise SystemExit(
-                f"bad --tolerance limit {value!r}; need a finite number >= 0"
-            )
-        overrides[key] = limit
+            overrides[key] = check_limit(key, float(value))
+        except ValueError as exc:
+            raise SystemExit(f"bad --tolerance {item!r}: {exc}")
     workers = _workers(args)
     try:
         record = execute_parallel(

@@ -10,16 +10,18 @@ A result's metrics form a **cell map**, ``(row label, metric) -> value``
 (:func:`result_metrics`): one entry per cell of a numeric column that
 holds a finite number.  NaN and ±inf are not metrics — a row the paper
 has no figure for carries ``paper_error`` NaN — so such a cell is simply
-absent.  :func:`diff_cells` diffs two cell maps; both a run-vs-run
-``compare`` and a golden fixture's ``verify`` (fixture as run a, fresh
-run as run b, see :mod:`repro.runtime.golden`) are that one diff.
+absent.  :func:`compare_results` diffs the cell maps of two runs — or
+of committed cells and a run: a golden fixture's ``verify`` is this
+diff with the fixture as run a and the fresh run as run b (see
+:mod:`repro.runtime.golden`).
 
 With a tolerance table (``--tolerances limits.json``) the diff becomes
 an accuracy-trajectory gate: every matched metric gains an absolute
-drift ``limit`` and a pass/fail status (drift when ``|b - a|`` exceeds
-the limit), and ``--fail-on-drift`` turns any violation — including a
-tolerance whose cell is *missing* from the diff, which cannot be
-certified — into a non-zero exit.
+drift ``limit`` (a finite number >= 0, :func:`check_limit`) and a
+pass/fail status (drift when ``|b - a|`` exceeds the limit), and
+``--fail-on-drift`` turns any violation — including a tolerance whose
+cell is *missing* from the diff, which cannot be certified — into a
+non-zero exit.
 
 Runs are addressed by their run directory (``runs/table2/<hash>``),
 either as a filesystem path or relative to the runs root, so the output
@@ -32,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .registry import markdown_table
 from .runner import MANIFEST_NAME, default_runs_dir
@@ -43,9 +45,11 @@ __all__ = [
     "resolve_run_dir",
     "label_and_metric_keys",
     "result_metrics",
-    "diff_cells",
     "compare_results",
+    "check_limit",
     "load_tolerances",
+    "tolerance_for",
+    "unmatched_tolerances",
     "apply_tolerances",
     "render_text",
     "render_markdown",
@@ -254,6 +258,18 @@ def _cells(
     }
 
 
+def _split_rows(
+    rows: List[Dict[str, object]],
+) -> Tuple[List[str], List[str], Dict[str, Dict[str, object]]]:
+    """One result's label keys, metric keys and labelled rows."""
+    # canonicalise key order first: capture sees fresh in-memory rows
+    # while verify may see rows reloaded from a sort_keys result.json,
+    # and both must derive identical (row, metric) coordinates
+    rows = [{k: row[k] for k in sorted(row)} for row in rows]
+    label_keys, metric_keys = label_and_metric_keys(rows)
+    return label_keys, metric_keys, _labelled_rows(rows, label_keys)
+
+
 def result_metrics(rows: List[Dict[str, object]]) -> Cells:
     """The cell map of one result, as a golden fixture addresses it.
 
@@ -261,21 +277,35 @@ def result_metrics(rows: List[Dict[str, object]]) -> Cells:
     as :func:`compare_results`, so a fixture and a diff name a metric by
     identical coordinates.
     """
-    # canonicalise key order first: capture sees fresh in-memory rows
-    # while verify may see rows reloaded from a sort_keys result.json,
-    # and both must derive identical (row, metric) coordinates
-    rows = [{k: row[k] for k in sorted(row)} for row in rows]
-    label_keys, metric_keys = label_and_metric_keys(rows)
-    return _cells(_labelled_rows(rows, label_keys), metric_keys)
+    _, metric_keys, labelled = _split_rows(rows)
+    return _cells(labelled, metric_keys)
 
 
-def diff_cells(a: Cells, b: Cells) -> List[Dict[str, object]]:
-    """One entry per cell of ``a`` that ``b`` also holds, in ``a``'s order:
-    ``a``, ``b``, ``delta`` (b - a) and ``pct`` (percent change, ``None``
-    when a is 0)."""
+def compare_results(
+    a: RunResult, b: RunResult, cells_a: Optional[Cells] = None
+) -> Dict[str, object]:
+    """Structured metric diff of two runs.
+
+    Rows are matched by the tuple of shared non-numeric columns; every
+    metric cell the two runs share becomes one ``rows`` entry, in a's
+    order, with ``a``, ``b``, ``delta`` (b - a) and ``pct`` (percent
+    change, ``None`` when a is 0).  ``cells_a`` stands in for run a's
+    rows with values kept outside any run directory (a golden fixture's
+    committed cells; ``a`` then only names it), and the label keys and
+    metrics are then run b's alone.
+    """
+    if cells_a is None:
+        label_keys, metric_keys = label_and_metric_keys(a.rows, b.rows)
+        labels_a = _labelled_rows(a.rows, label_keys)
+        cells_a = _cells(labels_a, metric_keys)
+        by_label_b = _labelled_rows(b.rows, label_keys)
+    else:
+        label_keys, metric_keys, by_label_b = _split_rows(b.rows)
+        labels_a = {row for row, _ in cells_a}
+    cells_b = _cells(by_label_b, metric_keys)
     diffs: List[Dict[str, object]] = []
-    for (label, metric), va in a.items():
-        vb = b.get((label, metric))
+    for (label, metric), va in cells_a.items():
+        vb = cells_b.get((label, metric))
         if vb is None:
             continue
         delta = vb - va
@@ -289,20 +319,6 @@ def diff_cells(a: Cells, b: Cells) -> List[Dict[str, object]]:
                 "pct": (100.0 * delta / va) if va else None,
             }
         )
-    return diffs
-
-
-def compare_results(a: RunResult, b: RunResult) -> Dict[str, object]:
-    """Structured metric diff of two runs.
-
-    Rows are matched by the tuple of shared non-numeric columns; every
-    metric cell the two runs share becomes one :func:`diff_cells` entry.
-    """
-    rows_a, rows_b = a.rows, b.rows
-    label_keys, metric_keys = label_and_metric_keys(rows_a, rows_b)
-
-    by_label_a = _labelled_rows(rows_a, label_keys)
-    by_label_b = _labelled_rows(rows_b, label_keys)
     return {
         "experiment_a": a.experiment,
         "experiment_b": b.experiment,
@@ -310,12 +326,23 @@ def compare_results(a: RunResult, b: RunResult) -> Dict[str, object]:
         "run_b": str(b.out_dir),
         "label_keys": label_keys,
         "metrics": metric_keys,
-        "rows": diff_cells(
-            _cells(by_label_a, metric_keys), _cells(by_label_b, metric_keys)
-        ),
-        "only_in_a": sorted(set(by_label_a) - set(by_label_b)),
-        "only_in_b": sorted(set(by_label_b) - set(by_label_a)),
+        "rows": diffs,
+        "only_in_a": sorted(set(labels_a) - set(by_label_b)),
+        "only_in_b": sorted(set(by_label_b) - set(labels_a)),
     }
+
+
+def check_limit(key: str, value: object) -> float:
+    """Every drift limit (``--tolerances``, a fixture's ``tolerance``,
+    ``capture --tolerance``) as a float; ``ValueError`` naming ``key``
+    unless it is a finite number >= 0."""
+    if not _is_numeric(value):
+        raise ValueError(f"tolerance for {key!r} must be a number, got {value!r}")
+    if not (is_finite_number(value) and value >= 0):
+        raise ValueError(
+            f"tolerance for {key!r} must be finite and >= 0, got {value!r}"
+        )
+    return float(value)
 
 
 def load_tolerances(path: Union[str, Path]) -> Dict[str, float]:
@@ -327,22 +354,10 @@ def load_tolerances(path: Union[str, Path]) -> Dict[str, float]:
         raise ValueError(f"unreadable tolerance file {path}: {exc}")
     if not isinstance(raw, dict):
         raise ValueError(f"tolerance file {path} must be a JSON object")
-    out: Dict[str, float] = {}
-    for key, value in raw.items():
-        if not _is_numeric(value):
-            raise ValueError(
-                f"tolerance for {key!r} must be a number, got {value!r}"
-            )
-        if not 0 <= value < math.inf:
-            raise ValueError(
-                f"tolerance for {key!r} must be finite and >= 0, "
-                f"got {value!r}"
-            )
-        out[str(key)] = float(value)
-    return out
+    return {str(key): check_limit(key, value) for key, value in raw.items()}
 
 
-def _tolerance_for(
+def tolerance_for(
     tolerances: Dict[str, float], row: str, metric: str
 ) -> Optional[float]:
     """Most specific matching limit: ``row:metric`` wins over ``metric``."""
@@ -350,6 +365,14 @@ def _tolerance_for(
     if qualified in tolerances:
         return tolerances[qualified]
     return tolerances.get(metric)
+
+
+def unmatched_tolerances(
+    tolerances: Dict[str, float], cells: Iterable[Tuple[str, str]]
+) -> List[str]:
+    """The tolerance keys that name none of these ``(row, metric)`` cells."""
+    named = {key for row, metric in cells for key in (metric, f"{row}:{metric}")}
+    return sorted(set(tolerances) - named)
 
 
 def apply_tolerances(
@@ -364,15 +387,12 @@ def apply_tolerances(
     (renamed column, vanished row) must fail, not silently pass.
     """
     out = dict(diff)
-    matched: set = set()
     rows: List[Dict[str, object]] = []
     violations: List[Dict[str, object]] = []
     for entry in diff["rows"]:
         entry = dict(entry)
-        limit = _tolerance_for(tolerances, str(entry["row"]), str(entry["metric"]))
+        limit = tolerance_for(tolerances, str(entry["row"]), str(entry["metric"]))
         if limit is not None:
-            matched.add(str(entry["metric"]))
-            matched.add(f"{entry['row']}:{entry['metric']}")
             entry["limit"] = limit
             entry["within"] = abs(entry["delta"]) <= limit
             if not entry["within"]:
@@ -386,7 +406,8 @@ def apply_tolerances(
                     }
                 )
         rows.append(entry)
-    for key in sorted(set(tolerances) - matched):
+    shown = [(str(e["row"]), str(e["metric"])) for e in diff["rows"]]
+    for key in unmatched_tolerances(tolerances, shown):
         violations.append({"kind": "missing", "key": key})
     out["rows"] = rows
     out["violations"] = violations
@@ -461,13 +482,11 @@ def render_text(diff: Dict[str, object]) -> str:
     title = (
         f"compare {diff['experiment_a']}: {diff['run_a']} vs {diff['run_b']}"
     )
-    if not diff["rows"]:
+    if diff["rows"]:
+        out = format_rows(_headers_for(diff), _diff_table_rows(diff), title=title)
+    else:
         out = title + "\n(no comparable metric rows)"
-        extra = _unmatched_lines(diff)
-        return out + ("\n" + "\n".join(extra) if extra else "")
-    out = format_rows(_headers_for(diff), _diff_table_rows(diff), title=title)
-    extra = _unmatched_lines(diff)
-    return out + ("\n" + "\n".join(extra) if extra else "")
+    return "\n".join([out, *_unmatched_lines(diff)])
 
 
 def render_markdown(diff: Dict[str, object]) -> str:

@@ -17,11 +17,13 @@ per cell of its cell map (:func:`repro.runtime.compare.result_metrics`:
 every finite numeric cell; NaN and ±inf cells are not metrics).
 Integers get limit 0; floats ``max(0.05, 0.25 * |value|)``
 (:func:`default_tolerance`), unless a ``--tolerance`` override names
-the metric or ``row:metric``.
+the metric or ``row:metric``; an override that names no captured
+metric is an error.
 
 ``repro experiment verify`` re-runs the experiment at fixture scale and
-*is* ``repro experiment compare``: run a is the fixture (the committed
-values), run b the fresh run, gated by
+*is* ``repro experiment compare``
+(:func:`~repro.runtime.compare.compare_results`): run a is the fixture
+(the committed values), run b the fresh run, gated by
 :func:`~repro.runtime.compare.apply_tolerances` with each committed
 limit under its ``row:metric`` key.  A metric fails as ``drift`` when
 ``|b - a|`` exceeds its limit and as ``missing`` when the fresh run has
@@ -46,11 +48,13 @@ from typing import Dict, List, Optional, Union
 from ..utils import atomic_write_text as _write_text
 from .compare import (
     RunResult,
-    _tolerance_for,
     apply_tolerances,
-    diff_cells,
+    check_limit,
+    compare_results,
     is_finite_number,
     result_metrics,
+    tolerance_for,
+    unmatched_tolerances,
 )
 from .parallel import UnitProgress, execute_parallel
 from .registry import ExperimentSpec, get_experiment, spec_from_json
@@ -173,6 +177,8 @@ def capture_golden(
     ``overrides`` is a tolerance table as ``compare --tolerances`` reads
     one: a metric name or ``"row:metric"`` (the more specific key wins)
     mapped to an absolute limit that replaces :func:`default_tolerance`.
+    A key that names no captured metric raises :class:`GoldenError`, as
+    ``compare --tolerances`` reports it ``missing``.
     """
     rows = RunResult(record.out_dir, record.result).rows
     if not rows:
@@ -185,9 +191,15 @@ def capture_golden(
             f"run {record.out_dir} has no numeric metrics to capture"
         )
     overrides = overrides or {}
+    unmatched = unmatched_tolerances(overrides, cells)
+    if unmatched:
+        raise GoldenError(
+            f"tolerance override {', '.join(map(repr, unmatched))} names "
+            f"no metric of {record.experiment}"
+        )
     metrics = []
     for (row, metric), value in cells.items():
-        tolerance = _tolerance_for(overrides, row, metric)
+        tolerance = tolerance_for(overrides, row, metric)
         if tolerance is None:
             tolerance = default_tolerance(value)
         metrics.append(GoldenMetric(row, metric, value, float(tolerance)))
@@ -292,13 +304,11 @@ def load_golden(path: Union[str, Path]) -> Golden:
             f"metrics[{i}] ({row}/{metric}) needs a finite numeric "
             f"'value', got {value!r}",
         )
-        _require(
-            is_finite_number(tolerance) and tolerance >= 0,
-            path,
-            f"metrics[{i}] ({row}/{metric}) needs a finite tolerance >= 0, "
-            f"got {tolerance!r}",
-        )
-        metrics.append(GoldenMetric(row, metric, value, float(tolerance)))
+        try:
+            tolerance = check_limit(f"{row}:{metric}", tolerance)
+        except ValueError as exc:
+            raise GoldenError(f"golden fixture {path}: metrics[{i}]: {exc}")
+        metrics.append(GoldenMetric(row, metric, value, tolerance))
     recomputed = spec_hash_from_dict(experiment, spec)
     _require(
         recomputed == digest,
@@ -371,19 +381,11 @@ def verify_golden(
         force=force,
         progress=progress,
     )
-    committed = {(m.row, m.metric): m.value for m in golden.metrics}
-    fresh = result_metrics(RunResult(record.out_dir, record.result).rows)
-    rows_a = {row for row, _ in committed}
-    rows_b = {row for row, _ in fresh}
-    diff = {
-        "experiment_a": golden.experiment,
-        "experiment_b": record.experiment,
-        "run_a": str(golden.path),
-        "run_b": str(record.out_dir),
-        "rows": diff_cells(committed, fresh),
-        "only_in_a": sorted(rows_a - rows_b),
-        "only_in_b": sorted(rows_b - rows_a),
-    }
+    diff = compare_results(
+        RunResult(golden.path, {"experiment": golden.experiment}),
+        RunResult(record.out_dir, record.result),
+        cells_a={(m.row, m.metric): m.value for m in golden.metrics},
+    )
     return apply_tolerances(
         diff, {f"{m.row}:{m.metric}": m.tolerance for m in golden.metrics}
     )

@@ -128,13 +128,22 @@ def register_grid_experiment(
     return name
 
 
-def register_row_experiment(name: str, row: Dict[str, object]) -> str:
+def register_row_experiment(
+    name: str, row: Dict[str, object], log_dir: Optional[Path] = None
+) -> str:
     """Register a one-row experiment whose row is ``row`` as it stands
-    when the experiment runs; tests edit ``row`` between runs.  Callers
-    must ``repro.runtime.registry.unregister(name)`` when done."""
+    when the experiment runs; tests edit ``row`` between runs.  With
+    ``log_dir``, every run drops a marker there, as the grid's units do
+    (see :func:`count_unit_executions`).  Callers must
+    ``repro.runtime.registry.unregister(name)`` when done."""
 
     @experiment(name, spec=ExperimentSpec, title="Fake row")
     def run(spec: ExperimentSpec):
+        if log_dir is not None:
+            marker = (
+                Path(log_dir) / f"exec-row-{os.getpid()}-{time.monotonic_ns()}"
+            )
+            marker.write_text("")
         return ExperimentResult(experiment=name, rows=[dict(row)], table="")
 
     return name

@@ -34,13 +34,20 @@ from repro.runtime.golden import (
     write_golden,
 )
 
-from ..helpers import GridSpec, register_grid_experiment, register_row_experiment
+from ..helpers import (
+    GridSpec,
+    count_unit_executions,
+    register_grid_experiment,
+    register_row_experiment,
+)
 
 
 @pytest.fixture
 def grid_run(tmp_path):
-    """One cached run of the fake grid experiment + its runs root."""
-    name = register_grid_experiment("fake-grid")
+    """One cached run of the fake grid experiment + its runs root; every
+    unit execution leaves a marker under ``tmp_path / "log"``."""
+    (tmp_path / "log").mkdir()
+    name = register_grid_experiment("fake-grid", log_dir=tmp_path / "log")
     try:
         record = execute_parallel(
             name, GridSpec(factor=2), runs_dir=tmp_path / "runs"
@@ -51,10 +58,12 @@ def grid_run(tmp_path):
 
 
 @pytest.fixture
-def one_row():
-    """The row of the one-row experiment ``fake-row``; tests edit it."""
+def one_row(tmp_path):
+    """The row of the one-row experiment ``fake-row``; tests edit it.
+    Every run leaves a marker under ``tmp_path / "log"``."""
+    (tmp_path / "log").mkdir()
     row = {"model": "m", "error": 0.1}
-    name = register_row_experiment("fake-row", row)
+    name = register_row_experiment("fake-row", row, log_dir=tmp_path / "log")
     try:
         yield row
     finally:
@@ -101,6 +110,20 @@ class TestCapture:
         by_row = {m.row: m.tolerance for m in golden.metrics}
         assert by_row["alpha"] == 3.0
         assert by_row["beta"] == 1.0  # row-qualified wins
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"valeu": 3.0}, "'valeu'"),  # a typo
+            ({"value": 3.0, "delta:value": 1.0}, "'delta:value'"),
+        ],
+    )
+    def test_override_naming_no_metric_rejected(
+        self, grid_run, overrides, named
+    ):
+        _, record = grid_run
+        with pytest.raises(GoldenError, match=f"override {named} names no"):
+            capture_golden(record, overrides=overrides)
 
     def test_rowless_results_rejected(self, grid_run):
         _, record = grid_run
@@ -206,15 +229,20 @@ class TestSchemaValidation:
             ),
             (
                 lambda d: d["metrics"][0].update(tolerance=-1),
-                "tolerance >= 0",
+                r"metrics\[0\]: tolerance for 'alpha:value' must be finite "
+                r"and >= 0, got -1",
             ),
             (
                 lambda d: d["metrics"][0].update(tolerance=float("inf")),
-                r"\(alpha/value\) needs a finite tolerance >= 0, got inf",
+                "'alpha:value' must be finite and >= 0, got inf",
             ),
             (
                 lambda d: d["metrics"][0].update(tolerance=float("nan")),
-                r"\(alpha/value\) needs a finite tolerance >= 0, got nan",
+                "'alpha:value' must be finite and >= 0, got nan",
+            ),
+            (
+                lambda d: d["metrics"][0].update(tolerance="0.5"),
+                "'alpha:value' must be a number, got '0.5'",
             ),
         ],
     )
@@ -249,7 +277,10 @@ class TestVerify:
     def test_clean_verify_passes_from_run_cache(self, grid_run):
         tmp_path, record = grid_run
         golden, path = roundtrip_fixture(tmp_path, record)
+        assert count_unit_executions(tmp_path / "log") == 3
         diff = verify_golden(load_golden(path), runs_dir=tmp_path / "runs")
+        # a cache hit: verify re-executed no unit
+        assert count_unit_executions(tmp_path / "log") == 3
         assert diff["violations"] == []
         # same spec -> same run dir; the fixture is run a
         assert diff["run_a"] == str(path)
@@ -267,6 +298,7 @@ class TestVerify:
         diff = verify_golden(
             load_golden(path), runs_dir=tmp_path / "fresh-runs"
         )
+        assert count_unit_executions(tmp_path / "log") == 6  # a real re-run
         assert diff["violations"] == []
         assert diff["run_b"].startswith(str(tmp_path / "fresh-runs"))
 
@@ -330,6 +362,9 @@ class TestVerify:
         golden, path = roundtrip_fixture(tmp_path, record)
         diff = verify_golden(load_golden(path), runs_dir=tmp_path / "runs")
         assert json.loads(json.dumps(diff)) == diff
+        # compare's keys; the label keys and metrics are the fresh run's
+        assert (diff["label_keys"], diff["metrics"]) == (["row"], ["value"])
+        assert diff["only_in_a"] == diff["only_in_b"] == []
         text = render_text(diff)
         assert f"{path} vs {record.out_dir}" in text and "alpha" in text
         md = render_markdown(diff)
@@ -352,11 +387,10 @@ class TestNonFiniteCells:
         one_row["paper_error"] = float("nan")
         assert main(["experiment", "capture", "fake-row",
                      *self._dirs(tmp_path)]) == 0
-        assert execute_parallel(
-            "fake-row", ExperimentSpec(scale="smoke"),
-            runs_dir=tmp_path / "runs",
-        ).cache_hit
+        assert count_unit_executions(tmp_path / "log") == 1
         assert main(["experiment", "verify", *self._dirs(tmp_path)]) == 0
+        # verify compared against the cached run, not a re-run
+        assert count_unit_executions(tmp_path / "log") == 1
         captured = capsys.readouterr()
         assert "paper_error" not in captured.out
         assert "1 passed, 0 failed, 1 checks" in captured.err

@@ -657,10 +657,27 @@ class TestGoldenCLI:
         with pytest.raises(SystemExit, match="metric=limit"):
             self._capture(tmp_path, "--tolerance", "oops")
 
-    @pytest.mark.parametrize("limit", ["big", "nan", "inf", "-1"])
-    def test_tolerance_limit_must_load_back(self, tmp_path, limit):
-        with pytest.raises(SystemExit, match="need a finite number >= 0"):
+    @pytest.mark.parametrize(
+        "limit, message",
+        [
+            ("big", "could not convert"),
+            ("nan", "must be finite and >= 0, got nan"),
+            ("inf", "must be finite and >= 0, got inf"),
+            ("-1", "must be finite and >= 0, got -1.0"),
+        ],
+    )
+    def test_tolerance_limit_must_load_back(self, tmp_path, limit, message):
+        with pytest.raises(
+            SystemExit, match=f"bad --tolerance 'subcircuits={limit}': .*{message}"
+        ):
             self._capture(tmp_path, "--tolerance", f"subcircuits={limit}")
+        assert not (tmp_path / "runs").exists()  # rejected before the run
+        assert not (tmp_path / "goldens").exists()
+
+    def test_tolerance_naming_no_metric_is_clean_error(self, tmp_path):
+        # a typo for 'subcircuits'
+        with pytest.raises(SystemExit, match="'subcircuit' names no metric"):
+            self._capture(tmp_path, "--tolerance", "subcircuit=100")
         assert not (tmp_path / "goldens").exists()
 
 
