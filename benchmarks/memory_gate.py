@@ -53,7 +53,7 @@ DIM, ITERATIONS, RNG_SEED = 32, 1, 0
 LR, GRAD_CLIP = 1e-4, 5.0
 BUDGETS = (4096, 16384)
 
-# Windowed runs peak at ~175,000-217,000 KB.  The ceiling leaves them margin
+# Windowed runs peak at ~149,000-192,000 KB.  The ceiling leaves them margin
 # but fails a run that keeps O(N) per-group state again (unwindowed, both
 # runs peak at ~555,000 KB).  The full pass needs ~500 MB of address space
 # beyond prepare, so the probe allowance must make it fail.

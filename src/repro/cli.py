@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 from pathlib import Path
 from typing import Dict, Union
@@ -384,9 +385,7 @@ def cmd_experiment_run(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc))
     status = "cache hit" if record.cache_hit else "ran"
     if args.format == "json":
-        import json as _json
-
-        print(_json.dumps(record.result, indent=2, sort_keys=True))
+        _print_json(record.result)
     elif args.format == "markdown":
         print(record.markdown)
     else:
@@ -428,13 +427,20 @@ def _print_diff(diff: Dict[str, object], fmt: str) -> int:
     from .runtime.compare import render_markdown, render_text
 
     if fmt == "json":
-        import json as _json
-
-        print(_json.dumps(diff, indent=2, sort_keys=True))
+        _print_json(diff)
     elif fmt == "markdown":
         print(render_markdown(diff))
     else:
         print(render_text(diff))
+    return _report_violations(diff)
+
+
+def _print_json(value: object) -> None:
+    print(json.dumps(value, indent=2, sort_keys=True))
+
+
+def _report_violations(diff: Dict[str, object]) -> int:
+    """Report a diff's violation count on stderr and return it."""
     violations = diff.get("violations", [])
     if violations:
         print(
@@ -546,6 +552,8 @@ def cmd_experiment_verify(args: argparse.Namespace) -> int:
         print(f"no golden fixtures under {root}", file=sys.stderr)
         return 1
 
+    # JSON output is one array of the per-fixture diffs, printed at the end
+    diffs = []
     failed = checks = 0
     for path in paths:
         try:
@@ -562,7 +570,11 @@ def cmd_experiment_verify(args: argparse.Namespace) -> int:
             failed += 1
             continue
         checks += len(golden.metrics)
-        drifted = _print_diff(diff, args.format)
+        if args.format == "json":
+            diffs.append(diff)
+            drifted = _report_violations(diff)
+        else:
+            drifted = _print_diff(diff, args.format)
         failed += bool(drifted)
         print(
             f"verify {golden.experiment} [{golden.spec_hash[:12]}]: "
@@ -570,6 +582,8 @@ def cmd_experiment_verify(args: argparse.Namespace) -> int:
             f"(a = fixture, b = fresh run)",
             file=sys.stderr,
         )
+    if args.format == "json":
+        _print_json(diffs)
     total = len(paths)
     print(
         f"verified {total} fixture{'s' if total != 1 else ''}: "
@@ -592,9 +606,7 @@ def cmd_experiment_report(args: argparse.Namespace) -> int:
         )
         return 1
     if args.format == "json":
-        import json as _json
-
-        print(_json.dumps(record.result, indent=2, sort_keys=True))
+        _print_json(record.result)
     elif args.format == "markdown":
         print(record.markdown)
     else:
@@ -696,8 +708,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    import json as _json
-
     from .serve import ServeClient, ServeClientError
 
     try:
@@ -711,7 +721,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         if args.stats:
             reply = client.stats()
             if args.format == "json":
-                print(_json.dumps(reply.to_payload(), indent=2, sort_keys=True))
+                _print_json(reply.to_payload())
             else:
                 print(
                     f"{reply.model}: {reply.requests} requests "
@@ -736,7 +746,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
-        print(_json.dumps(reply.to_payload(), indent=2, sort_keys=True))
+        _print_json(reply.to_payload())
         return 0
     print(
         f"{args.circuit}: {reply.num_nodes} nodes ({reply.num_pis} PIs, "
@@ -985,7 +995,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="suppress per-unit progress lines")
     q.add_argument(
         "--format", default="text", choices=["text", "markdown", "json"],
-        help="how to print each fixture's diff against its fresh run",
+        help="how to print each fixture's diff against its fresh run "
+             "(json: one array of the diffs)",
     )
     q.set_defaults(func=cmd_experiment_verify)
 

@@ -19,7 +19,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn.kernels import SegmentLayout, segment_rank_order
+from ..nn.kernels import Rank, SegmentLayout, segment_rank_order
 from .features import CircuitGraph
 from .positional import positional_encoding
 
@@ -215,21 +215,29 @@ class GatherSplit:
     ``pass_input`` rows had not been written yet in this pass, so their
     gradient belongs to the pass input; the others were written by an
     earlier group, so their gradient flows back into the pass's running
-    output gradient.  ``positions`` selects the entries of the group's
-    ``src`` array in this split (``None`` = all of them); ``layout`` is
-    the segment layout over their global node ids, which accumulates
-    repeated rows rank by rank when the runner scatters gradients back.
+    output gradient.  ``ranks`` is the split's scatter plan, one
+    ``(elements, targets)`` pair of index arrays per rank: rank ``r``
+    adds the group's source gradients ``dh_src[elements]`` into the
+    global rows ``targets``, none twice, so a row read several times
+    accumulates rank by rank in source order
+    (:func:`~repro.nn.kernels.segment_scatter_add` runs it).
     """
 
     pass_input: bool
-    positions: Optional[np.ndarray]
-    layout: SegmentLayout
+    ranks: List[Rank]
+
+
+#: what a group without a skip edge holds for its attribute block: a
+#: read-only zero-stride view of this one zero
+_ZERO_ATTR = np.zeros((), np.float32)
 
 
 def _fold_skip(
     g: LevelGroup, edge_attr_dim: Optional[int]
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Concatenate a group's real and skip edges (and attribute block)."""
+    """Concatenate a group's real and skip edges (and attribute block:
+    dense and zero-padded when a skip edge lands on the group, else an
+    all-zero view that owns no bytes)."""
     if g.has_skip:
         src = np.concatenate([g.src, g.skip_src])
         seg = np.concatenate([g.seg, g.skip_seg])
@@ -237,9 +245,12 @@ def _fold_skip(
         src, seg = g.src, g.seg
     edge_attr = None
     if edge_attr_dim is not None:
-        edge_attr = np.zeros((len(src), edge_attr_dim), np.float32)
+        shape = (len(src), edge_attr_dim)
         if g.has_skip:
+            edge_attr = np.zeros(shape, np.float32)
             edge_attr[len(g.src):] = g.skip_attr
+        else:
+            edge_attr = np.broadcast_to(_ZERO_ATTR, shape)
     return src, seg, edge_attr
 
 
@@ -264,31 +275,34 @@ def _rank_major(
     pos[node_order] = np.arange(n)
     seg = pos[seg]
     edge_order, rank_sizes = segment_rank_order(seg)
-    if edge_attr is not None:
+    # an all-zero view needs no reordering, and indexing would copy it
+    if g.has_skip and edge_attr is not None:
         edge_attr = edge_attr[edge_order]
     layout = SegmentLayout(seg[edge_order], n, rank_sizes)
     return g.nodes[node_order], src[edge_order], layout, edge_attr
 
 
-def _gather_plan(
-    src: np.ndarray, from_input: np.ndarray, num_nodes: int
-) -> List[GatherSplit]:
+def _gather_plan(src: np.ndarray, from_input: np.ndarray) -> List[GatherSplit]:
     """Split a group's sources into those read from the pass input
-    (``from_input``) and those written earlier in the pass."""
+    (``from_input``) and those written earlier in the pass.
+
+    Each split's ranks are those of a segment layout over its sources'
+    row ids, with its share of the sources folded into the element
+    indices, so the scatter reads ``dh_src`` directly.
+    """
     plan: List[GatherSplit] = []
-    if not src.size:
-        return plan
     for pass_input, mask in ((True, from_input), (False, ~from_input)):
-        if mask.all():
-            positions, chosen = None, src
-        elif mask.any():
-            positions = np.flatnonzero(mask)
-            chosen = src[positions]
-        else:
+        if not mask.any():
             continue
-        plan.append(
-            GatherSplit(pass_input, positions, SegmentLayout(chosen, num_nodes))
-        )
+        positions = np.flatnonzero(mask)
+        chosen = src[positions]
+        perm, sizes = segment_rank_order(chosen)
+        elements, targets = positions[perm], chosen[perm]
+        ends = np.cumsum(sizes).tolist()
+        plan.append(GatherSplit(pass_input, [
+            (elements[a:b], targets[a:b])
+            for a, b in zip([0] + ends[:-1], ends)
+        ]))
     return plan
 
 
@@ -297,25 +311,25 @@ class CompiledGroup:
     """Everything one propagation step needs, precomputed once per batch.
 
     Compared to a :class:`LevelGroup`, the skip connections are already
-    folded in (``src``/``seg`` are the concatenated real+skip arrays and
-    ``edge_attr`` the matching zero/PE attribute block), nodes and edges
-    are laid out rank-major (see :func:`_rank_major`), the gate-type
-    feature rows are pre-gathered, and the segment rank plan is built.
-    The source-gradient routing plan, which only a backward reads, is
-    built on first access (:attr:`gather_plan`).
+    folded in (``src``/``seg`` are the concatenated real+skip arrays),
+    nodes and edges are laid out rank-major (see :func:`_rank_major`),
+    and the segment rank plan is built.  With an attribute width,
+    ``edge_attr`` is the group's ``(E, width)`` attribute block: dense,
+    with zero rows for real edges and positional encodings for skip
+    edges, when a skip edge lands on the group, and otherwise a
+    read-only zero-stride view of one zero that owns no bytes.  The
+    source-gradient routing plan, which only a backward reads, is built
+    on first access (:attr:`gather_plan`).
     """
 
     nodes: np.ndarray
     src: np.ndarray
     seg: np.ndarray
     seg_layout: SegmentLayout
-    x_rows: np.ndarray
     #: per source, whether the group reads it from the pass input (no
     #: earlier group had written the row); dropped once
     #: :attr:`gather_plan` is built from it
     from_input: Optional[np.ndarray]
-    #: the pass-wide node count: the routing plan's layouts span it
-    num_rows: int
     edge_attr: Optional[np.ndarray] = None
     #: row offsets of this group within its schedule's (or window's)
     #: block layout (see :class:`PassBlock`): nodes occupy
@@ -330,9 +344,7 @@ class CompiledGroup:
         """The group's source-gradient routing, one :class:`GatherSplit`
         per destination, built on first access and kept."""
         if self._gather_plan is None:
-            self._gather_plan = _gather_plan(
-                self.src, self.from_input, self.num_rows
-            )
+            self._gather_plan = _gather_plan(self.src, self.from_input)
             self.from_input = None
         return self._gather_plan
 
@@ -353,9 +365,12 @@ class PassBlock:
     ``node_offsets``/``edge_offsets`` are ``(G+1,)`` cumulative sums;
     group ``k``'s rows are ``[offsets[k], offsets[k+1])``.  ``written``
     is the concatenation of the groups' node ids (the same array as
-    ``CompiledSchedule.written``), ``x_rows``/``edge_attr`` the
-    concatenated per-group feature/attribute blocks, and ``counts`` the
-    per-written-node fan-in counts (concatenated segment-layout counts).
+    ``CompiledSchedule.written``), ``x_rows`` the batch's feature rows
+    of those nodes, in that order, ``edge_attr`` the groups' attribute
+    blocks concatenated into one dense zero-padded block, and ``counts``
+    the per-written-node fan-in counts (concatenated segment-layout
+    counts).  Packing gathers and concatenates all of them, so a group
+    holds neither feature rows nor, without a skip edge, attribute bytes.
     """
 
     node_offsets: np.ndarray
@@ -375,21 +390,16 @@ class PassBlock:
 
     @classmethod
     def pack(
-        cls, groups: List[CompiledGroup], written: np.ndarray
+        cls, groups: List[CompiledGroup], written: np.ndarray, x: np.ndarray
     ) -> "PassBlock":
-        """Pack compiled groups (with their offsets already assigned)
-        and their concatenated node ids ``written`` into one block."""
+        """Pack compiled groups (with their offsets already assigned),
+        their concatenated node ids ``written`` and the feature rows of
+        those nodes in the batch's feature matrix ``x`` into one block."""
         node_offsets = np.cumsum(
             [0] + [len(g.nodes) for g in groups], dtype=np.int64
         )
         edge_offsets = np.cumsum(
             [0] + [len(g.src) for g in groups], dtype=np.int64
-        )
-        feat = groups[0].x_rows.shape[1] if groups else 0
-        x_rows = (
-            np.concatenate([g.x_rows for g in groups])
-            if groups
-            else np.zeros((0, feat), np.float32)
         )
         counts = (
             np.concatenate([g.seg_layout.counts for g in groups])
@@ -403,7 +413,7 @@ class PassBlock:
             node_offsets=node_offsets,
             edge_offsets=edge_offsets,
             written=written,
-            x_rows=x_rows,
+            x_rows=x[written],
             counts=counts,
             edge_attr=edge_attr,
         )
@@ -473,9 +483,7 @@ def _written(groups: List[CompiledGroup]) -> np.ndarray:
 
 
 def _compile_groups(
-    schedule: LevelSchedule,
-    x: np.ndarray,
-    edge_attr_dim: Optional[int],
+    schedule: LevelSchedule, edge_attr_dim: Optional[int]
 ) -> Tuple[List[CompiledGroup], List[np.ndarray], np.ndarray]:
     """Compile a schedule's groups, offsets pass-global.
 
@@ -484,8 +492,7 @@ def _compile_groups(
     yet written, so the pass input) — and the final writer of every node
     (``-1``: never written).
     """
-    num_nodes = schedule.num_nodes
-    writer = np.full(num_nodes, -1, dtype=np.int64)
+    writer = np.full(schedule.num_nodes, -1, dtype=np.int64)
     groups: List[CompiledGroup] = []
     provs: List[np.ndarray] = []
     node_offset = 0
@@ -499,9 +506,7 @@ def _compile_groups(
                 src=src,
                 seg=layout.segment_ids,
                 seg_layout=layout,
-                x_rows=np.ascontiguousarray(x[nodes]),
                 from_input=prov < 0,
-                num_rows=num_nodes,
                 edge_attr=edge_attr,
                 node_offset=node_offset,
                 edge_offset=edge_offset,
@@ -519,17 +524,19 @@ class CompiledSchedule:
 
     Precomputes what the propagation loop would otherwise rebuild on every
     iteration of every epoch: concatenated skip index/segment arrays, the
-    zero-padded edge-attribute blocks, the rank-major group layouts and
-    their segment rank plans, the gathered one-hot input rows, and —
-    because a forward/reverse pass writes each node at most once — a
-    *routing plan* splitting every group's sources into rows read from
-    the pass input and rows written earlier in the pass.  The plan lets
-    the runner gather from a single working matrix, materialise the
-    state exactly once per pass, and route source gradients with at most
-    two scatters per group; each group builds it on first access from
-    its provenance mask, so a schedule that only runs inference never
-    builds one.  :meth:`block` and :meth:`walk_plan` cache the
-    backward's packed layout and the forward walk's per-group plan.
+    attribute blocks of the groups skip edges land on, the rank-major
+    group layouts and their segment rank plans, and — because a
+    forward/reverse pass writes each node at most once — a *routing plan*
+    splitting every group's sources into rows read from the pass input
+    and rows written earlier in the pass.  The plan lets the runner
+    gather from a single working matrix, materialise the state exactly
+    once per pass, and route source gradients with at most two scatters
+    per group; each group builds it on first access from its provenance
+    mask, so a schedule that only runs inference never builds one.
+    :meth:`block` and :meth:`walk_plan` cache the backward's packed
+    layout and the forward walk's per-group plan.  ``x`` is the batch's
+    feature matrix itself, not a copy: a block gathers its rows when it
+    is packed.
     """
 
     def __init__(
@@ -537,11 +544,13 @@ class CompiledSchedule:
         groups: List[CompiledGroup],
         num_nodes: int,
         written: np.ndarray,
+        x: np.ndarray,
     ):
         self.groups = groups
         self.num_nodes = num_nodes
         #: all node ids written during the pass (unique by construction)
         self.written = written
+        self.x = x
         self._block: Optional[PassBlock] = None
         self._plan: Optional[WalkPlan] = None
 
@@ -558,7 +567,7 @@ class CompiledSchedule:
         groups' arrays never change afterwards.
         """
         if self._block is None:
-            self._block = PassBlock.pack(self.groups, self.written)
+            self._block = PassBlock.pack(self.groups, self.written, self.x)
         return self._block
 
     def walk_plan(self) -> WalkPlan:
@@ -581,8 +590,8 @@ class CompiledSchedule:
         zero, skip edges their positional encoding); ``None`` skips them
         for models that don't consume edge attributes.
         """
-        groups, _, _ = _compile_groups(schedule, x, edge_attr_dim)
-        return cls(groups, schedule.num_nodes, _written(groups))
+        groups, _, _ = _compile_groups(schedule, edge_attr_dim)
+        return cls(groups, schedule.num_nodes, _written(groups), x)
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +683,7 @@ class WindowedSchedule:
         node_budget = int(node_budget)
         if node_budget < 1:
             raise ValueError(f"node_budget must be >= 1, got {node_budget}")
-        groups, provs, writer = _compile_groups(schedule, x, edge_attr_dim)
+        groups, provs, writer = _compile_groups(schedule, edge_attr_dim)
         for k, (g, prov) in enumerate(zip(groups, provs)):
             late = (prov < 0) & (writer[g.src] >= 0)
             if late.any():
@@ -719,7 +728,7 @@ class WindowedSchedule:
             windows.append(
                 Window(
                     compiled=CompiledSchedule(
-                        cgroups, num_nodes, written[n0:n1]
+                        cgroups, num_nodes, written[n0:n1], x
                     ),
                     frontier_rows=int(np.unique(earlier).size),
                     written_start=n0,

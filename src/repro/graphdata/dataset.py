@@ -40,7 +40,11 @@ class PreparedBatch:
     """A merged mini-batch with cached level schedules and features.
 
     Schedules depend only on graph structure, so they are computed once and
-    reused across every epoch and every model that sees the batch.
+    reused across every epoch and every model that sees the batch.  The
+    level schedules the reference path walks are cached by
+    :meth:`forward_schedule` and its siblings; the compiled and windowed
+    builders compile a level schedule of their own and drop it, so a
+    batch that only runs the fast path keeps none.
     """
 
     def __init__(self, graph: CircuitGraph):
@@ -93,7 +97,7 @@ class PreparedBatch:
         if key not in self._compiled:
             attr_dim = 2 * pe_levels + 1 if include_skip else None
             self._compiled[key] = CompiledSchedule.compile(
-                self.forward_schedule(include_skip, pe_levels),
+                LevelSchedule.forward(self.graph, include_skip, pe_levels),
                 self.x,
                 edge_attr_dim=attr_dim,
             )
@@ -103,7 +107,7 @@ class PreparedBatch:
         key = ("reverse", False, 0)
         if key not in self._compiled:
             self._compiled[key] = CompiledSchedule.compile(
-                self.reverse_schedule(), self.x
+                LevelSchedule.reverse(self.graph), self.x
             )
         return self._compiled[key]
 
@@ -111,7 +115,7 @@ class PreparedBatch:
         key = ("undirected", False, 0)
         if key not in self._compiled:
             self._compiled[key] = CompiledSchedule.compile(
-                self.undirected_schedule(), self.x
+                LevelSchedule.undirected(self.graph), self.x
             )
         return self._compiled[key]
 
@@ -129,7 +133,7 @@ class PreparedBatch:
         if key not in self._windowed:
             attr_dim = 2 * pe_levels + 1 if include_skip else None
             self._windowed[key] = WindowedSchedule.build(
-                self.forward_schedule(include_skip, pe_levels),
+                LevelSchedule.forward(self.graph, include_skip, pe_levels),
                 self.x,
                 node_budget,
                 edge_attr_dim=attr_dim,
@@ -140,7 +144,7 @@ class PreparedBatch:
         key = ("reverse", False, 0, int(node_budget))
         if key not in self._windowed:
             self._windowed[key] = WindowedSchedule.build(
-                self.reverse_schedule(), self.x, node_budget
+                LevelSchedule.reverse(self.graph), self.x, node_budget
             )
         return self._windowed[key]
 

@@ -494,10 +494,8 @@ def _route_source_grads(
     gradient ``gwork``."""
     for split in group.gather_plan:
         dest = dh if split.pass_input else gwork
-        if dest is None:
-            continue
-        g = dh_src if split.positions is None else dh_src[split.positions]
-        kernels.segment_scatter_add(dest, g, split.layout)
+        if dest is not None:
+            kernels.segment_scatter_add(dest, dh_src, split)
 
 
 def _walk(
@@ -648,9 +646,11 @@ def run_pass(
                 # window's recompute; the block is packed for this window's
                 # backward only, so windows retain no copy of their rows
                 _window_backward(
-                    step, ws, _walk(step, win, hd, work, gh_b, ctx,
-                                    write=False, keep=True),
-                    PassBlock.pack(ws.groups, ws.written), hd, gwork, dh,
+                    step, ws,
+                    _walk(step, win, hd, work, gh_b, ctx,
+                          write=False, keep=True),
+                    PassBlock.pack(ws.groups, ws.written, ws.x),
+                    hd, gwork, dh,
                 )
         if need_dh:
             # rows never written flow straight through to the pass input

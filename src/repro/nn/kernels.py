@@ -238,6 +238,8 @@ def segment_scatter_add(
     Repeated ids accumulate rank by rank, so each row receives its
     contributions in element order and only touched rows are written —
     scatter-style gradient routing uses it instead of a dense buffer.
+    Only ``layout.ranks`` is read, so any rank plan serves (a compiled
+    group's :class:`~repro.graphdata.batching.GatherSplit`).
     """
     for elems, targets in layout.ranks:
         out[targets] += x[elems]

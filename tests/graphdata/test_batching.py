@@ -1,5 +1,8 @@
 """Tests for graph merging and topological level schedules."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,10 @@ from repro.graphdata import (
     positional_encoding,
     prepare,
 )
+from repro.graphdata.batching import PassBlock
 from repro.synth import synthesize
+
+from ..helpers import split_rows
 
 
 def graph_of(netlist, seed=0):
@@ -155,6 +161,34 @@ class TestPreparedBatch:
         assert batch.reverse_schedule() is batch.reverse_schedule()
         assert batch.undirected_schedule() is batch.undirected_schedule()
 
+    def test_builders_keep_no_level_schedule(self, monkeypatch):
+        """The compiled and windowed builders drop the level schedule
+        they compile; the reference path's accessors still cache one."""
+        built = []
+        for name in ("forward", "reverse", "undirected"):
+            real = getattr(LevelSchedule, name)
+
+            def recording(cls, *args, _real=real, **kwargs):
+                schedule = _real(*args, **kwargs)
+                built.append(weakref.ref(schedule))
+                return schedule
+
+            monkeypatch.setattr(LevelSchedule, name, classmethod(recording))
+        batch = prepare([graph_of(ripple_adder(5))])
+        batch.compiled_forward_schedule(True, 4)
+        batch.compiled_reverse_schedule()
+        batch.compiled_undirected_schedule()
+        batch.windowed_forward_schedule(7, True, 4)
+        batch.windowed_reverse_schedule(7)
+        gc.collect()
+        assert len(built) == 5
+        assert all(ref() is None for ref in built)
+        fwd = batch.forward_schedule(True, 4)
+        assert isinstance(fwd, LevelSchedule)
+        assert batch.forward_schedule(True, 4) is fwd
+        assert batch.reverse_schedule() is batch.reverse_schedule()
+        assert len(built) == 7
+
     def test_features_match_graph(self):
         g = graph_of(ripple_adder(3))
         batch = prepare([g])
@@ -243,10 +277,15 @@ class TestCompiledSchedule:
                 )
 
     def test_x_rows_are_group_features(self):
+        # the schedule holds the batch's feature matrix, not a copy, and
+        # its packed block gathers each group's rows from it
         batch, cs = self._compiled()
+        assert cs.x is batch.x
+        block = cs.block()
         for group in cs:
+            o = group.node_offset
             np.testing.assert_array_equal(
-                group.x_rows, batch.x[group.nodes]
+                block.x_rows[o:o + len(group.nodes)], batch.x[group.nodes]
             )
 
     def test_written_nodes_unique_and_match_groups(self):
@@ -267,17 +306,12 @@ class TestCompiledSchedule:
             assert len({split.pass_input for split in plan}) == len(plan)
             covered = np.zeros(len(group.src), np.int64)
             for split in plan:
-                positions = (
-                    np.arange(len(group.src))
-                    if split.positions is None
-                    else split.positions
-                )
+                positions, rows = split_rows(split)
                 covered[positions] += 1
                 src_nodes = group.src[positions]
-                np.testing.assert_array_equal(
-                    split.layout.segment_ids, src_nodes
-                )
-                assert split.layout.num_segments == cs.num_nodes
+                np.testing.assert_array_equal(rows, src_nodes)
+                for _, targets in split.ranks:  # no row twice in a rank
+                    assert np.unique(targets).size == targets.size
                 for node in src_nodes:
                     assert (int(node) in written) != split.pass_input
             assert (covered == 1).all()
@@ -341,7 +375,7 @@ class TestPassBlock:
         assert block.num_written == sum(len(g.nodes) for g in cs)
         assert block.num_edges == sum(len(g.src) for g in cs)
         np.testing.assert_array_equal(
-            block.x_rows, np.concatenate([g.x_rows for g in cs])
+            block.x_rows, np.concatenate([cs.x[g.nodes] for g in cs])
         )
         np.testing.assert_array_equal(
             block.counts,
@@ -357,6 +391,62 @@ class TestPassBlock:
         assert cs.block() is cs.block()
         no_skip = self._schedule(include_skip=False)
         assert no_skip.block().edge_attr is None
+
+    @pytest.mark.parametrize("budget", [None, 7])
+    def test_packs_dense_blocks_from_skip_groups_only(self, budget):
+        """Packing builds each group's dense zero-padded attribute block
+        (zero rows for real edges, ``[PE(D), 1]`` for skip edges) and its
+        feature rows, while a group no skip edge lands on owns no
+        attribute bytes."""
+        pe = 4
+        batch = prepare([graph_of(ripple_adder(5))])
+        g = batch.graph
+        skip_attr = np.concatenate(
+            [
+                positional_encoding(g.skip_level_diff, pe),
+                np.ones((len(g.skip_edges), 1), np.float32),
+            ],
+            axis=1,
+        )
+        attr_of = {
+            tuple(e): a for e, a in zip(g.skip_edges.tolist(), skip_attr)
+        }
+        assert len(attr_of) == len(g.skip_edges)
+        assert not set(attr_of) & set(map(tuple, g.edges.tolist()))
+        if budget is None:
+            schedules = [batch.compiled_forward_schedule(True, pe)]
+        else:
+            ws = batch.windowed_forward_schedule(budget, True, pe)
+            schedules = [w.compiled for w in ws]
+        kinds = set()
+        for cs in schedules:
+            dense = []
+            for group in cs:
+                block = np.zeros((len(group.src), 2 * pe + 1), np.float32)
+                targets = group.nodes[group.seg]
+                for k, edge in enumerate(
+                    zip(group.src.tolist(), targets.tolist())
+                ):
+                    if edge in attr_of:
+                        block[k] = attr_of[edge]
+                dense.append(block)
+                has_skip = bool(block.any())
+                kinds.add(has_skip)
+                # a skip group's block is its own dense array, any other
+                # group's a zero-stride view: every row the same 4 bytes
+                assert (group.edge_attr.strides[0] == 0) != has_skip
+                np.testing.assert_array_equal(group.edge_attr, block)
+            packed = PassBlock.pack(cs.groups, cs.written, batch.x)
+            np.testing.assert_array_equal(
+                packed.edge_attr.view(np.uint32),
+                np.concatenate(dense).view(np.uint32),
+            )
+            assert packed.edge_attr.flags.c_contiguous
+            np.testing.assert_array_equal(
+                packed.x_rows,
+                np.concatenate([batch.x[grp.nodes] for grp in cs]),
+            )
+        assert kinds == {True, False}
 
 
 class TestBatchInterleaving:

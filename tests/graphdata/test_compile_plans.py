@@ -3,7 +3,9 @@
 A compiled level group takes its segment layout from the rank sizes its
 rank-major ordering computed, without sorting its ids again, and builds
 its source-gradient routing plan only when a backward first reads it:
-a pass that records nothing builds none.
+a pass that records nothing builds none.  Each split of that plan
+scatters straight from the group's source gradients, bit for bit as a
+gather of its share followed by a segment-layout scatter did.
 """
 
 import numpy as np
@@ -16,7 +18,11 @@ from repro.graphdata.batching import _gather_plan
 from repro.models import DeepGate
 from repro.models.propagation import use_window_budget
 from repro.nn.functional import l1_loss
-from repro.nn.kernels import SegmentLayout, segment_rank_order
+from repro.nn.kernels import (
+    SegmentLayout,
+    segment_rank_order,
+    segment_scatter_add,
+)
 from repro.nn.tensor import no_grad
 from repro.serve.service import CircuitRejected, canonicalize
 from repro.synth import netlist_to_aig
@@ -100,30 +106,34 @@ def test_rank_sizes_that_miss_a_segment_fall_back_to_sorting():
         np.testing.assert_array_equal(t, st)
 
 
-def eager_plans(groups, num_rows):
-    """Each group's routing plan from a provenance replay over ``groups``
-    (a whole pass, in order): a source is pass input until a group before
-    the reader has written its row."""
+def provenance(groups, num_rows):
+    """Each group's from-input mask from a provenance replay over
+    ``groups`` (a whole pass, in order): a source is pass input until a
+    group before the reader has written its row."""
     written = np.zeros(num_rows, bool)
-    plans = []
+    masks = []
     for g in groups:
-        plans.append(_gather_plan(g.src, ~written[g.src], num_rows))
+        masks.append(~written[g.src])
         written[g.nodes] = True
-    return plans
+    return masks
+
+
+def eager_plans(groups, num_rows):
+    """Each group's routing plan, built from its replayed provenance."""
+    return [
+        _gather_plan(g.src, mask)
+        for g, mask in zip(groups, provenance(groups, num_rows))
+    ]
 
 
 def assert_same_plan(plan, eager):
     assert len(plan) == len(eager)
     for split, want in zip(plan, eager):
         assert split.pass_input == want.pass_input
-        if want.positions is None:
-            assert split.positions is None
-        else:
-            np.testing.assert_array_equal(split.positions, want.positions)
-        np.testing.assert_array_equal(
-            split.layout.segment_ids, want.layout.segment_ids
-        )
-        assert split.layout.num_segments == want.layout.num_segments
+        assert len(split.ranks) == len(want.ranks)
+        for (e, t), (we, wt) in zip(split.ranks, want.ranks):
+            np.testing.assert_array_equal(e, we)
+            np.testing.assert_array_equal(t, wt)
 
 
 @pytest.fixture
@@ -131,9 +141,9 @@ def count_plan_builds(monkeypatch):
     builds = []
     real = batching._gather_plan
 
-    def counted(src, from_input, num_nodes):
+    def counted(src, from_input):
         builds.append(src)
-        return real(src, from_input, num_nodes)
+        return real(src, from_input)
 
     monkeypatch.setattr(batching, "_gather_plan", counted)
     return builds
@@ -165,3 +175,51 @@ def test_only_a_recorded_pass_builds_plans_each_once(count_plan_builds, budget):
         ):
             assert_same_plan(group.gather_plan, eager)
     assert len(count_plan_builds) == len(groups)  # reading built none
+
+
+def old_form_scatter(out, dh_src, src, mask):
+    """The routing a split did before it folded its share of the sources
+    into its rank plan: gather ``dh_src[positions]``, then scatter it
+    through a segment layout over the chosen rows."""
+    positions = np.flatnonzero(mask)
+    layout = SegmentLayout(src[positions], len(out))
+    segment_scatter_add(out, dh_src[positions], layout)
+
+
+@pytest.mark.parametrize("source", sorted(BATCHES))
+def test_splits_scatter_like_the_positions_then_layout_form(source):
+    """Each split sends random source gradients into the same rows, in
+    the same order, as the gather-then-layout routing: bit for bit."""
+    rng = np.random.default_rng(5)
+    splits = 0
+    for batch in BATCHES[source]():
+        passes = [
+            batch.compiled_forward_schedule(True, 4).groups,
+            batch.compiled_reverse_schedule().groups,
+            batch.compiled_undirected_schedule().groups,
+        ] + [
+            [g for w in ws for g in w.compiled.groups]
+            for ws in (
+                batch.windowed_forward_schedule(7, True, 4),
+                batch.windowed_reverse_schedule(7),
+            )
+        ]
+        n = batch.num_nodes
+        for groups in passes:
+            for group, mask in zip(groups, provenance(groups, n)):
+                dh_src = rng.standard_normal((len(group.src), 3))
+                dh_src = dh_src.astype(np.float32)
+                base = rng.standard_normal((n, 3)).astype(np.float32)
+                for split in group.gather_plan:
+                    want = base.copy()
+                    old_form_scatter(
+                        want, dh_src, group.src,
+                        mask if split.pass_input else ~mask,
+                    )
+                    got = base.copy()
+                    segment_scatter_add(got, dh_src, split)
+                    np.testing.assert_array_equal(
+                        got.view(np.uint32), want.view(np.uint32)
+                    )
+                    splits += 1
+    assert splits > 0

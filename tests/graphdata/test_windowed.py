@@ -16,8 +16,14 @@ import pytest
 
 from repro.datagen.generators import parity, ripple_adder
 from repro.graphdata import LevelSchedule, from_aig, prepare
-from repro.graphdata.batching import CompiledSchedule, WindowedSchedule
+from repro.graphdata.batching import (
+    CompiledSchedule,
+    PassBlock,
+    WindowedSchedule,
+)
 from repro.synth import synthesize
+
+from ..helpers import split_rows
 
 
 def make_batch():
@@ -88,7 +94,7 @@ class TestPartition:
         np.testing.assert_array_equal(ws.written, full.written)
         wgroups = [cg for w in ws for cg in w.compiled.groups]
         for fg, wg in zip(full.groups, wgroups):
-            for name in ("nodes", "src", "seg", "x_rows"):
+            for name in ("nodes", "src", "seg"):
                 np.testing.assert_array_equal(
                     getattr(wg, name), getattr(fg, name)
                 )
@@ -97,6 +103,14 @@ class TestPartition:
             assert [s.pass_input for s in wg.gather_plan] == [
                 s.pass_input for s in fg.gather_plan
             ]
+        # each window packs the full block's feature rows for its nodes
+        for w in ws:
+            wc = w.compiled
+            assert wc.x is batch.x
+            np.testing.assert_array_equal(
+                PassBlock.pack(wc.groups, wc.written, wc.x).x_rows,
+                full.block().x_rows[w.written_start:w.written_stop],
+            )
 
     def test_reverse_groups_rank_major(self):
         batch = make_batch()
@@ -179,18 +193,11 @@ class TestRouting:
                 assert len({split.pass_input for split in plan}) == len(plan)
                 covered = np.zeros(len(cg.src), np.int64)
                 for split in plan:
-                    positions = (
-                        np.arange(len(cg.src))
-                        if split.positions is None
-                        else split.positions
-                    )
+                    positions, rows = split_rows(split)
                     covered[positions] += 1
                     chosen = cg.src[positions]
                     # global node ids, never window-local rows
-                    np.testing.assert_array_equal(
-                        split.layout.segment_ids, chosen
-                    )
-                    assert split.layout.num_segments == ws.num_nodes
+                    np.testing.assert_array_equal(rows, chosen)
                     read_written = np.isin(chosen, list(written))
                     assert (read_written != split.pass_input).all()
                 assert (covered == 1).all()
@@ -204,7 +211,7 @@ class TestRouting:
             for cg in w.compiled.groups:
                 for split in cg.gather_plan:
                     if not split.pass_input:
-                        reads.update(split.layout.segment_ids.tolist())
+                        reads.update(split_rows(split)[1].tolist())
             assert w.frontier_rows == len(reads & earlier)
             earlier.update(w.compiled.written.tolist())
 

@@ -62,6 +62,16 @@ def build_tiny_shards(out_dir, workers: int = 1, **overrides) -> Path:
     return Path(out_dir)
 
 
+def split_rows(split) -> Tuple[np.ndarray, np.ndarray]:
+    """A compiled group's gather split as ``(positions, rows)``: the
+    positions in the group's ``src`` array that the split routes,
+    ascending, and the global row each one scatters into."""
+    elements = np.concatenate([e for e, _ in split.ranks])
+    targets = np.concatenate([t for _, t in split.ranks])
+    order = np.argsort(elements)
+    return elements[order], targets[order]
+
+
 # ---------------------------------------------------------------------------
 # fake experiments (shared by runtime tests)
 # ---------------------------------------------------------------------------

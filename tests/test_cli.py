@@ -631,9 +631,27 @@ class TestGoldenCLI:
         assert f"- a: `{self._fixture_path(tmp_path)}`" in md
         assert "| row | metric | a | b | delta | pct | limit | status |" in md
         assert self._verify(tmp_path, "--format", "json") == 0
-        payload = json.loads(capsys.readouterr().out)
+        [payload] = json.loads(capsys.readouterr().out)
         assert payload["violations"] == []
         assert payload["run_a"] == str(self._fixture_path(tmp_path))
+
+    def test_verify_json_is_one_array_over_fixtures(self, capsys, tmp_path):
+        import json
+
+        assert self._capture(tmp_path) == 0
+        capsys.readouterr()
+        first = self._fixture_path(tmp_path)
+        second = first.with_name("copy.json")
+        second.write_text(first.read_text())
+        assert self._verify(tmp_path, "--format", "json") == 0
+        captured = capsys.readouterr()
+        diffs = json.loads(captured.out)
+        assert isinstance(diffs, list) and len(diffs) == 2
+        assert sorted(d["run_a"] for d in diffs) == sorted(
+            [str(first), str(second)]
+        )
+        assert all(d["violations"] == [] for d in diffs)
+        assert "verified 2 fixtures: 2 passed" in captured.err
 
     def test_verify_corrupt_fixture_is_counted_failure(
         self, capsys, tmp_path
