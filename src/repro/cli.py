@@ -729,7 +729,7 @@ def cmd_query(args: argparse.Namespace) -> int:
                     f"cache: {reply.cache_hits} hits / {reply.cache_misses} "
                     f"misses, {reply.cache_entries}/{reply.cache_capacity} "
                     f"entries, {reply.cache_evictions} evictions, "
-                    f"{reply.memo_hits} memo hits\n"
+                    f"{reply.text_hits} text hits, {reply.memo_hits} memo hits\n"
                     f"batcher: {reply.batched_requests} passes, "
                     f"{reply.rejected} rejected (queue {reply.max_queue})"
                 )

@@ -367,10 +367,13 @@ class PassBlock:
     is the concatenation of the groups' node ids (the same array as
     ``CompiledSchedule.written``), ``x_rows`` the batch's feature rows
     of those nodes, in that order, ``edge_attr`` the groups' attribute
-    blocks concatenated into one dense zero-padded block, and ``counts``
-    the per-written-node fan-in counts (concatenated segment-layout
-    counts).  Packing gathers and concatenates all of them, so a group
-    holds neither feature rows nor, without a skip edge, attribute bytes.
+    blocks concatenated into one dense zero-padded block when a skip
+    edge lands on any of them (else a read-only zero-stride view of one
+    zero), and ``counts`` the per-written-node fan-in counts
+    (concatenated segment-layout counts).  Packing gathers and
+    concatenates all of them, so a group holds neither feature rows nor,
+    without a skip edge, attribute bytes, and neither does a cached
+    block of a schedule no skip edge lands on.
     """
 
     node_offsets: np.ndarray
@@ -408,7 +411,15 @@ class PassBlock:
         )
         edge_attr = None
         if groups and groups[0].edge_attr is not None:
-            edge_attr = np.concatenate([g.edge_attr for g in groups])
+            attrs = [g.edge_attr for g in groups]
+            if any(a.strides[0] for a in attrs):
+                edge_attr = np.concatenate(attrs)
+            else:
+                # no skip edge lands: the block is all zero, and a view
+                # of one zero contracts to the same bits
+                edge_attr = np.broadcast_to(
+                    _ZERO_ATTR, (int(edge_offsets[-1]), attrs[0].shape[1])
+                )
         return cls(
             node_offsets=node_offsets,
             edge_offsets=edge_offsets,

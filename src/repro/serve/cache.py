@@ -1,4 +1,5 @@
-"""Thread-safe LRU cache for compiled circuits, keyed by structural hash.
+"""Thread-safe LRU cache for compiled circuits, keyed by structural hash,
+and the text memo in front of it.
 
 The server's amortisation lever: ``PreparedBatch`` memoises its level
 schedules and compiled fast-path plans internally, so holding one
@@ -10,16 +11,26 @@ iteration count already answered returns those stored predictions
 without running the model; evicting an entry drops them with it.
 Hit/miss/eviction counters feed the ``/stats`` endpoint, which is
 how the cache's behaviour is observed from outside.
+
+A structural key costs a parse and a strash to compute.  The
+:class:`TextMemo` skips both for a byte-identical resubmission: it maps
+a 128-bit digest of a request's format and exact text to the key that
+text canonicalised to, and the service then fetches the entry with
+:meth:`CompilationCache.get`.  The memo holds digests and keys only, no
+text, entry or predictions, so a slot costs the same whatever the
+circuit's size, the cache alone still bounds the compiled entries, and
+a digest whose entry was evicted leads back to the parse.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Generic, Optional, Tuple, TypeVar
 
-__all__ = ["CacheStats", "CompilationCache"]
+__all__ = ["CacheStats", "CompilationCache", "TextMemo"]
 
 T = TypeVar("T")
 
@@ -115,6 +126,17 @@ class CompilationCache(Generic[T]):
         flight.done.set()
         return entry, False
 
+    def get(self, key: str) -> Optional[T]:
+        """The entry for ``key``, counted as a hit and refreshed in LRU
+        order; ``None``, counting nothing, when no entry is held (never
+        built, evicted, or still being built)."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self._hits += 1
+            return entry
+
     def peek(self, key: str) -> Optional[T]:
         """The entry for ``key`` without touching LRU order or counters."""
         with self._lock:
@@ -147,3 +169,53 @@ class CompilationCache(Generic[T]):
             "cache_entries": s.entries,
             "cache_capacity": s.capacity,
         }
+
+
+class TextMemo:
+    """Bounded LRU from a request's format and exact text to the
+    structural hash it canonicalised to.
+
+    Slots are keyed by :meth:`digest`, 128 bits of BLAKE2b: a collision
+    would answer with another circuit's predictions, so the key is far
+    wider than Python's 64-bit ``hash()``.  The service remembers only
+    texts that canonicalise, so a text that fails to parse is parsed
+    again each time.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._lock = threading.Lock()
+        self._keys: "OrderedDict[bytes, str]" = OrderedDict()
+
+    @staticmethod
+    def digest(text: str, fmt: str) -> bytes:
+        """16 bytes identifying ``(fmt, text)``.  ``surrogatepass`` lets
+        any string JSON can carry (a lone surrogate included) through,
+        so a text the parser rejects gets the parser's error.  No
+        remembered format contains NUL, so the separator is unambiguous."""
+        h = hashlib.blake2b(fmt.encode("utf-8", "surrogatepass"), digest_size=16)
+        h.update(b"\0")
+        h.update(text.encode("utf-8", "surrogatepass"))
+        return h.digest()
+
+    def get(self, digest: bytes) -> Optional[str]:
+        """The structural hash remembered for ``digest``, refreshed in LRU
+        order, or ``None``."""
+        with self._lock:
+            key = self._keys.get(digest)
+            if key is not None:
+                self._keys.move_to_end(digest)
+            return key
+
+    def put(self, digest: bytes, key: str) -> None:
+        """Remember ``key`` for ``digest``, dropping the least recently
+        used slot past capacity."""
+        with self._lock:
+            self._keys[digest] = key
+            self._keys.move_to_end(digest)
+            if len(self._keys) > self.capacity:
+                self._keys.popitem(last=False)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._keys)

@@ -224,6 +224,9 @@ class StatsReply(Message):
     iteration count.  Every other answered request went through the
     batcher (``batched_requests``), one pass each; ``batches`` counts
     the same passes and keeps its name for clients that read it.
+    ``text_hits`` counts requests whose cache entry was found without
+    parsing, because the same format and text had canonicalised to it
+    before; each is also a cache hit.
     """
 
     TYPE_NAME: ClassVar[str] = "repro.serve.stats"
@@ -238,6 +241,7 @@ class StatsReply(Message):
     cache_entries: int = 0
     cache_capacity: int = 0
     memo_hits: int = 0
+    text_hits: int = 0
     batches: int = 0
     batched_requests: int = 0
     max_queue: int = 0

@@ -2,18 +2,24 @@
 
 Request flow (handler thread):
 
-1. parse the circuit text (:mod:`repro.aig`; malformed input raises a
-   :class:`~repro.aig.errors.CircuitParseError` with a line number),
-2. lower to an AIG and canonicalise with strash
+1. look the request's format and exact text up in the text memo
+   (:class:`~repro.serve.cache.TextMemo`); if an earlier request with
+   the same bytes canonicalised to a structure the cache still holds,
+   take that entry (a cache hit and a text hit) and go to step 5
+   without parsing,
+2. otherwise parse the circuit text (:mod:`repro.aig`; malformed input
+   raises a :class:`~repro.aig.errors.CircuitParseError` with a line
+   number),
+3. lower to an AIG and canonicalise with strash
    (:func:`repro.synth.structural_hash` is the cache key, so node names
    don't matter — predictions are per canonical node, so the key keeps
-   the canonical node ordering),
-3. fetch-or-build the compiled circuit from the strash-keyed LRU
+   the canonical node ordering); remember the key for the text,
+4. fetch-or-build the compiled circuit from the strash-keyed LRU
    (:class:`~repro.serve.cache.CompilationCache`),
-4. if the entry already holds predictions for the request's iteration
+5. if the entry already holds predictions for the request's iteration
    count, return those stored predictions on this thread — no batcher,
    no propagation pass;
-5. otherwise, if a pass for the structure and iteration count is already
+6. otherwise, if a pass for the structure and iteration count is already
    queued or running, wait for that pass and return its predictions;
    else submit one pass to the micro-batcher and block for it.  Either
    way one pass per in-flight (structure, iteration count) answers every
@@ -21,12 +27,12 @@ Request flow (handler thread):
    requests waiting on it, and the next request submits a new one.
 
 Pass (worker thread): every job is a distinct (structural hash,
-iteration override) — step 5 makes it so — and the batcher's one model
+iteration override) — step 6 makes it so — and the batcher's one model
 thread runs it as one propagation pass over the entry's own prepared
 batch, which keeps every response bitwise identical to the serial
 single-request path.  Each pass's predictions are stored on its cache
 entry, so later queries for that structure and iteration count get the
-same array back (step 4); the stored predictions live and die with the
+same array back (step 5); the stored predictions live and die with the
 LRU entry.
 """
 
@@ -52,7 +58,7 @@ from ..synth import (
     structural_hash,
 )
 from .batcher import BatcherClosed, MicroBatcher
-from .cache import CompilationCache
+from .cache import CompilationCache, TextMemo
 from .protocol import QueryRequest, QueryResponse, StatsReply
 
 __all__ = [
@@ -61,6 +67,12 @@ __all__ = [
     "InferenceService",
     "service_from_checkpoint",
 ]
+
+
+#: text-memo slots per compiled entry the cache may hold: renamed
+#: copies share an entry, and a digest whose entry was evicted keeps its
+#: slot until it ages out
+TEXT_MEMO_PER_ENTRY = 4
 
 
 class CircuitRejected(ValueError):
@@ -159,12 +171,14 @@ class InferenceService:
         self.model_label = model_label
         self._supports_iterations = hasattr(model, "num_iterations")
         self.cache: CompilationCache = CompilationCache(cache_size)
+        self.text_memo = TextMemo(TEXT_MEMO_PER_ENTRY * cache_size)
         self.batcher = MicroBatcher(self._run_pass, max_queue=max_queue)
         self._started = time.monotonic()
         self._counter_lock = threading.Lock()
         self._requests = 0
         self._errors = 0
         self._memo_hits = 0
+        self._text_hits = 0
         # the pass queued or running per (structure, override); the lock
         # also covers storing predictions, so a request either sees them
         # or finds the pass that will store them
@@ -174,9 +188,19 @@ class InferenceService:
 
     # -- request path (handler threads) ---------------------------------
     def compile_circuit(self, text: str, fmt: str) -> Tuple[CompiledCircuit, bool]:
-        """Parse + canonicalise ``text`` and fetch/build its cache entry."""
+        """Fetch/build ``text``'s cache entry; parse + canonicalise it
+        unless the text memo knows its key and the entry is cached."""
+        digest = TextMemo.digest(text, fmt)
+        key = self.text_memo.get(digest)
+        if key is not None:
+            entry = self.cache.get(key)
+            if entry is not None:
+                with self._counter_lock:
+                    self._text_hits += 1
+                return entry, True
         aig = parse_circuit(text, fmt)
         key, canonical = canonicalize(aig)
+        self.text_memo.put(digest, key)
 
         def build() -> CompiledCircuit:
             graph = inference_graph(canonical)
@@ -214,7 +238,7 @@ class InferenceService:
             num_nodes=entry.num_nodes,
             num_pis=entry.aig.num_pis,
             num_ands=entry.aig.num_ands,
-            predictions=tuple(float(p) for p in predictions),
+            predictions=tuple(predictions.tolist()),
             cache_hit=cache_hit,
             coalesced=coalesced,
             model=self.model_label,
@@ -292,13 +316,14 @@ class InferenceService:
         cache = self.cache.counters()
         with self._counter_lock:
             requests, errors = self._requests, self._errors
-            memo_hits = self._memo_hits
+            memo_hits, text_hits = self._memo_hits, self._text_hits
         return StatsReply(
             model=self.model_label,
             uptime_s=time.monotonic() - self._started,
             requests=requests,
             errors=errors,
             memo_hits=memo_hits,
+            text_hits=text_hits,
             batches=self.batcher.jobs,
             batched_requests=self.batcher.jobs,
             max_queue=self.batcher.max_queue,

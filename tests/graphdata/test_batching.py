@@ -418,7 +418,7 @@ class TestPassBlock:
         else:
             ws = batch.windowed_forward_schedule(budget, True, pe)
             schedules = [w.compiled for w in ws]
-        kinds = set()
+        kinds, packed_kinds = set(), set()
         for cs in schedules:
             dense = []
             for group in cs:
@@ -441,12 +441,20 @@ class TestPassBlock:
                 packed.edge_attr.view(np.uint32),
                 np.concatenate(dense).view(np.uint32),
             )
-            assert packed.edge_attr.flags.c_contiguous
+            # dense when a skip edge lands on any of the groups, else a
+            # zero-stride view of one zero that owns no bytes
+            window_skip = any(block.any() for block in dense)
+            packed_kinds.add(window_skip)
+            if window_skip:
+                assert packed.edge_attr.flags.c_contiguous
+            else:
+                assert packed.edge_attr.strides == (0, 0)
             np.testing.assert_array_equal(
                 packed.x_rows,
                 np.concatenate([batch.x[grp.nodes] for grp in cs]),
             )
         assert kinds == {True, False}
+        assert packed_kinds == ({True} if budget is None else {True, False})
 
 
 class TestBatchInterleaving:

@@ -129,3 +129,25 @@ def test_built_schedules_keep_only_what_a_pass_reads():
     # routing splits kept their position and segment-id arrays, and the
     # batch kept the level schedules its builders compiled
     assert resident / kept[0].num_nodes < 400
+
+
+def test_full_block_without_skip_edges_holds_no_attribute_bytes():
+    # a one-window pass caches its packed block for the schedule's life;
+    # no skip edge lands on this circuit, so its attribute block is all
+    # zero and is held as a view of one zero, not (E, 2 * pe + 1) floats
+    batch = prepare([huge_circuit(2000, seed=0)])
+    assert len(batch.graph.skip_edges) == 0
+    model = DeepGate(
+        dim=DIM, num_iterations=1, aggregator="attention",
+        rng=np.random.default_rng(0),
+    )
+    optimizer = Adam(model.parameters(), lr=1e-3)
+    optimizer.zero_grad()
+    l1_loss(model(batch), batch.labels).backward()
+    optimizer.step()
+    schedule = batch.compiled_forward_schedule(True, model.pe_levels)
+    assert schedule._block is not None  # packed by the step's backward
+    attr = schedule.block().edge_attr
+    assert attr.shape == (schedule.block().num_edges, 2 * model.pe_levels + 1)
+    assert attr.strides == (0, 0) and not attr.any()
+    assert model.fwd_aggregate.w_edge.weight.grad is not None

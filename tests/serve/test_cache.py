@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.serve.cache import CompilationCache
+from repro.serve.cache import CompilationCache, TextMemo
 
 
 class TestBasics:
@@ -31,6 +31,30 @@ class TestBasics:
         cache.get_or_build("a", lambda: 1)
         assert cache.peek("a") == 1
         assert cache.peek("missing") is None
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (0, 1)
+
+    def test_get_counts_a_hit_and_refreshes_lru_order(self):
+        cache = CompilationCache(capacity=2)
+        cache.get_or_build("a", lambda: "A")
+        cache.get_or_build("b", lambda: "B")
+        assert cache.get("a") == "A"  # refresh a
+        assert cache.get("missing") is None
+        cache.get_or_build("c", lambda: "C")  # evicts b, not a
+        assert cache.peek("a") == "A" and cache.peek("b") is None
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (1, 3)
+
+    def test_get_of_an_entry_being_built_counts_nothing(self):
+        cache = CompilationCache(capacity=2)
+        seen = []
+
+        def builder():
+            seen.append(cache.get("k"))
+            return "built"
+
+        assert cache.get_or_build("k", builder) == ("built", False)
+        assert seen == [None]
         stats = cache.stats()
         assert (stats.hits, stats.misses) == (0, 1)
 
@@ -163,3 +187,23 @@ class TestConcurrency:
         stats = cache.stats()
         assert stats.misses == 1
         assert stats.hits == 7
+
+
+class TestTextMemo:
+    def test_digest_is_128_bits_over_format_and_text(self):
+        digest = TextMemo.digest("aag 0 0 0 0 0\n", "aiger")
+        assert isinstance(digest, bytes) and len(digest) == 16
+        assert digest == TextMemo.digest("aag 0 0 0 0 0\n", "aiger")
+        assert digest != TextMemo.digest("aag 0 0 0 0 0\n", "bench")
+        assert digest != TextMemo.digest("aag 0 0 0 0 0 \n", "aiger")
+        # the separator keeps format and text apart
+        assert TextMemo.digest("b", "a") != TextMemo.digest("", "ab")
+
+    def test_lru_bound_and_order(self):
+        memo = TextMemo(capacity=2)
+        memo.put(b"a", "A")
+        memo.put(b"b", "B")
+        assert memo.get(b"a") == "A"  # refresh a
+        memo.put(b"c", "C")  # drops b, not a
+        assert len(memo) == 2
+        assert (memo.get(b"a"), memo.get(b"b"), memo.get(b"c")) == ("A", None, "C")

@@ -33,8 +33,8 @@ SAMPLES = [
     ErrorReply(error="parse_error", detail="line 3: bad literal", line=3),
     ErrorReply(error="internal_error", detail="boom"),
     StatsReply(
-        model="m", requests=10, cache_hits=7, memo_hits=5, batches=2,
-        batched_requests=2, rejected=1,
+        model="m", requests=10, cache_hits=7, memo_hits=5, text_hits=4,
+        batches=2, batched_requests=2, rejected=1,
     ),
     HealthReply(),
 ]
@@ -101,6 +101,12 @@ class TestForwardCompat:
         del payload["memo_hits"]
         assert parse_message(payload) == StatsReply(model="m", requests=3)
         assert parse_message(payload).memo_hits == 0
+
+    def test_stats_without_text_hits_parse_as_zero(self):
+        payload = StatsReply(model="m", requests=3).to_payload()
+        del payload["text_hits"]
+        assert parse_message(payload) == StatsReply(model="m", requests=3)
+        assert parse_message(payload).text_hits == 0
 
     def test_missing_version_defaults_to_current(self):
         payload = HealthReply().to_payload()

@@ -123,6 +123,15 @@ class TestErrorMapping:
         assert info.value.status == 400
         assert info.value.kind == "circuit_error"
 
+    def test_lone_surrogate_is_400_parse_error(self, client):
+        # JSON carries "\ud800" as a string no strict UTF-8 codec encodes;
+        # the text memo's digest must not turn the parser's 400 into a 500
+        with pytest.raises(ServeClientError) as info:
+            client.query("\ud800", fmt="bench")
+        error = info.value
+        assert (error.status, error.kind, error.line) == (400, "parse_error", 1)
+        assert error.detail == "line 1: cannot parse '\\ud800'"
+
     def test_unknown_path_is_404(self, client):
         with pytest.raises(ServeClientError) as info:
             client._request("/nope")

@@ -1,5 +1,6 @@
 """InferenceService: strash-keyed reuse, batching determinism, errors."""
 
+import dataclasses
 import sys
 import threading
 import time
@@ -8,10 +9,13 @@ import numpy as np
 import pytest
 
 from repro.aig import bench
+from repro.aig.errors import CircuitParseError
 from repro.datagen.generators import comparator, parity
+from repro.serve import service as service_module
 from repro.serve.batcher import BatcherClosed
 from repro.serve.protocol import QueryRequest
 from repro.serve.service import (
+    TEXT_MEMO_PER_ENTRY,
     CircuitRejected,
     InferenceService,
     canonicalize,
@@ -128,6 +132,19 @@ class TestCanonicalisation:
             service.query(QueryRequest(circuit="aag 0 0 0 1 0\n0\n"))
 
 
+@pytest.fixture
+def parses(monkeypatch):
+    """The ``(text, fmt)`` of every ``parse_circuit`` call the service makes."""
+    calls = []
+
+    def counting(text, fmt):
+        calls.append((text, fmt))
+        return parse_circuit(text, fmt)
+
+    monkeypatch.setattr(service_module, "parse_circuit", counting)
+    return calls
+
+
 class TestCacheIntegration:
     def test_repeat_query_hits_and_matches(self, service, adder_aag):
         first = service.query(QueryRequest(circuit=adder_aag))
@@ -150,6 +167,22 @@ class TestCacheIntegration:
         assert len(resp.predictions) == resp.num_nodes
         assert resp.num_nodes > resp.num_pis + resp.num_ands  # NOT nodes too
         assert all(0.0 <= p <= 1.0 for p in resp.predictions)
+
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_response_json_is_the_stored_float32s_widened(
+        self, service, adder_aag, repeat
+    ):
+        """Predictions go out as the doubles ``float(p)`` gives for each
+        stored float32, so the reply is byte-identical to one built by
+        converting element by element, for a pass and for a hit."""
+        resp = service.query(QueryRequest(circuit=adder_aag))
+        if repeat:
+            resp = service.query(QueryRequest(circuit=adder_aag))
+        stored = service.cache.peek(resp.structural_hash).predictions[None]
+        widened = tuple(float(p) for p in stored)
+        assert [p.hex() for p in resp.predictions] == [p.hex() for p in widened]
+        reference = dataclasses.replace(resp, predictions=widened)
+        assert resp.to_json().encode() == reference.to_json().encode()
 
 
 class TestBatchingDeterminism:
@@ -338,6 +371,111 @@ class TestPredictionMemo:
         assert list(entry.predictions) == [None]
 
 
+class TestTextMemo:
+    """A byte-identical resubmission is answered without parsing."""
+
+    def test_same_text_parses_once(self, service, adder_aag, parses):
+        first = service.query(QueryRequest(circuit=adder_aag))
+        again = [service.query(QueryRequest(circuit=adder_aag)) for _ in range(2)]
+        assert len(parses) == 1
+        assert all(r.cache_hit for r in again)
+        assert all(r.predictions == first.predictions for r in again)
+        assert all(r.structural_hash == first.structural_hash for r in again)
+        stats = service.stats()
+        assert (stats.text_hits, stats.cache_hits, stats.cache_misses) == (2, 2, 1)
+        assert stats.memo_hits == 2
+
+    def test_renamed_copy_parses(self, service, adder_bench, parses):
+        first = service.query(QueryRequest(circuit=adder_bench, fmt="bench"))
+        renamed = service.query(
+            QueryRequest(circuit=rename_bench(adder_bench), fmt="bench")
+        )
+        assert len(parses) == 2
+        assert renamed.cache_hit
+        assert renamed.predictions == first.predictions
+        stats = service.stats()
+        assert (stats.text_hits, stats.cache_hits) == (0, 1)
+
+    def test_another_format_does_not_share_a_slot(
+        self, service, adder_aag, parses
+    ):
+        service.query(QueryRequest(circuit=adder_aag, fmt="aiger"))
+        with pytest.raises(CircuitParseError):
+            service.query(QueryRequest(circuit=adder_aag, fmt="bench"))
+        assert [fmt for _, fmt in parses] == ["aiger", "bench"]
+        assert service.stats().text_hits == 0
+
+    def test_evicted_entry_parses_and_rebuilds(
+        self, model, adder_aag, comparator_aag, parses
+    ):
+        svc = InferenceService(model, cache_size=1)
+        try:
+            first = svc.query(QueryRequest(circuit=adder_aag))
+            svc.query(QueryRequest(circuit=comparator_aag))  # evicts the adder
+            before = svc.stats()
+            rebuilt = svc.query(QueryRequest(circuit=adder_aag))
+            after = svc.stats()
+        finally:
+            svc.close()
+        assert [text for text, _ in parses] == [adder_aag, comparator_aag, adder_aag]
+        assert not rebuilt.cache_hit
+        assert rebuilt.predictions == first.predictions
+        # the digest's lookup found no entry and counted nothing; the
+        # rebuild counted the one miss
+        assert after.cache_misses - before.cache_misses == 1
+        assert after.cache_hits == before.cache_hits == 0
+        assert after.text_hits == 0
+        assert after.batches == 3
+
+    @pytest.mark.parametrize("text, error", [
+        ("aag broken\n", CircuitParseError),
+        ("aag 0 0 0 1 0\n0\n", CircuitRejected),  # every output constant
+    ])
+    def test_refused_text_is_parsed_again(self, service, parses, text, error):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                service.query(QueryRequest(circuit=text))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert len(parses) == 2
+        assert len(service.text_memo) == 0
+        stats = service.stats()
+        assert (stats.errors, stats.text_hits, stats.cache_misses) == (2, 0, 0)
+
+    def test_lone_surrogates_reach_the_parser(self, service, parses):
+        """Any string JSON can carry gets a digest: a lone surrogate the
+        parser rejects is the parser's error, and one in a comment of a
+        valid circuit is remembered like any other text."""
+        with pytest.raises(CircuitParseError, match="line 1: cannot parse"):
+            service.query(QueryRequest(circuit="\ud800", fmt="bench"))
+        text = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\n# \ud800\ny = AND(a, b)\n"
+        first = service.query(QueryRequest(circuit=text, fmt="bench"))
+        again = service.query(QueryRequest(circuit=text, fmt="bench"))
+        assert again.predictions == first.predictions
+        assert len(parses) == 2
+        assert service.stats().text_hits == 1
+
+    def test_memo_never_exceeds_its_bound(self, model, adder_bench, parses):
+        svc = InferenceService(model, cache_size=1)
+        bound = TEXT_MEMO_PER_ENTRY
+        try:
+            assert svc.text_memo.capacity == bound
+            texts = [rename_bench(adder_bench, f"n{i}_") for i in range(3 * bound)]
+            for text in texts:
+                svc.query(QueryRequest(circuit=text, fmt="bench"))
+                assert len(svc.text_memo) <= bound
+            assert len(svc.text_memo) == bound
+            # the most recent texts are remembered, the oldest aged out
+            svc.query(QueryRequest(circuit=texts[-1], fmt="bench"))
+            svc.query(QueryRequest(circuit=texts[0], fmt="bench"))
+            stats = svc.stats()
+        finally:
+            svc.close()
+        assert len(parses) == 3 * bound + 1
+        assert stats.text_hits == 1
+
+
 class TestSingleFlight:
     """A request for a structure whose pass is queued or running waits
     for that pass instead of submitting its own."""
@@ -521,3 +659,80 @@ class TestMemoStress:
         # count, however the requests for it raced
         assert max(counted.passes.values()) == 1
         assert sum(counted.passes.values()) == stats.batched_requests
+
+
+class TestTextMemoStress:
+    def test_concurrent_exact_and_renamed_texts_match_serial(
+        self, model, adder_bench, adder_aag
+    ):
+        """Eight threads resend exact and renamed texts of four
+        structures through a two-entry cache: text-memo hits, memo
+        lookups whose entry was evicted or is still being built, and
+        rebuilds race one another.  Every answer is bitwise a direct
+        forward, and every request counts exactly one cache hit or miss."""
+        comparator_bench = bench.dumps(comparator(3))
+        parity_bench = bench.dumps(parity(5))
+        texts = [
+            (adder_bench, "bench"),
+            (rename_bench(adder_bench), "bench"),
+            (adder_aag, "aiger"),
+            (comparator_bench, "bench"),
+            (rename_bench(comparator_bench, "w_"), "bench"),
+            (parity_bench, "bench"),
+            (rename_bench(parity_bench), "bench"),
+        ]
+        weights = np.array([4, 1, 3, 2, 1, 3, 2]) / 16
+        reference = {
+            i: direct_forward(model, text, fmt, None)
+            for i, (text, fmt) in enumerate(texts)
+        }
+        assert len({key for key, _ in reference.values()}) == 4
+
+        num_threads, per_thread = 8, 25
+        rng = np.random.default_rng(11)
+        plans = [
+            rng.choice(len(texts), size=per_thread, p=weights).tolist()
+            for _ in range(num_threads)
+        ]
+        answers = [[] for _ in range(num_threads)]
+        errors = []
+        svc = InferenceService(model, cache_size=2)
+
+        def worker(t):
+            try:
+                for i in plans[t]:
+                    text, fmt = texts[i]
+                    answers[t].append(
+                        (i, svc.query(QueryRequest(circuit=text, fmt=fmt)))
+                    )
+            except Exception as exc:  # noqa: BLE001 - collected for asserts
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(t,)) for t in range(num_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            svc.close()
+        assert errors == []
+        for t in range(num_threads):
+            assert len(answers[t]) == per_thread
+            for i, resp in answers[t]:
+                key, preds = reference[i]
+                assert resp.structural_hash == key
+                assert resp.predictions == preds
+        stats = svc.stats()
+        assert stats.requests == num_threads * per_thread
+        assert stats.requests == stats.cache_hits + stats.cache_misses
+        assert stats.requests == stats.memo_hits + stats.batched_requests
+        assert 0 < stats.text_hits <= stats.cache_hits
+        assert stats.cache_evictions > 0
+        assert len(svc.text_memo) <= svc.text_memo.capacity

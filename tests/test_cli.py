@@ -836,6 +836,8 @@ class TestServeQueryCLI:
         assert "requests" in out and "cache:" in out
         # the repeat was answered from the stored predictions
         assert re.search(r"^cache: 1 hits .*, 1 memo hits$", out, re.M)
+        # ... and its byte-identical text was not parsed again
+        assert re.search(r"^cache: .*, 1 text hits, 1 memo hits$", out, re.M)
         assert re.search(
             r"^batcher: 1 passes, 0 rejected \(queue 128\)$", out, re.M
         )
