@@ -415,8 +415,9 @@ class PassBlock:
             if any(a.strides[0] for a in attrs):
                 edge_attr = np.concatenate(attrs)
             else:
-                # no skip edge lands: the block is all zero, and a view
-                # of one zero contracts to the same bits
+                # no skip edge lands: the block is all zero, held as a
+                # view of one zero; the backward that contracts it
+                # copies it dense for that pass only
                 edge_attr = np.broadcast_to(
                     _ZERO_ATTR, (int(edge_offsets[-1]), attrs[0].shape[1])
                 )

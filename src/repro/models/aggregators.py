@@ -375,13 +375,16 @@ class AttentionAggregator(PassStepAggregator):
         return kernels.segment_softmax_weighted_np(scores, h_src, gs.layout)
 
     def step_sink(self, hd, block):
+        # the attribute block the w_edge gradient contracts; a block no
+        # skip edge lands on is a zero-stride view, copied here as in
+        # step_begin so the contraction stays on the BLAS path
         return {
             "dqs_w": np.empty(block.num_written, np.float32),
             "written": block.written,
             "ds": np.empty(block.num_edges, np.float32),
             "h": np.empty((block.num_edges, hd.shape[1]), np.float32),
             **(
-                {"attr": block.edge_attr}
+                {"attr": np.ascontiguousarray(block.edge_attr)}
                 if self.w_edge is not None and block.edge_attr is not None
                 else {}
             ),

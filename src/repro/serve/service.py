@@ -71,7 +71,9 @@ __all__ = [
 
 #: text-memo slots per compiled entry the cache may hold: renamed
 #: copies share an entry, and a digest whose entry was evicted keeps its
-#: slot until it ages out
+#: slot until it ages out.  Slots pay off only on traffic that resends
+#: a text byte for byte, and how often clients do is not measured; on
+#: traffic that never does, a slot costs ~250 bytes and no hit
 TEXT_MEMO_PER_ENTRY = 4
 
 

@@ -16,15 +16,18 @@ import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
-from repro.datagen.generators import huge_circuit
-from repro.graphdata import prepare
+from repro.datagen.generators import huge_circuit, ripple_adder
+from repro.graphdata import from_aig, prepare
 from repro.models import DeepGate
+from repro.models.aggregators import AttentionAggregator
 from repro.models.propagation import use_window_budget
 from repro.models.regressor import PerTypeRegressor
 from repro.nn import Tensor, no_grad
 from repro.nn.functional import l1_loss
 from repro.nn.optim import Adam, clip_grad_norm
+from repro.synth import synthesize
 
 DIM = 32
 
@@ -151,3 +154,43 @@ def test_full_block_without_skip_edges_holds_no_attribute_bytes():
     assert attr.shape == (schedule.block().num_edges, 2 * model.pe_levels + 1)
     assert attr.strides == (0, 0) and not attr.any()
     assert model.fwd_aggregate.w_edge.weight.grad is not None
+
+
+@pytest.mark.parametrize("budget", [None, 7])
+def test_edge_attribute_gradient_contracts_dense_blocks(monkeypatch, budget):
+    # a packed block no skip edge lands on is a zero-stride view of one
+    # zero; the w_edge gradient contracts a C-contiguous copy of it, so no
+    # BLAS call takes a zero-stride operand.  The 2000-gate circuit's one
+    # window packs the view; the ripple adder's 7-node windows pack both
+    # kinds
+    contracted = []
+    step_end = AttentionAggregator.step_end
+
+    def spy(self, hd, sink, dh):
+        if "attr" in sink:  # the forward pass's aggregator
+            contracted.append((sink["attr"], sink.get("attr_used")))
+        return step_end(self, hd, sink, dh)
+
+    monkeypatch.setattr(AttentionAggregator, "step_end", spy)
+    if budget is None:
+        batch = prepare([huge_circuit(2000, seed=0)])
+    else:
+        batch = prepare([
+            from_aig(synthesize(ripple_adder(5)), num_patterns=512, seed=0)
+        ])
+    model = DeepGate(
+        dim=DIM, num_iterations=1, aggregator="attention",
+        rng=np.random.default_rng(0),
+    )
+    with use_window_budget(budget):
+        l1_loss(model(batch), batch.labels).backward()
+    if budget is None:
+        schedules = [batch.compiled_forward_schedule(True, model.pe_levels)]
+    else:
+        windows = batch.windowed_forward_schedule(budget, True, model.pe_levels)
+        schedules = [w.compiled for w in windows]
+    views = {cs.block().edge_attr.strides == (0, 0) for cs in schedules}
+    assert views == ({True} if budget is None else {True, False})
+    assert len(contracted) == len(schedules)
+    for attr, used in contracted:
+        assert used and attr.flags.c_contiguous
