@@ -152,6 +152,15 @@ class QueryResponse(Message):
     request alone.  A request whose structure and iteration
     count the cache entry has already answered gets the stored
     predictions back without a pass, with ``coalesced=1``.
+
+    :meth:`to_json` encodes the fields around ``predictions`` and splices
+    in the predictions' JSON array text.  A response the service built
+    carries the text it encoded once, on its pass thread, from the
+    stored array the predictions came from; any other response encodes
+    its own predictions.  Either way the reply is byte for byte
+    ``json.dumps(self.to_payload(), sort_keys=True)``.  The text is not a
+    field: it is never compared, hashed, copied by
+    ``dataclasses.replace`` or sent on its own.
     """
 
     TYPE_NAME: ClassVar[str] = "repro.serve.query.response"
@@ -166,13 +175,16 @@ class QueryResponse(Message):
     model: str = ""
     elapsed_ms: float = 0.0
 
+    #: the JSON text of ``predictions`` when the service attached it
+    _predictions_json: ClassVar[Optional[str]] = None
+
     def __post_init__(self) -> None:
         _require(
             isinstance(self.predictions, (list, tuple)),
             "predictions must be a sequence",
         )
         try:
-            preds = tuple(float(p) for p in self.predictions)
+            preds = tuple(map(float, self.predictions))
         except (TypeError, ValueError):
             raise ProtocolError("predictions must be numbers")
         _freeze(self, "predictions", preds)
@@ -183,6 +195,36 @@ class QueryResponse(Message):
         _require(
             len(preds) == self.num_nodes,
             f"{len(preds)} predictions for {self.num_nodes} nodes",
+        )
+
+    @staticmethod
+    def encode_predictions(predictions) -> str:
+        """The JSON array text of a sequence of floats, as ``to_json``
+        writes it: ``float.__repr__`` per value, ``NaN``/``Infinity``
+        for non-finite ones, ``", "`` between them."""
+        return json.dumps(predictions)
+
+    def _with_predictions_json(self, text: str) -> "QueryResponse":
+        """Attach ``text``, the :meth:`encode_predictions` of the stored
+        array this response's predictions were read from; returns self.
+        Only the service calls this."""
+        _freeze(self, "_predictions_json", text)
+        return self
+
+    def to_json(self) -> str:
+        payload = self.to_payload()
+        del payload["predictions"]
+        text = self._predictions_json
+        if text is None:
+            text = self.encode_predictions(self.predictions)
+        # the keys sort around "predictions": encode the fields on
+        # either side of it as two objects and join them at the seam
+        head = {k: v for k, v in payload.items() if k < "predictions"}
+        tail = {k: v for k, v in payload.items() if k > "predictions"}
+        return (
+            json.dumps(head, sort_keys=True)[:-1]
+            + ', "predictions": ' + text + ", "
+            + json.dumps(tail, sort_keys=True)[1:]
         )
 
 

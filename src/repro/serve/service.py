@@ -18,7 +18,8 @@ Request flow (handler thread):
    (:class:`~repro.serve.cache.CompilationCache`),
 5. if the entry already holds predictions for the request's iteration
    count, return those stored predictions on this thread — no batcher,
-   no propagation pass;
+   no propagation pass — with the JSON text the pass encoded from them,
+   which the reply splices in without formatting a float;
 6. otherwise, if a pass for the structure and iteration count is already
    queued or running, wait for that pass and return its predictions;
    else submit one pass to the micro-batcher and block for it.  Either
@@ -31,9 +32,10 @@ iteration override) — step 6 makes it so — and the batcher's one model
 thread runs it as one propagation pass over the entry's own prepared
 batch, which keeps every response bitwise identical to the serial
 single-request path.  Each pass's predictions are stored on its cache
-entry, so later queries for that structure and iteration count get the
-same array back (step 5); the stored predictions live and die with the
-LRU entry.
+entry with their JSON text, encoded once on the worker thread, so the
+submitter, every waiter and every later query for that structure and
+iteration count get the same array and text back (step 5); both live
+and die with the LRU entry.
 """
 
 from __future__ import annotations
@@ -83,21 +85,27 @@ class CircuitRejected(ValueError):
 
 @dataclass
 class CompiledCircuit:
-    """One cache entry: the canonical AIG, its prepared batch and the
-    predictions its passes produced.
+    """One cache entry: the canonical AIG's PI and AND counts, its
+    prepared batch, and the predictions its passes produced with their
+    JSON text.
 
     ``prepared`` memoises level schedules and compiled fast-path plans
     internally, so repeat queries skip all compilation.  ``predictions``
     maps the iteration override a pass ran with (``None``: the model's
     own count) to that pass's read-only output, so repeat queries skip
-    the model too.  The batcher thread writes it and handler threads
-    read it, both under the service's pass lock.
+    the model too; ``predictions_json`` maps the same override to
+    :meth:`QueryResponse.encode_predictions` of that output (~20 bytes
+    a node), so they skip formatting it as well.  The batcher thread
+    writes both in one critical section and handler threads read both
+    in another, under the service's pass lock.
     """
 
     key: str
-    aig: AIG
+    num_pis: int
+    num_ands: int
     prepared: PreparedBatch
     predictions: Dict[Optional[int], np.ndarray] = field(default_factory=dict)
+    predictions_json: Dict[Optional[int], str] = field(default_factory=dict)
 
     @property
     def num_nodes(self) -> int:
@@ -127,6 +135,11 @@ def canonicalize(aig: AIG) -> Tuple[str, AIG]:
     return key, canonical
 
 
+#: what a pass answers: its stored predictions, their JSON text and
+#: the number of requests it answered
+_Answer = Tuple[np.ndarray, str, int]
+
+
 class _Job:
     """One pass queued or running for a (structure, iteration override).
 
@@ -143,7 +156,7 @@ class _Job:
         self.iters = iters
         self.requests = 1
         self.done = threading.Event()
-        self.result: Optional[Tuple[np.ndarray, int]] = None
+        self.result: Optional[_Answer] = None
         self.error: Optional[BaseException] = None
 
     def settle(self, result=None, error=None) -> None:
@@ -152,7 +165,7 @@ class _Job:
             self.result, self.error = result, error
             self.done.set()
 
-    def wait(self) -> Tuple[np.ndarray, int]:
+    def wait(self) -> _Answer:
         self.done.wait()
         if self.error is not None:
             raise self.error
@@ -207,7 +220,10 @@ class InferenceService:
         def build() -> CompiledCircuit:
             graph = inference_graph(canonical)
             return CompiledCircuit(
-                key=key, aig=canonical, prepared=PreparedBatch(graph)
+                key=key,
+                num_pis=canonical.num_pis,
+                num_ands=canonical.num_ands,
+                prepared=PreparedBatch(graph),
             )
 
         return self.cache.get_or_build(key, build)
@@ -229,7 +245,7 @@ class InferenceService:
                     # the model's own count: same pass, same memo slot
                     iters = None
             entry, cache_hit = self.compile_circuit(request.circuit, request.fmt)
-            predictions, coalesced = self._predictions(entry, iters)
+            predictions, text, coalesced = self._predictions(entry, iters)
         except Exception:
             with self._counter_lock:
                 self._errors += 1
@@ -238,20 +254,21 @@ class InferenceService:
         return QueryResponse(
             structural_hash=entry.key,
             num_nodes=entry.num_nodes,
-            num_pis=entry.aig.num_pis,
-            num_ands=entry.aig.num_ands,
+            num_pis=entry.num_pis,
+            num_ands=entry.num_ands,
             predictions=tuple(predictions.tolist()),
             cache_hit=cache_hit,
             coalesced=coalesced,
             model=self.model_label,
             elapsed_ms=elapsed_ms,
-        )
+        )._with_predictions_json(text)
 
     def _predictions(
         self, entry: CompiledCircuit, iters: Optional[int]
-    ) -> Tuple[np.ndarray, int]:
-        """``entry``'s predictions for ``iters`` and the number of requests
-        the pass that computed them answered (1 for stored predictions).
+    ) -> _Answer:
+        """``entry``'s predictions for ``iters``, their JSON text, and the
+        number of requests the pass that computed them answered (1 for
+        stored predictions).
 
         Stored predictions answer on this thread.  Otherwise the request
         waits on the pass already queued or running for the pair, or
@@ -263,6 +280,7 @@ class InferenceService:
             if self._closed:
                 raise BatcherClosed("micro-batcher is closed")
             predictions = entry.predictions.get(iters)
+            text = entry.predictions_json.get(iters)
             job = None if predictions is not None else self._passes.get(key)
             owner = predictions is None and job is None
             if owner:
@@ -276,12 +294,12 @@ class InferenceService:
                 with self._pass_lock:
                     self._retire(job, error=exc)
                 raise
-        predictions, coalesced = (predictions, 1) if job is None else job.wait()
+        answer = (predictions, text, 1) if job is None else job.wait()
         if self._closed:
             raise BatcherClosed("micro-batcher is closed")
         with self._counter_lock:
             self._memo_hits += 1
-        return predictions, coalesced
+        return answer
 
     def _retire(self, job: _Job, result=None, error=None) -> None:
         """Unregister ``job``, so the next request for its pair finds the
@@ -293,12 +311,13 @@ class InferenceService:
         job.settle(result, error)
 
     # -- pass (worker thread) --------------------------------------------
-    def _run_pass(self, job: _Job) -> Tuple[np.ndarray, int]:
-        """Run ``job``'s pass, store its predictions on the entry, retire
-        the job and answer its waiters; returns the submitter's answer.
-        ``coalesced`` counts every request the pass answered, and every
-        answer is the read-only array memo hits return later.  A raising
-        pass fails its submitter, who retires the job."""
+    def _run_pass(self, job: _Job) -> _Answer:
+        """Run ``job``'s pass, encode its predictions' JSON, store both on
+        the entry, retire the job and answer its waiters; returns the
+        submitter's answer.  ``coalesced`` counts every request the pass
+        answered, and every answer is the read-only array and the text
+        memo hits return later.  A raising pass fails its submitter, who
+        retires the job."""
         prepared = job.entry.prepared
         with no_grad():
             if job.iters is None:
@@ -307,9 +326,11 @@ class InferenceService:
                 out = self.model.forward(prepared, num_iterations=job.iters)
         preds = np.asarray(out.data, dtype=np.float32)
         preds.flags.writeable = False
+        text = QueryResponse.encode_predictions(preds.tolist())
         with self._pass_lock:
             job.entry.predictions[job.iters] = preds
-            answer = (preds, job.requests)
+            job.entry.predictions_json[job.iters] = text
+            answer = (preds, text, job.requests)
             self._retire(job, answer)
         return answer
 

@@ -1,7 +1,9 @@
 """Message round-trips, validation, and forward-compatibility rules."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.serve.protocol import (
@@ -60,6 +62,55 @@ class TestRoundTrip:
 
     def test_type_names_unique(self):
         assert len(MESSAGE_TYPES) == 5
+
+
+def sample_response(**changes):
+    fields = dict(
+        structural_hash="cd" * 32, num_nodes=5, num_pis=2, num_ands=1,
+        predictions=(0.1, float("nan"), float("inf"), -float("inf"), 1e-7),
+        cache_hit=True, coalesced=3, model="m", elapsed_ms=0.25,
+    )
+    fields.update(changes)
+    return QueryResponse(**fields)
+
+
+class TestResponseEncoding:
+    """``QueryResponse.to_json`` joins its fields around the predictions'
+    JSON text; the reply is the generic encoding of its payload."""
+
+    @pytest.mark.parametrize("label", [
+        "m",
+        'say "hi"',
+        "back\\slash",
+        "naïve ✓ — 模型",
+        '"predictions": null',
+        '", "predictions": [1.0], "zz": "',
+        "",
+    ])
+    def test_is_the_generic_encoding(self, label):
+        resp = sample_response(model=label)
+        text = resp.to_json()
+        assert text == json.dumps(resp.to_payload(), sort_keys=True)
+        assert parse_message(text).model == label
+        assert parse_message(text).to_json() == text
+
+    def test_no_predictions(self):
+        resp = sample_response(num_nodes=0, predictions=())
+        assert resp.to_json() == json.dumps(resp.to_payload(), sort_keys=True)
+
+    def test_attached_text_is_not_a_field(self):
+        finite = dict(num_nodes=3, predictions=(0.1, 0.5, 1e-7))
+        plain = sample_response(**finite)
+        text = QueryResponse.encode_predictions(plain.predictions)
+        spliced = sample_response(**finite)._with_predictions_json(text)
+        assert spliced == plain and hash(spliced) == hash(plain)
+        assert spliced.to_payload() == plain.to_payload()
+        assert spliced.to_json() == plain.to_json()
+        assert [f.name for f in dataclasses.fields(spliced)] == [
+            f.name for f in dataclasses.fields(plain)
+        ]
+        assert "_predictions_json" not in repr(spliced)
+        assert dataclasses.replace(spliced)._predictions_json is None
 
 
 #: a ``StatsReply`` payload from a server that still had the coalescing
@@ -155,6 +206,25 @@ class TestValidation:
     def test_non_numeric_predictions_rejected(self):
         with pytest.raises(ProtocolError, match="numbers"):
             QueryResponse(num_nodes=1, predictions=("high",))
+
+    @pytest.mark.parametrize("values", [
+        (0, 1, -3, 2**53 + 1),
+        (True, False),
+        (np.float32(0.1), np.float32(1 / 3), np.float32("nan")),
+        ("0.5", " 1e-3 ", "inf", "-0"),
+        [0.25, 7, np.float32(2.5), "0.75"],
+    ], ids=["ints", "bools", "float32", "strings", "mixed"])
+    def test_numeric_predictions_become_doubles(self, values):
+        resp = QueryResponse(num_nodes=len(values), predictions=values)
+        assert all(type(p) is float for p in resp.predictions)
+        assert [p.hex() for p in resp.predictions] == [
+            float(v).hex() for v in values
+        ]
+
+    @pytest.mark.parametrize("bad", [None, "x", [0.5], (0.5, 0.25), []])
+    def test_predictions_that_are_not_numbers_rejected(self, bad):
+        with pytest.raises(ProtocolError, match="numbers"):
+            QueryResponse(num_nodes=2, predictions=(0.5, bad))
 
     def test_bad_error_line_rejected(self):
         with pytest.raises(ProtocolError, match="line"):

@@ -1,9 +1,11 @@
 """InferenceService: strash-keyed reuse, batching determinism, errors."""
 
 import dataclasses
+import json
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from repro.aig.errors import CircuitParseError
 from repro.datagen.generators import comparator, parity
 from repro.serve import service as service_module
 from repro.serve.batcher import BatcherClosed
-from repro.serve.protocol import QueryRequest
+from repro.serve.protocol import QueryRequest, QueryResponse
 from repro.serve.service import (
     TEXT_MEMO_PER_ENTRY,
     CircuitRejected,
@@ -67,6 +69,23 @@ class PassCounter:
         self.passes[key] = self.passes.get(key, 0) + 1
         self._batches.append(prepared)
         return self.model.forward(prepared, num_iterations=num_iterations)
+
+
+class NonFiniteModel:
+    """A recurrent stand-in whose every pass predicts NaN, +inf, -inf
+    and 0.5 in turn, over every node."""
+
+    num_iterations = 2
+
+    def forward(self, prepared, num_iterations=None):
+        cycle = np.array([np.nan, np.inf, -np.inf, 0.5], dtype=np.float32)
+        return SimpleNamespace(data=np.resize(cycle, prepared.num_nodes))
+
+
+def generic_json(resp):
+    """The reply a response must encode to: the whole payload through
+    ``json.dumps``, every prediction formatted there."""
+    return json.dumps(resp.to_payload(), sort_keys=True)
 
 
 def wait_until(condition, timeout=30.0):
@@ -476,6 +495,156 @@ class TestTextMemo:
         assert stats.text_hits == 1
 
 
+@pytest.fixture
+def encodes(monkeypatch):
+    """The values of every ``QueryResponse.encode_predictions`` call, by
+    the service's pass or by a reply's ``to_json``."""
+    calls = []
+    encode = QueryResponse.encode_predictions
+
+    def counting(predictions):
+        calls.append(tuple(predictions))
+        return encode(predictions)
+
+    monkeypatch.setattr(QueryResponse, "encode_predictions", staticmethod(counting))
+    return calls
+
+
+class TestEncodedAnswer:
+    """A reply splices the JSON its pass encoded from the stored array,
+    and is byte for byte the generic encoding of its payload."""
+
+    @pytest.mark.parametrize("iters", [None, 3])
+    def test_miss_and_hits_encode_like_the_payload(
+        self, model, service, adder_bench, iters
+    ):
+        miss = service.query(
+            QueryRequest(circuit=adder_bench, fmt="bench", num_iterations=iters)
+        )
+        text_hit = service.query(
+            QueryRequest(circuit=adder_bench, fmt="bench", num_iterations=iters)
+        )
+        stored_hit = service.query(QueryRequest(
+            circuit=rename_bench(adder_bench), fmt="bench", num_iterations=iters
+        ))
+        stats = service.stats()
+        assert (stats.cache_misses, stats.text_hits, stats.memo_hits) == (1, 1, 2)
+        _, preds = direct_forward(model, adder_bench, "bench", iters)
+        for resp in (miss, text_hit, stored_hit):
+            assert resp._predictions_json is not None
+            assert resp.to_json() == generic_json(resp)
+            assert resp.predictions == preds
+
+    @pytest.mark.parametrize("iters", [None, 3])
+    def test_coalesced_waiters_encode_like_the_payload(
+        self, model, adder_bench, iters
+    ):
+        texts = [adder_bench, adder_bench, rename_bench(adder_bench)]
+        gated = GatedModel(model)
+        svc = InferenceService(gated)
+        threads, responses = start_queries(svc, [
+            QueryRequest(circuit=t, fmt="bench", num_iterations=iters)
+            for t in texts
+        ])
+        try:
+            wait_until(lambda: requests_on_passes(svc) == len(texts))
+            gated.release.set()
+            join_all(threads)
+        finally:
+            gated.release.set()
+            svc.close()
+        _, preds = direct_forward(model, adder_bench, "bench", iters)
+        assert gated.passes == 1
+        for resp in responses:
+            assert resp.coalesced == len(texts)
+            assert resp.to_json() == generic_json(resp)
+            assert resp.predictions == preds
+
+    def test_non_finite_predictions_encode_like_the_payload(self, adder_aag):
+        svc = InferenceService(NonFiniteModel())
+        try:
+            replies = [svc.query(QueryRequest(circuit=adder_aag)) for _ in range(2)]
+        finally:
+            svc.close()
+        for resp in replies:
+            text = resp.to_json()
+            assert text == generic_json(resp)
+            assert '"predictions": [NaN, Infinity, -Infinity, 0.5, NaN' in text
+
+    @pytest.mark.parametrize("label", [
+        'say "hi"',
+        "back\\slash",
+        "DeepGate(dim=64) — naïve ✓",
+        '"predictions": null',
+    ])
+    def test_model_label_is_encoded_around_the_predictions(
+        self, model, adder_aag, label
+    ):
+        svc = InferenceService(model, model_label=label)
+        try:
+            replies = [svc.query(QueryRequest(circuit=adder_aag)) for _ in range(2)]
+        finally:
+            svc.close()
+        for resp in replies:
+            assert resp.to_json() == generic_json(resp)
+            payload = json.loads(resp.to_json())
+            assert payload["model"] == label
+            assert tuple(payload["predictions"]) == resp.predictions
+
+    def test_a_copy_encodes_its_own_predictions(self, service, adder_aag):
+        resp = service.query(QueryRequest(circuit=adder_aag))
+        copy = dataclasses.replace(resp)
+        assert copy._predictions_json is None
+        assert copy == resp and hash(copy) == hash(resp)
+        assert copy.to_json() == resp.to_json() == generic_json(resp)
+        assert "_predictions_json" not in resp.to_payload()
+
+    def test_hits_encode_the_predictions_once(
+        self, service, adder_bench, encodes
+    ):
+        texts = [adder_bench, rename_bench(adder_bench)] * 3
+        replies = [
+            service.query(QueryRequest(circuit=t, fmt="bench")) for t in texts
+        ]
+        for resp in replies:
+            resp.to_json()
+        assert encodes == [replies[0].predictions]
+        deep = service.query(
+            QueryRequest(circuit=adder_bench, fmt="bench", num_iterations=3)
+        )
+        deep.to_json()
+        assert encodes == [replies[0].predictions, deep.predictions]
+
+    def test_an_evicted_answer_is_encoded_again_once(
+        self, model, adder_aag, comparator_aag, encodes
+    ):
+        svc = InferenceService(model, cache_size=1)
+        try:
+            replies = [
+                svc.query(QueryRequest(circuit=text))
+                for text in (adder_aag, comparator_aag, adder_aag, adder_aag)
+            ]
+        finally:
+            svc.close()
+        for resp in replies:
+            assert resp.to_json() == generic_json(resp)
+        adder, comparator = replies[0].predictions, replies[1].predictions
+        assert adder != comparator
+        assert encodes == [adder, comparator, adder]
+        assert [r.cache_hit for r in replies] == [False, False, False, True]
+
+    def test_entry_keeps_the_canonical_counts(self, service, adder_aag):
+        resp = service.query(QueryRequest(circuit=adder_aag))
+        _, canonical = canonicalize(parse_circuit(adder_aag, "aiger"))
+        entry = service.cache.peek(resp.structural_hash)
+        assert (entry.num_pis, entry.num_ands) == (
+            canonical.num_pis, canonical.num_ands
+        )
+        assert (resp.num_pis, resp.num_ands) == (entry.num_pis, entry.num_ands)
+        assert not hasattr(entry, "aig")
+        assert list(entry.predictions_json) == list(entry.predictions) == [None]
+
+
 class TestSingleFlight:
     """A request for a structure whose pass is queued or running waits
     for that pass instead of submitting its own."""
@@ -736,3 +905,87 @@ class TestTextMemoStress:
         assert 0 < stats.text_hits <= stats.cache_hits
         assert stats.cache_evictions > 0
         assert len(svc.text_memo) <= svc.text_memo.capacity
+
+
+class TestEncodedAnswerStress:
+    def test_concurrent_replies_encode_their_own_predictions(
+        self, model, adder_bench, adder_aag
+    ):
+        """Eight threads over four structures and three iteration
+        overrides through a three-entry cache: passes, stored answers,
+        evictions and rebuilds race.  Every reply's JSON is the generic
+        encoding of its payload, and its predictions are a direct
+        forward's bits, so no reply carries text encoded for another
+        iteration count or for an entry since rebuilt."""
+        comparator_bench = bench.dumps(comparator(3))
+        parity_bench = bench.dumps(parity(5))
+        texts = [
+            (adder_bench, "bench"),
+            (rename_bench(adder_bench), "bench"),
+            (adder_aag, "aiger"),
+            (comparator_bench, "bench"),
+            (rename_bench(comparator_bench), "bench"),
+            (parity_bench, "bench"),
+        ]
+        weights = np.array([3, 2, 3, 3, 2, 3]) / 16
+        overrides = (None, model.num_iterations, 3)
+        reference = {
+            (i, iters): direct_forward(model, text, fmt, iters)
+            for i, (text, fmt) in enumerate(texts)
+            for iters in overrides
+        }
+        assert len({key for key, _ in reference.values()}) == 4
+
+        num_threads, per_thread = 8, 20
+        rng = np.random.default_rng(13)
+        plans = [
+            [
+                (
+                    int(rng.choice(len(texts), p=weights)),
+                    overrides[int(rng.integers(len(overrides)))],
+                )
+                for _ in range(per_thread)
+            ]
+            for _ in range(num_threads)
+        ]
+        answers = [[] for _ in range(num_threads)]
+        errors = []
+        svc = InferenceService(model, cache_size=3)
+
+        def worker(t):
+            try:
+                for i, iters in plans[t]:
+                    text, fmt = texts[i]
+                    resp = svc.query(
+                        QueryRequest(circuit=text, fmt=fmt, num_iterations=iters)
+                    )
+                    answers[t].append((i, iters, resp, resp.to_json()))
+            except Exception as exc:  # noqa: BLE001 - collected for asserts
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(t,)) for t in range(num_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            svc.close()
+        assert errors == []
+        for t in range(num_threads):
+            assert len(answers[t]) == per_thread
+            for i, iters, resp, text in answers[t]:
+                key, preds = reference[i, iters]
+                assert resp.structural_hash == key
+                assert resp.predictions == preds
+                assert resp._predictions_json is not None
+                assert text == generic_json(resp)
+        stats = svc.stats()
+        assert stats.memo_hits > 0
+        assert stats.cache_evictions > 0
