@@ -1028,7 +1028,7 @@ def build_parser() -> argparse.ArgumentParser:
              "Retry-After",
     )
     p.add_argument("--verbose", action="store_true",
-                   help="log one line per request (http.server access log)")
+                   help="log one access line per request to stderr")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(

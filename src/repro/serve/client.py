@@ -1,14 +1,17 @@
 """Tiny stdlib client for a running ``repro serve`` instance.
 
-``http.client`` only — the same no-new-deps rule as the server.  Each
-calling thread keeps one HTTP/1.1 connection to the server and reuses
-it, so one client may be shared across threads; a thread's connection
-closes when the thread ends, or on :meth:`ServeClient.close`.  When the
-server has closed a reused connection (it drops idle ones after its
-read timeout), the client reconnects and sends the request once more:
-a query is a pure function of its text, so a resend is safe.  The
-client connects directly; it does not read proxy settings from the
-environment.
+It speaks the server's HTTP/1.1 subset (:mod:`repro.serve.http11`) on a
+plain socket, one write per request.  A reply the subset cannot frame
+(a ``Transfer-Encoding``, no ``Content-Length``, a bad status line, a
+short body) is a :class:`ServeClientError`; interim replies are skipped.
+Each calling thread keeps one connection to the server and reuses it,
+so one client may be shared across threads; a thread's connection
+closes when the thread ends, on a ``Connection: close`` reply, or on
+:meth:`ServeClient.close`.  When the server has closed a reused
+connection (it drops idle ones after its read timeout), the client
+reconnects and sends the request once more: a query is a pure function
+of its text, so a resend is safe.  The client connects directly; it
+does not read proxy settings from the environment.
 
 HTTP error bodies are parsed back into
 :class:`~repro.serve.protocol.ErrorReply` and surfaced as
@@ -24,13 +27,16 @@ Non-transient errors (4xx, 500) are never retried.
 
 from __future__ import annotations
 
-import http.client
 import json
+import re
+import socket
 import threading
 import time
 import weakref
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
+from urllib.parse import urlsplit
 
+from .http11 import HeadError, content_length, read_fields, read_line
 from .protocol import (
     ErrorReply,
     HealthReply,
@@ -70,12 +76,9 @@ class ServeClientError(RuntimeError):
         return self.status == 503 or self.status is None
 
 
-def _retry_after_seconds(headers) -> Optional[float]:
-    """Parse a numeric ``Retry-After`` header (HTTP-date form is rare
+def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
+    """Parse a numeric ``Retry-After`` value (HTTP-date form is rare
     enough from our own server to ignore)."""
-    if headers is None:
-        return None
-    value = headers.get("Retry-After")
     if value is None:
         return None
     try:
@@ -84,12 +87,57 @@ def _retry_after_seconds(headers) -> Optional[float]:
         return None
 
 
-class _Connection(http.client.HTTPConnection):
-    """A thread's kept-alive connection, closed when it is collected:
-    a thread that ends drops the only reference to it."""
+_STATUS_LINE = re.compile(r"HTTP/[0-9]\.[0-9] ([0-9]{3})(?: |$)")
 
-    def __del__(self) -> None:
-        self.close()
+
+class _Connection:
+    """A thread's kept-alive socket and its reader, closed when it is
+    collected: a thread that ends drops the only reference to it."""
+
+    def __init__(self, address: Tuple[str, int], host: str, timeout: float):
+        self.address, self.host, self.timeout = address, host, timeout
+        self.sock: Optional[socket.socket] = None
+
+    def connect(self) -> None:
+        self.sock = socket.create_connection(self.address, self.timeout)
+        # a request's one write leaves without waiting for ACKs
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.rfile = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        sock, self.sock = self.sock, None
+        if sock is not None:
+            self.rfile.close()
+            sock.close()
+
+    __del__ = close
+
+    def request(
+        self, method: str, path: str, body: Optional[bytes]
+    ) -> Tuple[int, Dict[str, str], bytes]:
+        """Send one request and read its whole reply (status, fields by
+        lower-case name, body), so the connection is ready for the next."""
+        head = f"{method} {path} HTTP/1.1\r\nHost: {self.host}\r\n"
+        if body is not None:
+            head += f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+        self.sock.sendall((head + "\r\n").encode("ascii") + (body or b""))
+        status = 100
+        while status < 200:  # an interim reply is a head alone
+            line = read_line(self.rfile)
+            match = _STATUS_LINE.match(line)
+            if match is None:
+                raise HeadError(502, f"bad status line {line[:80]!r}")
+            status = int(match[1])
+            fields = read_fields(self.rfile)
+        length = content_length(fields)
+        if length is None:
+            raise HeadError(502, "a reply without Content-Length")
+        payload = self.rfile.read(length)
+        if len(payload) < length:
+            raise ConnectionResetError(f"the reply ended {len(payload)} bytes in")
+        if "close" in fields.get("connection", "").lower():
+            self.close()
+        return status, fields, payload
 
 
 class ServeClient:
@@ -114,12 +162,13 @@ class ServeClient:
         if retries < 0:
             raise ValueError("retries must be >= 0")
         self.base_url = base_url.rstrip("/")
-        scheme, sep, rest = self.base_url.partition("://")
-        if not sep or scheme.lower() != "http":
+        url = urlsplit(self.base_url)
+        if url.scheme != "http" or not url.hostname or not base_url.isascii():
             raise ValueError(f"expected an http:// URL, got {base_url!r}")
-        # "host:port" for the connections; a path prefix for the requests
-        self._netloc, slash, prefix = rest.partition("/")
-        self._prefix = slash + prefix
+        # where to connect, the Host field, and a path prefix for requests
+        self._address = (url.hostname, url.port or 80)
+        self._netloc = url.netloc
+        self._prefix = url.path
         self.timeout = timeout
         self.retries = retries
         self.backoff_base = backoff_base
@@ -135,7 +184,7 @@ class ServeClient:
         (it connects lazily, and again after any close)."""
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            conn = _Connection(self._netloc, timeout=self.timeout)
+            conn = _Connection(self._address, self._netloc, self.timeout)
             self._local.conn = conn
             with self._lock:
                 self._connections.add(conn)
@@ -157,20 +206,18 @@ class ServeClient:
 
     def _exchange(
         self, path: str, body: Optional[bytes]
-    ) -> Tuple[http.client.HTTPResponse, bytes]:
+    ) -> Tuple[int, Dict[str, str], bytes]:
         """Send one request on this thread's connection and read the
-        whole reply, so the connection is ready for the next one."""
+        whole reply: its status, fields and body."""
         conn = self._connection()
         method = "GET" if body is None else "POST"
-        headers = {} if body is None else {"Content-Type": "application/json"}
         while True:  # twice at most: after close() the next try connects
             reused = conn.sock is not None
             try:
-                conn.request(method, self._prefix + path, body=body,
-                             headers=headers)
-                resp = conn.getresponse()
-                return resp, resp.read()
-            except (OSError, http.client.HTTPException) as exc:
+                if not reused:
+                    conn.connect()
+                return conn.request(method, self._prefix + path, body)
+            except (OSError, HeadError) as exc:
                 conn.close()
                 if not (reused and isinstance(exc, ConnectionError)):
                     raise ServeClientError(
@@ -180,29 +227,29 @@ class ServeClient:
                 # past its read timeout): connect and send again
 
     def _request_once(self, path: str, body: Optional[bytes] = None):
-        resp, raw = self._exchange(path, body)
-        if 200 <= resp.status < 300:
+        status, fields, raw = self._exchange(path, body)
+        if 200 <= status < 300:
             return parse_message(raw.decode("utf-8"))
         text = raw.decode("utf-8", errors="replace")
-        retry_after = _retry_after_seconds(resp.headers)
+        retry_after = _retry_after_seconds(fields.get("retry-after"))
         try:
             reply = parse_message(text)
         except (ProtocolError, json.JSONDecodeError):
             raise ServeClientError(
-                text.strip() or f"HTTP {resp.status} {resp.reason}",
-                status=resp.status,
+                text.strip() or f"HTTP {status}",
+                status=status,
                 retry_after=retry_after,
             ) from None
         if isinstance(reply, ErrorReply):
             raise ServeClientError(
                 reply.detail,
                 kind=reply.error,
-                status=resp.status,
+                status=status,
                 line=reply.line,
                 retry_after=retry_after,
             )
         raise ServeClientError(
-            text.strip(), status=resp.status, retry_after=retry_after
+            text.strip(), status=status, retry_after=retry_after
         )
 
     def _request(self, path: str, body: Optional[bytes] = None):

@@ -232,8 +232,9 @@ class QueryResponse(Message):
 class ErrorReply(Message):
     """Structured rejection: a machine-readable kind plus diagnostics.
 
-    ``error`` is one of ``protocol_error`` / ``parse_error`` /
-    ``circuit_error`` / ``not_found`` / ``internal_error``; ``line`` is
+    ``error`` is one of ``protocol_error`` (also every refusal of the
+    HTTP layer) / ``parse_error`` / ``circuit_error`` / ``not_found`` /
+    ``saturated`` / ``unavailable`` / ``internal_error``; ``line`` is
     the offending source line for parse errors when known.
     """
 

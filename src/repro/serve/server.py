@@ -11,27 +11,34 @@ Endpoints:
 * ``GET /stats`` — cache/batcher/request counters (``StatsReply``).
 * ``GET /healthz`` — liveness probe.
 
-Connections are HTTP/1.1 and kept alive: ``ThreadingHTTPServer`` gives
-one handler thread per connection, which answers its requests in turn.
-Handler threads only parse and wait on the micro-batcher, so the model
-itself stays single-threaded (see :mod:`repro.serve.batcher`).  Each
-reply goes out in one write on a ``TCP_NODELAY`` socket, so a kept-alive
-client never waits on a delayed ACK.  A connection idle for
+Connections speak the HTTP/1.1 subset of :mod:`repro.serve.http11` and
+are kept alive: one handler thread per connection answers its requests
+in turn, and only parses and waits on the micro-batcher, so the model
+stays single-threaded (see :mod:`repro.serve.batcher`).  Each reply goes
+out in one write on a ``TCP_NODELAY`` socket, so a kept-alive client
+never waits on a delayed ACK; a head the subset refuses gets a
+``protocol_error`` and ``Connection: close``.  A connection idle for
 :data:`READ_TIMEOUT_S` is closed, and :meth:`ServeServer.close` ends
-every connection still open.  One that stalls mid-request for as
-long, sends a body shorter than its ``Content-Length`` or goes away
+every connection still open.  One that stalls mid-request for as long,
+sends a body shorter than its ``Content-Length`` or goes away
 mid-exchange is dropped without a reply, so its handler thread ends.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 import socket
+import socketserver
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+import time
+from http import HTTPStatus
+from typing import Optional, Tuple
 
 from ..aig.errors import CircuitParseError
 from .batcher import BatcherClosed, BatcherSaturated
+from .http11 import HeadError, content_length, read_fields, read_line
 from .protocol import (
     ErrorReply,
     HealthReply,
@@ -55,9 +62,40 @@ RETRY_AFTER_S = 1
 READ_TIMEOUT_S = 30.0
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "repro-serve/1"
-    protocol_version = "HTTP/1.1"
+_STATUS_LINES = {s.value: f"HTTP/1.1 {s.value} {s.phrase}\r\n" for s in HTTPStatus}
+_SERVER = f"repro-serve/1 Python/{sys.version.split()[0]}"
+_REQUEST_LINE = re.compile(r"(\S+)\s+(\S+)\s+HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+# the access log escapes control characters, as the stdlib's does
+_LOG_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
+_LOG_ESCAPES[ord("\\")] = "\\\\"
+
+
+@functools.lru_cache(maxsize=1)
+def _imf_fixdate(second: int) -> str:
+    """``Date`` for a Unix second: ``asctime`` names days and months in
+    English whatever the locale, where ``strftime`` follows it."""
+    day, month, mday, hms, year = time.asctime(time.gmtime(second)).split()
+    return f"{day}, {int(mday):02d} {month} {year} {hms} GMT"
+
+
+def _request_line(line: str) -> Tuple[str, str, Tuple[int, int]]:
+    """Method, path and version of a request line: 400, 505 or 501 else."""
+    match = _REQUEST_LINE.fullmatch(line.strip())
+    if match is None:
+        raise HeadError(400, f"malformed request line {line[:80]!r}")
+    method, path, version = match[1], match[2], (int(match[3]), int(match[4]))
+    if version >= (2, 0):
+        raise HeadError(505, f"HTTP/{match[3]}.{match[4]} is not supported")
+    if method not in ("GET", "POST"):
+        raise HeadError(501, f"unsupported method {method[:80]!r}")
+    if path.startswith("//"):  # never read as a host, as the stdlib does
+        path = "/" + path.lstrip("/")
+    return method, path, version
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection's thread: reads its requests and answers each."""
+
     # TCP_NODELAY: a reply's one write leaves without waiting for ACKs
     disable_nagle_algorithm = True
 
@@ -72,17 +110,34 @@ class _Handler(BaseHTTPRequestHandler):
         self.timeout = READ_TIMEOUT_S
         super().setup()
 
-    def handle_one_request(self) -> None:
-        # the stdlib drops a timed-out connection itself; a client that
-        # went away mid-exchange would otherwise end in a traceback
+    def handle(self) -> None:
         try:
-            super().handle_one_request()
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
+            while self._answer():
+                pass
+        except OSError:  # timed out, reset or closed mid-request
+            pass
 
-    def log_message(self, format: str, *args) -> None:
-        if getattr(self.server, "verbose", False):  # pragma: no cover
-            super().log_message(format, *args)
+    def _answer(self) -> bool:
+        """Answer one request; whether the connection stays open."""
+        self.requestline, self.close_connection = "", True
+        try:
+            self.requestline = read_line(self.rfile, 414)
+            method, path, version = _request_line(self.requestline)
+            fields = read_fields(self.rfile)
+            length = content_length(fields)
+        except HeadError as exc:
+            self._send_error_reply(exc.status, "protocol_error", str(exc))
+            return False
+        connection = fields.get("connection", "").lower()
+        self.close_connection = connection == "close" or (
+            version < (1, 1) and connection != "keep-alive"
+        )
+        if method == "GET":
+            self._get(path, length)
+        else:
+            expect = fields.get("expect", "").lower() == "100-continue"
+            self._post(path, length, expect and version >= (1, 1))
+        return not self.close_connection
 
     def _send(
         self,
@@ -91,19 +146,24 @@ class _Handler(BaseHTTPRequestHandler):
         retry_after: Optional[int] = None,
     ) -> None:
         body = (message.to_json() + "\n").encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        head = (
+            f"{_STATUS_LINES[status]}Server: {_SERVER}\r\n"
+            f"Date: {_imf_fixdate(int(time.time()))}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        )
         if retry_after is not None:
-            self.send_header("Retry-After", str(retry_after))
+            head += f"Retry-After: {retry_after}\r\n"
         if self.close_connection:
-            self.send_header("Connection", "close")
-        # status line, headers and body leave in one write: sent alone
-        # (as end_headers() would), the headers hold the body back on a
-        # kept-alive connection until the client's delayed ACK (~40 ms).
-        # So the blank line and the body join the buffer send_header fills
-        self._headers_buffer.extend((b"\r\n", body))
-        self.flush_headers()
+            head += "Connection: close\r\n"
+        if self.server.verbose:  # the stdlib server's access line
+            request = f'"{self.requestline}" {status} -'.translate(_LOG_ESCAPES)
+            stamp = time.strftime("%d/%b/%Y %H:%M:%S")
+            sys.stderr.write(f"{self.client_address[0]} - - [{stamp}] {request}\n")
+        # the head and the body leave in one write: the head sent alone
+        # holds the body back on a kept-alive connection until the
+        # client's delayed ACK (~40 ms)
+        self.wfile.write((head + "\r\n").encode("latin-1") + body)
 
     def _send_error_reply(
         self,
@@ -120,40 +180,37 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     # -- endpoints ------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        if "Content-Length" in self.headers or "Transfer-Encoding" in self.headers:
+    def _get(self, path: str, length: Optional[int]) -> None:
+        if length is not None:
             # a GET body is never read, so the reply ends the connection
             self.close_connection = True
-        if self.path == "/healthz":
+        if path == "/healthz":
             self._send(200, HealthReply())
-        elif self.path == "/stats":
+        elif path == "/stats":
             self._send(200, self.service.stats())
         else:
-            self._send_error_reply(404, "not_found", f"no such path {self.path!r}")
+            self._send_error_reply(404, "not_found", f"no such path {path!r}")
 
-    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        if self.path != "/query":
+    def _post(self, path: str, length: Optional[int], expect_continue: bool):
+        if path != "/query":
             # a reply sent before the body is read ends the connection,
             # or the unread body would be parsed as the next request
             self.close_connection = True
-            self._send_error_reply(404, "not_found", f"no such path {self.path!r}")
+            self._send_error_reply(404, "not_found", f"no such path {path!r}")
             return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length <= 0 or length > _MAX_BODY_BYTES:
+        if not length or length > _MAX_BODY_BYTES:
             self.close_connection = True
             self._send_error_reply(
                 400, "protocol_error", "Content-Length required (and bounded)"
             )
             return
+        if expect_continue:
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         body = self.rfile.read(length)
         if len(body) < length:
             # the client closed before its body was complete: there is
             # no request to answer, and nobody left to read a reply
-            self.close_connection = True
-            return
+            raise ConnectionResetError("the request body ended early")
         try:
             message = parse_message(body.decode("utf-8", errors="replace"))
             if not isinstance(message, QueryRequest):
@@ -186,10 +243,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, response)
 
 
-class _HTTPServer(ThreadingHTTPServer):
+class _HTTPServer(socketserver.ThreadingTCPServer):
     """One daemon handler thread per connection, each connection's socket
     tracked until its handler ends, so :meth:`close_connections` can end
     the threads that wait on idle kept-alive connections."""
+
+    allow_reuse_address = True
+    daemon_threads = True
 
     def __init__(self, *args, **kwargs):
         self._connections = set()

@@ -1,5 +1,6 @@
 """Overload shedding end to end: 503 + Retry-After, client backoff."""
 
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -64,6 +65,26 @@ class TestSaturatedServer:
         assert info.value.headers.get("Retry-After") == "1"
         reply = parse_message(info.value.read().decode())
         assert reply.error == "saturated"
+
+    def test_retry_after_follows_the_length(self, saturated_server, adder_aag):
+        from repro.serve.protocol import QueryRequest
+
+        srv, _, _ = saturated_server
+        body = QueryRequest(circuit=adder_aag).to_json().encode()
+        with socket.create_connection((srv.host, srv.port), 5) as sock:
+            with sock.makefile("rb") as rfile:
+                sock.sendall(
+                    b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                    % len(body) + body
+                )
+                status_line = rfile.readline()
+                lines = [rfile.readline() for _ in range(5)]
+                assert rfile.readline() == b"\r\n"
+        assert status_line == b"HTTP/1.1 503 Service Unavailable\r\n"
+        assert [line.split(b":")[0] for line in lines] == [
+            b"Server", b"Date", b"Content-Type", b"Content-Length", b"Retry-After"
+        ]
+        assert lines[-1] == b"Retry-After: 1\r\n"
 
     def test_client_retries_through_transient_saturation(
         self, saturated_server, adder_aag, monkeypatch

@@ -1,7 +1,9 @@
 """HTTP end-to-end: status mapping, stats observability, clean shutdown."""
 
+import email.utils
 import http.client
 import json
+import platform
 import socket
 import struct
 import threading
@@ -19,7 +21,13 @@ from repro.serve import (
     describe,
 )
 from repro.serve import server as server_module
-from repro.serve.protocol import HealthReply, QueryRequest, parse_message
+from repro.serve.protocol import (
+    ErrorReply,
+    HealthReply,
+    QueryRequest,
+    QueryResponse,
+    parse_message,
+)
 
 from .conftest import rename_bench
 
@@ -198,6 +206,30 @@ def raw_exchange(server, data: bytes) -> bytes:
 SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
 
 
+def read_reply(rfile):
+    """``(status, fields, body)`` of one reply read off ``rfile``, its
+    field names lower-cased."""
+    status = int(rfile.readline().split()[1])
+    fields = {}
+    for line in iter(rfile.readline, b""):
+        if line == b"\r\n":
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        fields[name.lower()] = value.strip()
+    return status, fields, rfile.read(int(fields["content-length"]))
+
+
+def refusal(data: bytes):
+    """``(status, ErrorReply)`` of the one reply in ``data``, which must
+    end its connection."""
+    assert data.count(b"HTTP/1.1 ") == 1, data[:200]
+    head, _, body = data.partition(b"\r\n\r\n")
+    assert b"\r\nConnection: close\r\n" in head + b"\r\n", head
+    reply = parse_message(body.decode())
+    assert isinstance(reply, ErrorReply), reply
+    return int(head.split()[1]), reply
+
+
 class TestUnreadBody:
     """A reply sent before the request body is read ends the connection,
     so the body is never parsed as a request of its own."""
@@ -220,6 +252,50 @@ class TestUnreadBody:
         assert data.startswith(b"HTTP/1.1 %d " % status)
         assert b"\r\nConnection: close\r\n" in data
 
+    @pytest.mark.parametrize(
+        "framing",
+        [
+            b"Content-Length: +%d\r\n",
+            b"Content-Length: %s\r\n",  # the length with "_" between digits
+            b"Content-Length: 0%d\xb2\r\n",  # a superscript digit
+            b"Content-Length: %d\r\nContent-Length: 1%d\r\n",
+            b"Transfer-Encoding: chunked\r\nContent-Length: %d\r\n",
+            b"Transfer-Encoding: identity\r\n",
+        ],
+        ids=["plus_sign", "underscores", "superscript", "differing_lengths",
+             "chunked_and_length", "transfer_encoding"],
+    )
+    def test_unframeable_body_gets_one_400_then_eof(
+        self, server, adder_aag, framing
+    ):
+        # a whole query follows the head: int() reads each of these
+        # lengths, so a lenient server would answer it with a 200
+        body = QueryRequest(circuit=adder_aag).to_json().encode()
+        n = len(body)
+        if b"%s" in framing:
+            fields = framing % "_".join(str(n)).encode()
+        else:
+            fields = framing % ((n,) * framing.count(b"%d"))
+        data = raw_exchange(
+            server,
+            b"POST /query HTTP/1.1\r\nHost: x\r\n" + fields + b"\r\n"
+            + body + SMUGGLED,
+        )
+        status, reply = refusal(data)
+        assert (status, reply.error) == (400, "protocol_error")
+
+    def test_repeated_equal_lengths_are_one_length(self, server, adder_aag):
+        body = QueryRequest(circuit=adder_aag).to_json().encode()
+        data = raw_exchange(
+            server,
+            b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n"
+            b"Content-Length: %d\r\nConnection: close\r\n\r\n"
+            % (len(body), len(body)) + body,
+        )
+        head, _, reply = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert isinstance(parse_message(reply.decode()), QueryResponse)
+
     @pytest.mark.parametrize("valid", [True, False], ids=["query", "bad_json"])
     def test_reply_after_the_body_keeps_the_connection(
         self, server, adder_aag, valid
@@ -238,6 +314,118 @@ class TestUnreadBody:
         assert first.status == (200 if valid else 400)
         assert first.getheader("Connection") is None
         assert (second.status, health) == (200, HealthReply())
+
+
+class TestWire:
+    """What any HTTP/1.1 client may send, over raw sockets."""
+
+    def test_http10_without_keep_alive_is_answered_then_closed(self, server):
+        data = raw_exchange(server, b"GET /healthz HTTP/1.0\r\n\r\n")
+        assert data.count(b"HTTP/1.1 ") == 1
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert head.endswith(b"\r\nConnection: close")
+        assert parse_message(body.decode()) == HealthReply()
+
+    def test_http10_keep_alive_stays_open(self, server):
+        request = b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+        with socket.create_connection((server.host, server.port), 5) as sock:
+            with sock.makefile("rb") as rfile:
+                for _ in range(2):
+                    sock.sendall(request)
+                    status, fields, body = read_reply(rfile)
+                    assert (status, "connection" in fields) == (200, False)
+                    assert parse_message(body.decode()) == HealthReply()
+
+    def test_expect_100_continue_gets_the_interim_reply(
+        self, server, adder_aag
+    ):
+        body = QueryRequest(circuit=adder_aag).to_json().encode()
+        head = (
+            b"POST /query HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)
+        )
+        with socket.create_connection((server.host, server.port), 5) as sock:
+            with sock.makefile("rb") as rfile:
+                sock.sendall(head)
+                # the body is sent only once the server has asked for it
+                assert rfile.readline() == b"HTTP/1.1 100 Continue\r\n"
+                assert rfile.readline() == b"\r\n"
+                sock.sendall(body)
+                status, _, reply = read_reply(rfile)
+        assert status == 200
+        assert isinstance(parse_message(reply.decode()), QueryResponse)
+
+    @pytest.mark.parametrize("path", [b"/query", b"//query"])
+    def test_bare_lf_and_lower_case_names(self, server, adder_aag, path):
+        body = QueryRequest(circuit=adder_aag).to_json().encode()
+        data = raw_exchange(
+            server,
+            b"POST %s HTTP/1.1\nhost: x\ncontent-length: %d\n"
+            b"connection: close\n\n" % (path, len(body)) + body,
+        )
+        head, _, reply = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert isinstance(parse_message(reply.decode()), QueryResponse)
+
+    @pytest.mark.parametrize(
+        "request_head, status",
+        [
+            (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n", 414),
+            (b"GET /healthz HTTP/1.1\r\nX: " + b"a" * 65536 + b"\r\n", 431),
+            (b"GET /healthz HTTP/1.1\r\n"
+             + b"".join(b"X-%d: y\r\n" % i for i in range(100)), 431),
+            (b"GET /healthz HTTP/2.0\r\n", 505),
+            (b"GET /healthz HTTP/1.x\r\n", 400),
+            (b"GET /healthz\r\n", 400),
+            (b"PUT /healthz HTTP/1.1\r\n", 501),
+            (b"GET /healthz HTTP/1.1\r\nX-Folded: a\r\n b\r\n", 400),
+        ],
+        ids=["long_request_line", "long_header_line", "100_header_lines",
+             "http2", "bad_version", "no_version", "put", "folded_header"],
+    )
+    def test_http_layer_refusals_are_error_replies(
+        self, server, request_head, status
+    ):
+        got, reply = refusal(raw_exchange(server, request_head + b"\r\n"))
+        assert (got, reply.error) == (status, "protocol_error")
+        assert reply.detail
+
+    def test_reply_head_fields_in_order(self, server):
+        data = raw_exchange(
+            server, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+        )
+        head, _, body = data.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        fields = [line.split(": ", 1) for line in lines]
+        assert status_line == "HTTP/1.1 200 OK"
+        assert [name for name, _ in fields] == [
+            "Server", "Date", "Content-Type", "Content-Length", "Connection"
+        ]
+        values = dict(fields)
+        assert values["Server"] == "repro-serve/1 Python/" + platform.python_version()
+        assert values["Content-Type"] == "application/json"
+        assert values["Content-Length"] == str(len(body))
+        assert values["Connection"] == "close"
+        assert body == (HealthReply().to_json() + "\n").encode()
+
+    @pytest.mark.parametrize(
+        "second", [0, 951_782_400, 4_102_444_799, None], ids=str
+    )
+    def test_date_is_an_english_imf_fixdate(self, second):
+        second = int(time.time()) if second is None else second
+        assert server_module._imf_fixdate(second) == email.utils.formatdate(
+            second, usegmt=True
+        )
+
+    def test_99_header_lines_are_read(self, server):
+        data = raw_exchange(
+            server,
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"".join(b"X-%d: y\r\n" % i for i in range(98))
+            + b"Connection: close\r\n\r\n",
+        )
+        assert data.startswith(b"HTTP/1.1 200 OK\r\n")
 
 
 class TestStalledClient:

@@ -1,20 +1,26 @@
 """HTTP transport: kept-alive connections, one write per reply, and a
 client shared across threads with one connection each."""
 
+import contextlib
 import http.client
+import os
 import socket
 import socketserver
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.aig import bench
 from repro.datagen.generators import comparator, parity
 from repro.serve import InferenceService, ServeClient, ServeClientError, ServeServer
+from repro.serve import client as client_module
 from repro.serve import server as server_module
-from repro.serve.protocol import QueryRequest
+from repro.serve.protocol import HealthReply, QueryRequest
 
 from .conftest import direct_forward, rename_bench
 
@@ -52,13 +58,13 @@ def handler_threads(monkeypatch):
 def client_connects(monkeypatch):
     """Counts the TCP connections the client side opens."""
     count = [0]
-    connect = http.client.HTTPConnection.connect
+    connect = client_module._Connection.connect
 
     def counting_connect(conn):
         count[0] += 1
         connect(conn)
 
-    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting_connect)
+    monkeypatch.setattr(client_module._Connection, "connect", counting_connect)
     return count
 
 
@@ -240,16 +246,101 @@ class TestReconnect:
         assert info.value.retryable
 
 
+@contextlib.contextmanager
+def canned_server(*replies: bytes):
+    """A server that answers its first connection's requests (heads
+    without bodies) with ``replies`` in turn, then closes it."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as rfile:
+            for reply in replies:
+                while rfile.readline() not in (b"\r\n", b""):
+                    pass
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        with listener:
+            yield "http://%s:%d" % listener.getsockname()[:2]
+    finally:
+        thread.join(timeout=5)
+
+
+HEALTH = HealthReply().to_json().encode() + b"\n"
+
+
+class TestClientFraming:
+    """A reply the client cannot frame is a transport error, never a
+    misparse; interim replies are skipped."""
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"%x\r\n%s\r\n0\r\n\r\n" % (len(HEALTH), HEALTH),
+            b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n" + HEALTH,
+            b"HTTP/1.1 200 OK\r\nContent-Length: +%d\r\n\r\n" % len(HEALTH)
+            + HEALTH,
+            b"HTTP/1.1 OK 200\r\nContent-Length: %d\r\n\r\n" % len(HEALTH)
+            + HEALTH,
+            b"<!DOCTYPE HTML>\n<p>Error code: 505</p>\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n"
+            % (len(HEALTH) + 1) + HEALTH,
+            b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n" % len(HEALTH),
+        ],
+        ids=["chunked", "no_length", "bad_length", "bad_status_line",
+             "no_status_line", "short_body", "short_head"],
+    )
+    def test_unframeable_reply_is_a_transport_error(self, reply):
+        with canned_server(reply) as base:
+            with ServeClient(base, timeout=5.0) as client:
+                with pytest.raises(ServeClientError) as info:
+                    client.health()
+        assert (info.value.kind, info.value.status) == ("transport_error", None)
+
+    def test_interim_replies_are_skipped(self):
+        final = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(HEALTH)
+        interim = b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 102 Processing\r\n\r\n"
+        with canned_server(interim + final + HEALTH, final + HEALTH) as base:
+            with ServeClient(base, timeout=5.0) as client:
+                assert client.health()
+                # the same connection was left at the next reply's start
+                assert client.health()
+
+    def test_refusals_of_the_http_layer_are_structured(self, server):
+        # a request line past 65,536 bytes: the server's 414 is an
+        # ErrorReply, not an HTML page the client would quote as its detail
+        with ServeClient(url(server) + "/" + "a" * 65536, timeout=10.0) as client:
+            with pytest.raises(ServeClientError) as info:
+                client.health()
+        assert (info.value.status, info.value.kind) == (414, "protocol_error")
+        assert info.value.detail == "a head line is longer than 65536 bytes"
+
+    def test_serve_imports_neither_stdlib_http_layer(self):
+        code = (
+            "import sys, repro.serve\n"
+            "loaded = {'http.server', 'http.client', 'email'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        subprocess.run(
+            [sys.executable, "-c", code], check=True, timeout=60, env=env
+        )
+
+
 class TestClientUrl:
     def test_path_prefix_is_kept(self, server, monkeypatch):
         paths = []
-        request = http.client.HTTPConnection.request
+        request = client_module._Connection.request
 
         def recording_request(conn, method, path, *args, **kwargs):
             paths.append(path)
             return request(conn, method, path, *args, **kwargs)
 
-        monkeypatch.setattr(http.client.HTTPConnection, "request", recording_request)
+        monkeypatch.setattr(client_module._Connection, "request", recording_request)
         with ServeClient(url(server) + "/api/", timeout=10.0) as client:
             with pytest.raises(ServeClientError) as info:
                 client.health()

@@ -788,6 +788,49 @@ class TestServeQueryCLI:
             main(["serve", "--run", "train_backbone",
                   "--runs-dir", str(tmp_path)])
 
+    def test_serve_verbose_logs_one_line_per_request(self, checkpoint):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.serve import ServeClient, ServeClientError
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--checkpoint",
+             str(checkpoint), "--port", "0", "--verbose"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            for line in proc.stdout:
+                match = re.search(r" on (http://\S+) ", line)
+                if match:
+                    break
+            requests = [("GET", "/healthz", 200), ("GET", "/stats", 200),
+                        ("POST", "/query", 200), ("POST", "/query", 400),
+                        ("GET", "/nope", 404)]
+            with ServeClient(match.group(1), timeout=30.0) as client:
+                assert client.health()
+                client.stats()
+                client.query("INPUT(a)\nOUTPUT(b)\nb = NOT(a)\n", fmt="bench")
+                for path, body in (("/query", b"{nope"), ("/nope", None)):
+                    with pytest.raises(ServeClientError):
+                        client._request(path, body)
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=30)
+        lines = err.splitlines()
+        assert len(lines) == len(requests), err
+        for line, (method, path, status) in zip(lines, requests):
+            assert re.fullmatch(
+                r'127\.0\.0\.1 - - \[\d\d/[A-Z][a-z]{2}/\d{4} '
+                r'\d\d:\d\d:\d\d\] "%s %s HTTP/1\.1" %d -'
+                % (method, re.escape(path), status),
+                line,
+            ), line
+
     def test_query_requires_circuit_or_stats(self):
         with pytest.raises(SystemExit, match="circuit file"):
             main(["query", "--url", "http://127.0.0.1:9"])
